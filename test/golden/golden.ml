@@ -1,0 +1,236 @@
+(* Golden counter snapshot: every catalog structure in every count-delivery
+   mode, run under fixed seeded schedules with metrics, profile and blame
+   on, printed in full. [dune runtest] diffs the output against the
+   committed [counters.expected]; any difference is a behaviour change
+   (a DCAS issued, retried or charged differently, an object freed at a
+   different step, a counter moved) and must be explained when the file is
+   promoted.
+
+   Rows:
+   - catalog structure x {eager, deferred-rc 64, wait-free 64}, Atomic_step,
+     Iterative destroy policy, two seeds each;
+   - treiber and snark-fixed under the Recursive and Deferred {budget 2}
+     destroy policies, every mode;
+   - snark-fixed over Software_mcas, every mode (wait-free takes its
+     no-borrow load path there);
+   - E11's snark-fixed crash and multi-crash cells with recovery, every
+     mode, pinning the adoption counters.
+
+   Known defect pinned here: snark-fixed under wait-free counts over
+   Software_mcas never finishes seed 4 (the cell prints LIVELOCK at the
+   step budget). *)
+
+module Heap = Lfrc_simmem.Heap
+module Env = Lfrc_core.Env
+module Lfrc = Lfrc_core.Lfrc
+module Ops = Lfrc_core.Lfrc_ops
+module Dcas = Lfrc_atomics.Dcas
+module Sched = Lfrc_sched.Sched
+module Strategy = Lfrc_sched.Strategy
+module Metrics = Lfrc_obs.Metrics
+module Profile = Lfrc_obs.Profile
+module Blame = Lfrc_obs.Blame
+module Rng = Lfrc_util.Rng
+module S = Lfrc_structures
+module E11 = Lfrc_harness.E11_chaos
+module Chaos = Lfrc_faults.Chaos
+
+(* One structure family seen through a uniform four-way op: [k] picks the
+   operation, [v] its value. *)
+module type FAMILY = sig
+  type t
+  type handle
+
+  val create : Env.t -> t
+  val register : t -> handle
+  val unregister : handle -> unit
+  val destroy : t -> unit
+  val op : handle -> int -> int -> unit
+end
+
+module Stack_family (M : S.Stack_intf.STACK) = struct
+  include M
+
+  let op h k v = if k < 2 then push h v else ignore (pop h)
+end
+
+module Queue_family (M : S.Queue_intf.QUEUE) = struct
+  include M
+
+  let op h k v = if k < 2 then enqueue h v else ignore (dequeue h)
+end
+
+module Deque_family (M : S.Deque_intf.DEQUE) = struct
+  include M
+
+  let op h k v =
+    match k with
+    | 0 -> push_left h v
+    | 1 -> push_right h v
+    | 2 -> ignore (pop_left h)
+    | _ -> ignore (pop_right h)
+end
+
+module Set_family (M : S.Container_intf.SET) = struct
+  include M
+
+  let op h k v =
+    match k with
+    | 0 | 1 -> ignore (insert h v)
+    | 2 -> ignore (remove h v)
+    | _ -> ignore (contains h v)
+end
+
+let families : (string * (module FAMILY)) list =
+  [
+    ("treiber", (module Stack_family (S.Treiber.Make (Ops))));
+    ("msqueue", (module Queue_family (S.Msqueue.Make (Ops))));
+    ("sundell", (module Deque_family (S.Sundell_deque.Make (Ops))));
+    ("snark", (module Deque_family (S.Snark.Make (Ops))));
+    ("snark-fixed", (module Deque_family (S.Snark_fixed.Make (Ops))));
+    ("dlist-set", (module Set_family (S.Dlist_set.Make (Ops))));
+    ("skiplist", (module Set_family (S.Skiplist.As_set (Ops))));
+  ]
+
+let modes =
+  [
+    ("eager", Env.Eager);
+    ("deferred-64", Env.Deferred_rc { epoch = 64 });
+    ("wait-free-64", Env.Wait_free { weight = 64 });
+  ]
+
+let workers = 3
+let ops_per_worker = 40
+let prefill = 8
+
+(* A cell normally finishes in under 30k steps; one that runs out of this
+   budget is printed as a livelock, with its counters at the cut. *)
+let max_steps = 200_000
+
+let print_snapshot (s : Metrics.snapshot) =
+  List.iter (fun (k, v) -> Printf.printf "  counter %s = %d\n" k v) s.counters;
+  List.iter
+    (fun (k, (last, mx)) -> Printf.printf "  gauge %s = %d max %d\n" k last mx)
+    s.gauges;
+  List.iter
+    (fun (k, xs) ->
+      let n = Array.length xs in
+      let sum = Array.fold_left ( +. ) 0. xs in
+      if n = 0 then Printf.printf "  hist %s n=0\n" k
+      else
+        Printf.printf "  hist %s n=%d sum=%.17g min=%.17g max=%.17g\n" k n sum
+          xs.(0)
+          xs.(n - 1))
+    s.samples
+
+let print_heap heap =
+  let st = Heap.stats heap in
+  Printf.printf "  heap allocs=%d frees=%d live=%d peak=%d cells=%d\n"
+    st.Heap.allocs st.Heap.frees st.Heap.live st.Heap.peak_live
+    st.Heap.live_cells
+
+let run_cell ~label (module F : FAMILY) ~rc_mode ~policy ~dcas_impl ~seed =
+  let heap = Heap.create ~name:label () in
+  let metrics = Metrics.create () in
+  let profile = Profile.create ~metrics () in
+  let blame = Blame.create () in
+  let env =
+    Env.create ~dcas_impl ~policy ~rc_mode ~metrics ~profile ~blame heap
+  in
+  let body () =
+        let t = F.create env in
+        let h = F.register t in
+        for i = 0 to prefill - 1 do
+          F.op h (i land 1) (100 + i)
+        done;
+        F.unregister h;
+        let tids =
+          List.init workers (fun w ->
+              Sched.spawn (fun () ->
+                  let rng = Rng.create ((seed * 7919) + (w * 53)) in
+                  let h = F.register t in
+                  for _ = 1 to ops_per_worker do
+                    let k = Rng.int rng 4 in
+                    F.op h k (Rng.int rng 16)
+                  done;
+                  F.unregister h))
+        in
+        Sched.join tids;
+        F.destroy t;
+        ignore (Lfrc.flush env)
+  in
+  (match Sched.run ~max_steps (Strategy.Random seed) body with
+  | o -> Printf.printf "%s\n  steps=%d\n" label o.Sched.steps
+  | exception Sched.Step_limit_exceeded n ->
+      Printf.printf "%s\n  LIVELOCK: step budget %d exhausted\n" label n);
+  print_snapshot (Metrics.snapshot metrics);
+  Printf.printf "  blame wasted=%d rc_wasted=%d\n" (Blame.total_wasted blame)
+    (Blame.rc_wasted blame);
+  print_heap heap
+
+let impl_name = function
+  | Dcas.Atomic_step -> "atomic"
+  | Dcas.Striped_lock -> "striped"
+  | Dcas.Software_mcas -> "mcas"
+
+let policy_name = function
+  | Env.Recursive -> "recursive"
+  | Env.Iterative -> "iterative"
+  | Env.Deferred { budget_per_op } -> Printf.sprintf "deferred-%d" budget_per_op
+
+let cell name ~mode ~rc_mode ?(policy = Env.Iterative)
+    ?(dcas_impl = Dcas.Atomic_step) seed =
+  let label =
+    Printf.sprintf "[%s %s %s %s seed=%d]" name mode (policy_name policy)
+      (impl_name dcas_impl) seed
+  in
+  run_cell ~label (List.assoc name families) ~rc_mode ~policy ~dcas_impl ~seed
+
+let chaos_cell ~mode ~rc_mode ~fault ~seed =
+  let structure =
+    List.find (fun s -> E11.structure_name s = "snark-fixed") E11.structures
+  in
+  let fault' = List.find (fun f -> E11.fault_name f = fault) E11.fault_kinds in
+  let blame = Blame.create () in
+  let r =
+    E11.run_one ~rc_mode ~recover:true ~blame ~structure ~fault:fault' ~seed ()
+  in
+  Printf.printf "[chaos snark-fixed %s recover %s seed=%d]\n" fault mode seed;
+  (match r.Chaos.status with
+  | Chaos.Completed { steps; crashed } ->
+      Printf.printf "  steps=%d crashed=[%s]\n" steps
+        (String.concat ";" (List.map string_of_int crashed))
+  | _ -> print_endline "  did not complete");
+  Printf.printf "  audit ok=%b\n" (Chaos.ok r);
+  print_snapshot r.Chaos.metrics;
+  print_heap (Env.heap r.Chaos.env)
+
+let () =
+  let catalog = S.Catalog.names () in
+  if List.sort compare catalog <> List.sort compare (List.map fst families)
+  then failwith "golden: the catalog and the golden families disagree";
+  List.iter
+    (fun name ->
+      List.iter
+        (fun (mode, rc_mode) ->
+          List.iter (fun seed -> cell name ~mode ~rc_mode seed) [ 1; 2 ])
+        modes)
+    catalog;
+  List.iter
+    (fun name ->
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun (mode, rc_mode) -> cell name ~mode ~rc_mode ~policy 3)
+            modes)
+        [ Env.Recursive; Env.Deferred { budget_per_op = 2 } ])
+    [ "treiber"; "snark-fixed" ];
+  List.iter
+    (fun (mode, rc_mode) ->
+      cell "snark-fixed" ~mode ~rc_mode ~dcas_impl:Dcas.Software_mcas 4)
+    modes;
+  List.iter
+    (fun (mode, rc_mode) ->
+      chaos_cell ~mode ~rc_mode ~fault:"crash" ~seed:3;
+      chaos_cell ~mode ~rc_mode ~fault:"multi-crash" ~seed:4)
+    modes
