@@ -28,14 +28,10 @@ let wait_free_rc_flag =
            borrowing on pointer handoff, DCAS only as the \
            weight-exhaustion fallback. Wins over $(b,--deferred-rc).")
 
-let rc_epoch_of_flag deferred_rc =
-  if deferred_rc then Lfrc_harness.Scenario.deferred_rc_epoch else 0
-
-(* The rc mode the two flags select, matching Scenario.rc_mode_of. *)
+(* The rc mode the two flags select. *)
 let rc_mode_of_flags ~deferred_rc ~wait_free_rc =
-  if wait_free_rc then
-    Lfrc_core.Env.Wait_free { weight = Lfrc_harness.Scenario.wait_free_weight }
-  else Lfrc_core.Env.rc_mode_of_epoch (rc_epoch_of_flag deferred_rc)
+  Lfrc_harness.Scenario.rc_mode_of
+    { Lfrc_harness.Scenario.default_config with deferred_rc; wait_free_rc }
 
 (* Header suffix naming the selected mode in the workload commands. *)
 let rc_mode_suffix ~deferred_rc ~wait_free_rc =

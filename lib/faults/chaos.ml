@@ -21,8 +21,8 @@ type report = {
   env : Env.t;
 }
 
-let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?(rc_epoch = 0)
-    ?rc_mode ?(dcas_impl = Lfrc_atomics.Dcas.Atomic_step) ?(recover = false)
+let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?rc_mode
+    ?(dcas_impl = Lfrc_atomics.Dcas.Atomic_step) ?(recover = false)
     ?metrics ?(lineage = Lfrc_obs.Lineage.disabled)
     ?(profile = Lfrc_obs.Profile.disabled)
     ?(blame = Lfrc_obs.Blame.disabled) ~strategy ~spec body =
@@ -30,13 +30,8 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?(rc_epoch = 0)
   let metrics =
     match metrics with Some m -> m | None -> Lfrc_obs.Metrics.create ()
   in
-  let rc_mode =
-    match rc_mode with
-    | Some m -> m
-    | None -> Env.rc_mode_of_epoch rc_epoch
-  in
   let env =
-    Env.create ~dcas_impl ~policy ~rc_mode ~metrics ~lineage ~profile ~blame
+    Env.create ~dcas_impl ~policy ?rc_mode ~metrics ~lineage ~profile ~blame
       heap
   in
   let plan = Fault_plan.make spec in
@@ -80,8 +75,7 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?(rc_epoch = 0)
            -1s) and phantom under-counts (parked +1s). Crashed threads'
            buffers live in the environment, so this settles their deltas
            too. The recovery pass ends with this same flush. *)
-        if recovery = None && Env.rc_deferred env then
-          ignore (Lfrc_core.Lfrc.flush env);
+        if recovery = None then Env.settle env;
         (Some (Audit.run ~strict:recover ?recovered:recovery env), false,
          recovery)
     | Livelock _ | Thread_raised _ -> (
@@ -90,7 +84,7 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?(rc_epoch = 0)
            leaked, what dangles) is still worth more than silence when
            triaging the failure. Never let it mask the real outcome. *)
         match
-          if Env.rc_deferred env then ignore (Lfrc_core.Lfrc.flush env);
+          Env.settle env;
           Audit.run env
         with
         | a -> (Some a, true, None)

@@ -45,7 +45,6 @@ type report = {
 val run :
   ?max_steps:int ->
   ?policy:Lfrc_core.Env.policy ->
-  ?rc_epoch:int ->
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?dcas_impl:Lfrc_atomics.Dcas.impl ->
   ?recover:bool ->
@@ -59,13 +58,11 @@ val run :
   report
 (** [run ~strategy ~spec body] executes [body env] as the simulation's
     main thread; [body] typically builds a structure and spawns workers.
-    [max_steps] defaults to 2 million; [policy] to [Iterative]; [rc_epoch]
-    (deferred-rc coalescing, see {!Lfrc_core.Env.create}) to 0 — when it
-    is positive, a forced {!Lfrc_core.Lfrc.flush} settles all parked
-    count deltas before the post-mortem audit runs. [rc_mode], when
-    given, selects the environment's count-delivery mode directly and
-    wins over [rc_epoch] (the way to run a chaos campaign in
-    {!Lfrc_core.Env.Wait_free} mode). [dcas_impl] defaults
+    [max_steps] defaults to 2 million; [policy] to [Iterative];
+    [rc_mode] (the environment's count-delivery mode, see
+    {!Lfrc_core.Env.create}) to [Eager]. A forced {!Lfrc_core.Env.settle}
+    lands every count delta the mode holds back (deferred-rc's parked
+    buffers) before the post-mortem audit runs. [dcas_impl] defaults
     to [Atomic_step]. [recover] (default false) runs {!Recovery.run} over
     the crashed threads of a completed run and then audits in {e strict}
     mode — the audit passes only if recovery left {e zero} leaked

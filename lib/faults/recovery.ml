@@ -26,22 +26,14 @@ let run env ~crashed =
   let lineage = Env.lineage env in
   let live_before = Heap.live_count heap in
 
-  (* 1. Flush machinery first: if the flag-holding flusher died, its
-     staged deltas go back to a parked buffer and the flag clears, so
-     the adoption destroys below (and the final settling flush) can run
-     the flush themselves. The dead threads' own parked buffers already
-     live in the environment; they settle at the final flush — count
-     them now for the report. *)
-  let restaged = Env.rc_recover_flush env ~crashed in
-  let parked = Env.rc_parked_of env ~tids:crashed in
-  (* Wait-free mode: merge the dead threads' weight pouches into the
-     adopter's before any adoption destroy runs, so each orphaned
-     reference released below finds its pooled weight and the ledger
-     balances exactly as in a live release. *)
-  let pouches_adopted = Env.wf_adopt_pools env ~tids:crashed in
-  if pouches_adopted > 0 then
-    Metrics.add (Env.metrics env) "lfrc.adopt_weight" pouches_adopted;
-  let rc_settled = restaged + parked + pouches_adopted in
+  (* 1. The count-delivery mode's own tables first, before any adoption
+     destroy runs: deferred-rc re-parks a dead flusher's staged deltas
+     and clears its flag, so the adoption destroys below (and the final
+     settle) can flush; the dead threads' parked buffers already live in
+     the environment and settle at the end. Weighted mode merges the dead
+     threads' weight pouches into the adopter's, so each orphaned
+     reference released below finds its pooled weight. *)
+  let rc_settled = Env.adopt env ~crashed in
 
   (* 2. Help every MCAS descriptor the dead threads left in flight to a
      decision, so no DCAS is ever half-applied and the audit sees plain
@@ -89,15 +81,15 @@ let run env ~crashed =
           end)
         (Env.adopt_destroying env ~tids:[ owner ]);
       (* Speculative count raises made ahead of a publishing CAS that
-         never resolved: compensate each with a destroy. In wait-free
-         mode the registry entry carries the whole published weight
-         batch; pouching it first makes the adoption destroy return
-         exactly what the fetch-add minted. *)
+         never resolved: compensate each with a destroy. The registry
+         entry carries the published weight (a whole batch in weighted
+         mode), which the mode prepares so the adoption destroy returns
+         exactly what was minted. *)
       List.iter
-        (fun (p, w) ->
+        (fun (p, weight) ->
           if p <> null && Heap.is_live heap p then begin
             incr publications_compensated;
-            if Env.wf_on env then Env.wf_pool_add env ~addr:p ~w ~n:1;
+            Env.adopt_publication env p ~weight;
             adopt_one ~owner p
           end)
         (Env.adopt_publications env ~tids:[ owner ]);
@@ -125,7 +117,7 @@ let run env ~crashed =
   (* 5. Settle: one final flush lands every parked delta — the dead
      threads' own, the restaged ones, and whatever the adoption destroys
      parked — and cascades the resulting zero-count destroys. *)
-  if Env.rc_deferred env then ignore (Lfrc.flush env);
+  Env.settle env;
 
   {
     crashed;

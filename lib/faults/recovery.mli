@@ -8,8 +8,10 @@
     post-run (outside the simulation, single-threaded) over the
     environment's crash-safe registries:
 
-    + a crashed flusher's staged count deltas are re-parked
-      ({!Lfrc_core.Env.rc_recover_flush}) and the flush flag cleared;
+    + the count-delivery mode adopts its own tables
+      ({!Lfrc_core.Env.adopt}): deferred-rc re-parks a crashed flusher's
+      staged count deltas and clears the flush flag, weighted mode merges
+      the dead threads' weight pouches into the adopter's;
     + in-flight MCAS descriptors in the dead threads' pool slots are
       helped to a decision ({!Lfrc_atomics.Mcas.adopt_slot}) — a DCAS is
       never left half-applied;
@@ -19,8 +21,8 @@
     + committed-but-unfinished drops (destroy registry), uncompensated
       speculative publication increments, and registered local-frame
       guards are each released through the normal destroy path;
-    + a final flush settles every parked delta and cascades the
-      resulting destroys.
+    + a final settle ({!Lfrc_core.Env.settle}) lands every parked delta
+      and cascades the resulting destroys.
 
     Every adoption is a {e decrement}: objects free only when their
     count reaches zero, so adoption can never double-free, and the order
@@ -42,8 +44,9 @@
 type report = {
   crashed : int list;  (** the dead threads recovery ran for *)
   rc_settled : int;
-      (** parked count-delta entries settled: the dead threads' own
-          buffers plus a crashed flusher's re-parked staging table *)
+      (** count-delivery table entries settled ({!Lfrc_core.Env.adopt}):
+          the dead threads' parked buffers plus a crashed flusher's
+          re-parked staging table, or their merged weight pouches *)
   destroys_completed : int;
       (** destroy-registry entries adopted: committed drops performed,
           mid-teardown husks finished *)

@@ -129,10 +129,10 @@ let fault_kinds_for (cfg : Scenario.config) =
       ]
 
 let run_one ?(workers = default_workers)
-    ?(ops_per_worker = default_ops_per_worker) ?(rc_epoch = 0) ?rc_mode
+    ?(ops_per_worker = default_ops_per_worker) ?rc_mode
     ?(recover = false) ?metrics ?blame ~structure ~fault ~seed () =
   let spec = fault.spec_for ~seed in
-  Chaos.run ?metrics ?blame ~rc_epoch ?rc_mode ~recover ~max_steps:400_000
+  Chaos.run ?metrics ?blame ?rc_mode ~recover ~max_steps:400_000
     ~strategy:(Strategy.Random seed)
     ~spec
     (fun env ->

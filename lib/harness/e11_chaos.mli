@@ -24,7 +24,6 @@ val fault_name : fault_kind -> string
 val run_one :
   ?workers:int ->
   ?ops_per_worker:int ->
-  ?rc_epoch:int ->
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?recover:bool ->
   ?metrics:Lfrc_obs.Metrics.t ->
@@ -36,9 +35,7 @@ val run_one :
   Lfrc_faults.Chaos.report
 (** One cell of the matrix, for ad-hoc exploration (the [chaos] CLI
     command); prints nothing. [workers] defaults to 3, [ops_per_worker]
-    to 25; [rc_epoch] (deferred-rc coalescing, 0 = eager), [rc_mode]
-    (selects the count-delivery mode directly, winning over [rc_epoch] —
-    how the wait-free rows run), [recover]
+    to 25; [rc_mode] (the count-delivery mode, default eager), [recover]
     (default false: run the crash-recovery adoption pass and audit
     strictly) and [metrics] are passed through to
     {!Lfrc_faults.Chaos.run} (the latter defaulting to a fresh registry

@@ -76,7 +76,7 @@ let leg ~iters ~raw env =
   in
   (* Settle any deltas still parked by the timing loops so the snapshot's
      alloc/free balance is truthful in deferred-rc mode. *)
-  if Env.rc_deferred env then ignore (Lfrc.flush env);
+  Env.settle env;
   [ load; store; copy; cas; dcas; alloc_free ]
 
 let run (cfg : Scenario.config) =

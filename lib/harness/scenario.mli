@@ -39,7 +39,7 @@ type config = {
           [--blame]) *)
   deferred_rc : bool;
       (** run LFRC environments in deferred-rc coalescing mode
-          ({!Lfrc_core.Env.create} with [rc_epoch = deferred_rc_epoch]):
+          ({!Lfrc_core.Env.Deferred_rc} with [epoch = deferred_rc_epoch]):
           count adjustments park in per-thread buffers and flush as
           netted CASes (CLI [--deferred-rc]) *)
   wait_free_rc : bool;
@@ -57,9 +57,6 @@ val deferred_rc_epoch : int
 val wait_free_weight : int
 (** The weight batch every harness user mints per fetch-add when
     [wait_free_rc] is on (64). *)
-
-val rc_epoch_of : config -> int
-(** [deferred_rc_epoch] when [deferred_rc] is set, else 0. *)
 
 val rc_mode_of : config -> Lfrc_core.Env.rc_mode
 (** The environment mode the flags select: [Wait_free

@@ -37,7 +37,7 @@ let dispose_ctx ctx =
   (* Context disposal is a forced settle point: the thread is done, so its
      parked deferred-rc deltas must land (and any dead objects free) while
      its locals registration still anchors them for the auditor. *)
-  if Env.rc_deferred ctx.ctx_env then ignore (Lfrc.flush ctx.ctx_env);
+  Env.settle ctx.ctx_env;
   Env.unregister_locals ctx.ctx_env ctx.frame
 
 let flush ctx = ignore (Lfrc.flush ctx.ctx_env)

@@ -25,11 +25,10 @@ let treiber = List.assoc "treiber" Lfrc_harness.Common.workloads
 
 (* One contended stack run with blame attached; fresh heap and env. *)
 let run_treiber ?(blame = Blame.disabled) ?(metrics = Metrics.disabled)
-    ?(rc_epoch = 0) ?(workers = 4) ?(ops = 200) ~seed () =
+    ?rc_mode ?(workers = 4) ?(ops = 200) ~seed () =
   let heap = Heap.create ~name:"blame-test" () in
   let env =
-    Env.create ~dcas_impl:Dcas.Atomic_step
-      ~rc_mode:(Env.rc_mode_of_epoch rc_epoch) ~metrics ~blame heap
+    Env.create ~dcas_impl:Dcas.Atomic_step ?rc_mode ~metrics ~blame heap
   in
   ignore
     (Sched.run ~max_steps:100_000_000 (Strategy.Random seed) (fun () ->
@@ -133,7 +132,9 @@ let test_deferred_park_not_blamed () =
   let blame = Blame.create () in
   let metrics = Metrics.create () in
   ignore
-    (run_treiber ~blame ~metrics ~rc_epoch:1_000_000 ~workers:1 ~seed:2 ());
+    (run_treiber ~blame ~metrics
+       ~rc_mode:(Env.Deferred_rc { epoch = 1_000_000 })
+       ~workers:1 ~seed:2 ());
   let s = Metrics.snapshot metrics in
   checkb "deltas parked" true
     (Metrics.counter_value s "lfrc.defer_inc"
@@ -146,7 +147,9 @@ let test_deferred_contended_still_ties_out () =
   let blame = Blame.create () in
   let env =
     run_treiber ~blame
-      ~rc_epoch:Lfrc_harness.Scenario.deferred_rc_epoch ~seed:3 ()
+      ~rc_mode:
+        (Env.Deferred_rc { epoch = Lfrc_harness.Scenario.deferred_rc_epoch })
+      ~seed:3 ()
   in
   let c = Dcas.counters (Env.dcas env) in
   checki "deferred mode: charges still one per failed compare"

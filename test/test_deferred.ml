@@ -26,12 +26,12 @@ let layout = Layout.make ~name:"deferred-node" ~n_ptrs:1 ~n_vals:1
 
 let counter metrics key = Metrics.counter_value (Metrics.snapshot metrics) key
 
-let fresh ?(rc_epoch = 1_024) name =
+let fresh ?(rc_mode = Env.Deferred_rc { epoch = 1_024 }) name =
   let metrics = Metrics.create () in
   let heap = Heap.create ~name () in
   let env =
     Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
-      ~rc_mode:(Env.rc_mode_of_epoch rc_epoch) ~metrics heap
+      ~rc_mode ~metrics heap
   in
   (env, heap, metrics)
 
@@ -58,7 +58,7 @@ let test_flush_on_zero () =
   let freed = Lfrc.flush env in
   checki "flush reclaimed exactly the one object" 1 freed;
   checki "freed at flush" 1 (counter metrics "heap.frees");
-  checkb "buffers empty after flush" true (Env.rc_parked env = []);
+  checkb "buffers empty after flush" true (Env.in_transit env = []);
   Lfrc_simmem.Report.assert_no_leaks heap
 
 (* --- transitive frees: a flush that zeroes a parent parks the
@@ -94,7 +94,9 @@ let test_flush_frees_chain () =
 (* --- epoch overflow: the budget forces a flush with no explicit call --- *)
 
 let test_epoch_overflow_forces_flush () =
-  let env, heap, metrics = fresh ~rc_epoch:4 "deferred-epoch" in
+  let env, heap, metrics =
+    fresh ~rc_mode:(Env.Deferred_rc { epoch = 4 }) "deferred-epoch"
+  in
   let roots =
     List.init 6 (fun i -> Heap.root heap ~name:(Printf.sprintf "r%d" i) ())
   in
@@ -139,7 +141,8 @@ let test_chaos_audit_clean_in_deferred_mode () =
           List.iter
             (fun seed ->
               let r =
-                Chaos.run ~rc_epoch:Scenario.deferred_rc_epoch
+                Chaos.run
+                  ~rc_mode:(Env.Deferred_rc { epoch = Scenario.deferred_rc_epoch })
                   ~max_steps:400_000 ~strategy:(Strategy.Random seed)
                   ~spec:(spec_for seed) (fun env ->
                     workload ~workers:3 ~ops_per_worker:25 ~seed env)
@@ -152,7 +155,7 @@ let test_chaos_audit_clean_in_deferred_mode () =
                 (Printf.sprintf "%s/%s seed %d: buffers drained pre-audit"
                    wl_name f_name seed)
                 true
-                (Env.rc_parked r.Chaos.env = []))
+                (Env.in_transit r.Chaos.env = []))
             [ 1; 2; 3 ])
         specs)
     Lfrc_harness.Common.workloads
@@ -245,12 +248,11 @@ let test_figure2_replay_deferred () =
   checkb "deferred mode parked deltas" true !saw_defer;
   checkb "a flush applied netted deltas" true !saw_flush
 
-(* --- the eager paths are untouched: with rc_epoch 0 the deferred
+(* --- the eager paths are untouched: in eager mode the deferred
    counters stay at zero and destroy frees immediately --- *)
 
 let test_eager_mode_unaffected () =
-  let env, heap, metrics = fresh ~rc_epoch:0 "deferred-off" in
-  checkb "rc_epoch 0 is eager" false (Env.rc_deferred env);
+  let env, heap, metrics = fresh ~rc_mode:Env.Eager "deferred-off" in
   let p = Lfrc.alloc env layout in
   Lfrc.destroy env p;
   checki "destroy freed immediately" 1 (counter metrics "heap.frees");

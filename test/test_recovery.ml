@@ -67,12 +67,12 @@ let treiber_cycle_body env =
   in
   Sched.join [ worker ]
 
-let sweep_with_recovery ?(rc_epoch = 0) ~min_covered body =
+let sweep_with_recovery ?rc_mode ~min_covered body =
   let strategy = Strategy.Round_robin in
   let rec sweep n covered =
     let spec = { Fault_plan.default with crashes = [ (1, n) ] } in
     let r =
-      Chaos.run ~rc_epoch ~recover:true ~max_steps:100_000 ~strategy ~spec
+      Chaos.run ?rc_mode ~recover:true ~max_steps:100_000 ~strategy ~spec
         body
     in
     match r.Chaos.status with
@@ -100,7 +100,8 @@ let test_snark_sweep_leak_free () =
   sweep_with_recovery ~min_covered:20 snark_cycle_body
 
 let test_treiber_deferred_sweep_leak_free () =
-  sweep_with_recovery ~rc_epoch:4 ~min_covered:20 treiber_cycle_body
+  sweep_with_recovery ~rc_mode:(Env.Deferred_rc { epoch = 4 }) ~min_covered:20
+    treiber_cycle_body
 
 (* --- the E11 acceptance matrix: structures x (crash | multi-crash) x
    rc modes (eager / epoch-64 / epoch-4), every recovered run strictly
@@ -117,17 +118,17 @@ let test_matrix_leak_free_all_modes () =
       List.iter
         (fun fault ->
           List.iter
-            (fun rc_epoch ->
+            (fun (mode, rc_mode) ->
               List.iter
                 (fun seed ->
                   let r =
-                    E11.run_one ~rc_epoch ~recover:true ~structure ~fault
+                    E11.run_one ~rc_mode ~recover:true ~structure ~fault
                       ~seed ()
                   in
                   let label =
-                    Printf.sprintf "%s/%s rc_epoch=%d seed=%d"
+                    Printf.sprintf "%s/%s %s seed=%d"
                       (E11.structure_name structure)
-                      (E11.fault_name fault) rc_epoch seed
+                      (E11.fault_name fault) mode seed
                   in
                   match r.Chaos.status with
                   | Chaos.Completed _ -> assert_zero_leak ~label r
@@ -135,7 +136,11 @@ let test_matrix_leak_free_all_modes () =
                       Alcotest.failf "%s: did not complete (repro: %s)" label
                         r.Chaos.repro)
                 [ 1; 2 ])
-            [ 0; 4; 64 ])
+            [
+              ("eager", Env.Eager);
+              ("deferred-4", Env.Deferred_rc { epoch = 4 });
+              ("deferred-64", Env.Deferred_rc { epoch = 64 });
+            ])
         faults)
     E11.structures
 
@@ -191,27 +196,23 @@ let test_multi_crash_recovers () =
 (* --- a crashed flusher's staged deltas are re-parked, not lost --- *)
 
 let test_crashed_flusher_restaged () =
-  let heap = Heap.create ~name:"rec-flush" () in
-  let env =
-    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
-      ~rc_mode:(Env.Deferred_rc { epoch = 64 }) heap
-  in
-  ignore (Env.rc_park env ~addr:7 ~delta:1);
-  ignore (Env.rc_park env ~addr:9 ~delta:(-1));
-  checkb "flush flag taken" true (Env.rc_try_begin_flush env);
-  checkb "deltas staged" true (Env.rc_drain_into_applying env);
-  checkb "buffers empty while staged" true (Env.rc_parked env = []);
+  let module D = Lfrc_core.Rc_deferred in
+  let rc = D.create ~epoch:64 in
+  ignore (D.park rc ~addr:7 ~delta:1);
+  ignore (D.park rc ~addr:9 ~delta:(-1));
+  checkb "flush flag taken" true (D.try_begin_flush rc);
+  checkb "deltas staged" true (D.drain_into_applying rc);
+  checkb "buffers empty while staged" true (D.parked rc = []);
   (* a LIVE flusher's staging is left alone *)
-  checki "live flusher keeps its staging" 0
-    (Env.rc_recover_flush env ~crashed:[ 5 ]);
+  checki "live flusher keeps its staging" 0 (D.recover_flush rc ~crashed:[ 5 ]);
   (* the flag owner (tid 0 outside a simulation) crashing re-parks both
      entries and clears the flag *)
   checki "two stranded entries re-parked" 2
-    (Env.rc_recover_flush env ~crashed:[ 0 ]);
+    (D.recover_flush rc ~crashed:[ 0 ]);
   checkb "parked again under the dead owner" true
-    (List.sort compare (Env.rc_parked env) = [ 7; 9 ]);
-  checkb "flush flag reusable" true (Env.rc_try_begin_flush env);
-  Env.rc_end_flush env
+    (List.sort compare (D.parked rc) = [ 7; 9 ]);
+  checkb "flush flag reusable" true (D.try_begin_flush rc);
+  D.end_flush rc
 
 (* --- regression: a crashed thread pinning an epoch no longer blocks
    reclamation once recovery evicts its slot --- *)

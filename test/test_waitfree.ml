@@ -28,63 +28,65 @@ let counter s key = Metrics.counter_value s key
 
 (* --- the weight side tables, unit-level --- *)
 
-let wf_env ?(weight = 64) name =
-  let heap = Heap.create ~name () in
-  ( heap,
-    Env.create ~dcas_impl:Dcas.Atomic_step
-      ~rc_mode:(Env.Wait_free { weight })
-      heap )
+module W = Lfrc_core.Rc_weighted
 
 let test_pouch_semantics () =
-  let _heap, env = wf_env "wf-pouch" in
-  checkb "wf mode on" true (Env.wf_on env);
-  checki "batch weight" 64 (Env.wf_weight env);
+  let env =
+    Env.create ~dcas_impl:Dcas.Atomic_step
+      ~rc_mode:(Env.Wait_free { weight = 64 })
+      (Heap.create ~name:"wf-pouch" ())
+  in
+  checkb "wf mode on" true
+    (match Env.rc_mode env with Env.Wait_free _ -> true | _ -> false);
+  let tbl = W.create ~weight:64 in
+  checki "batch weight" 64 (W.weight tbl);
   checki "absent entry carries implicit weight 1" 1
-    (Env.wf_pool_weight env ~addr:7);
+    (W.pool_weight tbl ~addr:7);
   checkb "share without an entry fails" false
-    (Env.wf_pool_try_share env ~addr:7);
-  Env.wf_pool_add env ~addr:7 ~w:3 ~n:1;
-  checki "pooled weight visible" 3 (Env.wf_pool_weight env ~addr:7);
+    (W.pool_try_share tbl ~addr:7);
+  W.pool_add tbl ~addr:7 ~w:3 ~n:1;
+  checki "pooled weight visible" 3 (W.pool_weight tbl ~addr:7);
   (* (w=3,n=1): two copies can ride the pool, the third cannot. *)
-  checkb "spare weight covers a copy" true (Env.wf_pool_try_share env ~addr:7);
-  checkb "and one more" true (Env.wf_pool_try_share env ~addr:7);
+  checkb "spare weight covers a copy" true (W.pool_try_share tbl ~addr:7);
+  checkb "and one more" true (W.pool_try_share tbl ~addr:7);
   checkb "exhausted pool refuses (w = n)" false
-    (Env.wf_pool_try_share env ~addr:7);
+    (W.pool_try_share tbl ~addr:7);
   (* destroy fast path undoes a covered ref without touching the heap *)
   checkb "drop-shared while n > 1" true
-    (Env.wf_pool_try_drop_shared env ~addr:7);
+    (W.pool_try_drop_shared tbl ~addr:7);
   (* returning unspent publication weight merges without covering *)
   checkb "give merges into the existing entry" true
-    (Env.wf_pool_give env ~addr:7 ~w:5);
+    (W.pool_give tbl ~addr:7 ~w:5);
   checkb "the merged weight covers a new copy" true
-    (Env.wf_pool_try_share env ~addr:7);
-  checkb "give with no entry fails" false (Env.wf_pool_give env ~addr:9 ~w:2);
+    (W.pool_try_share tbl ~addr:7);
+  checkb "give with no entry fails" false (W.pool_give tbl ~addr:9 ~w:2);
   (* (w=8,n=3): a handoff leaves with weight 1 while refs remain *)
   checki "transfer takes 1 while other refs remain" 1
-    (Env.wf_pool_take_for_transfer env ~addr:7);
+    (W.pool_take_for_transfer tbl ~addr:7);
   checkb "drop back down to one covered ref" true
-    (Env.wf_pool_try_drop_shared env ~addr:7);
+    (W.pool_try_drop_shared tbl ~addr:7);
   checkb "the last covered ref cannot drop-share" false
-    (Env.wf_pool_try_drop_shared env ~addr:7);
+    (W.pool_try_drop_shared tbl ~addr:7);
   (* (w=7,n=1): the last transfer surrenders the whole pool *)
   checki "last transfer surrenders the pool" 7
-    (Env.wf_pool_take_for_transfer env ~addr:7);
-  checki "entry gone (back to implicit 1)" 1 (Env.wf_pool_weight env ~addr:7)
+    (W.pool_take_for_transfer tbl ~addr:7);
+  checki "entry gone (back to implicit 1)" 1 (W.pool_weight tbl ~addr:7)
 
 let test_slot_semantics () =
-  let heap, env = wf_env "wf-slot" in
+  let heap = Heap.create ~name:"wf-slot" () in
+  let tbl = W.create ~weight:64 in
   let cell = Heap.root heap ~name:"slot" () in
-  checki "untracked slot carries weight 1" 1 (Env.wf_slot_take env ~cell);
-  Env.wf_slot_set env ~cell ~w:3;
+  checki "untracked slot carries weight 1" 1 (W.slot_take tbl ~cell);
+  W.slot_set tbl ~cell ~w:3;
   (* borrow-on-handoff: take 1 while at least 1 remains *)
-  checkb "borrow from w=3" true (Env.wf_slot_try_borrow env ~cell);
-  checkb "borrow from w=2" true (Env.wf_slot_try_borrow env ~cell);
+  checkb "borrow from w=3" true (W.slot_try_borrow tbl ~cell);
+  checkb "borrow from w=2" true (W.slot_try_borrow tbl ~cell);
   checkb "exhausted slot (w=1) refuses a borrow" false
-    (Env.wf_slot_try_borrow env ~cell);
+    (W.slot_try_borrow tbl ~cell);
   (* load's exhaustion refill deposits a fresh batch on the slot *)
-  Env.wf_slot_give env ~cell ~w:4;
-  checki "take returns the refilled weight" 5 (Env.wf_slot_take env ~cell);
-  checki "take leaves the slot untracked" 1 (Env.wf_slot_take env ~cell)
+  W.slot_give tbl ~cell ~w:4;
+  checki "take returns the refilled weight" 5 (W.slot_take tbl ~cell);
+  checki "take leaves the slot untracked" 1 (W.slot_take tbl ~cell)
 
 (* --- contended behavior: retry-free, borrows, exhaustion --- *)
 
