@@ -448,7 +448,7 @@ let run_compare rest =
   and threshold = ref 30.0
   and report_only = ref false
   and explain = ref false
-  and current = ref "BENCH_pr9.json" in
+  and current = ref None in
   let usage () =
     prerr_endline
       "usage: bench --compare BASELINE.json [--current FILE] [--threshold \
@@ -470,7 +470,7 @@ let run_compare rest =
         explain := true;
         go tl
     | "--current" :: f :: tl ->
-        current := f;
+        current := Some f;
         go tl
     | f :: tl when !baseline = None && String.length f > 0 && f.[0] <> '-' ->
         baseline := Some f;
@@ -481,10 +481,21 @@ let run_compare rest =
   match !baseline with
   | None -> usage ()
   | Some baseline ->
-      if not (Sys.file_exists !current) then run_json !current;
+      (* Without --current the comparison is against a fresh run, written
+         to a temporary file so no committed baseline is overwritten. *)
+      let current =
+        match !current with
+        | Some f ->
+            if not (Sys.file_exists f) then run_json f;
+            f
+        | None ->
+            let f = Filename.temp_file "bench-current" ".json" in
+            run_json f;
+            f
+      in
       exit
         (compare_runs ~threshold:!threshold ~report_only:!report_only
-           ~explain:!explain ~current:!current ~baseline)
+           ~explain:!explain ~current ~baseline)
 
 (* --- entry point --- *)
 

@@ -18,14 +18,18 @@
     internal loop re-runs only if a shared value changed, and whichever
     thread changed it completed an operation.
 
-    Under {!Env.Wait_free} the count path is stronger than lock-free:
-    the count word holds the object's total {e weight} (every live
-    reference carries part of it — heap slots in the environment's slot
-    table, locals pooled per-thread), copy and destroy adjust it with a
-    single {!Lfrc_atomics.Dcas.fetch_add} (no retry loop — [rc_retry]
-    is exactly 0), and the Figure-2 DCAS survives only as {!load}'s
-    fallback on a weight-exhausted slot. DESIGN.md §17 states the weight
-    invariant and the fallback/recovery argument. *)
+    Each operation below has one body. How a count adjustment reaches
+    the heap — eager CAS loops, deferred-rc parking, or weighted
+    fetch-adds — is the environment's count-delivery mode
+    ({!Env.rc_mode}), an implementation of {!Env_base.DELIVERY} chosen
+    once at {!Env.create}; the bodies call its hooks at fixed points (the
+    load acquisition, the publication before a CAS and its resolution,
+    each drop, each child claimed during a teardown). Under
+    {!Env.Wait_free} the count path is stronger than lock-free: copy and
+    destroy are single {!Lfrc_atomics.Dcas.fetch_add}s ([rc_retry] is
+    exactly 0) and the Figure-2 DCAS survives only as {!load}'s fallback
+    on a weight-exhausted slot (DESIGN.md §17). DESIGN.md "Count
+    delivery" tabulates the hooks per mode. *)
 
 type ptr = Lfrc_simmem.Heap.ptr
 
@@ -122,21 +126,19 @@ val pump_deferred : Env.t -> budget:int -> int
     how many were freed. No-op under other policies. *)
 
 val flush : Env.t -> int
-(** Settle all deferred work: apply every parked deferred-rc delta
-    (when the environment was created with [rc_epoch > 0]), freeing the
-    objects whose net count lands at zero, then drain the
-    deferred-destroy queue completely ([pump_deferred ~budget:(-1)]).
-    Returns how many objects were freed. Surviving threads call this
-    after a peer crashes — and the chaos runner forces it before an
-    audit — so parked deltas and deferred garbage do not masquerade as
-    leaks. *)
+(** Settle all deferred work: land every count adjustment the mode holds
+    back (deferred-rc's parked deltas, freeing the objects whose net
+    count lands at zero — {!Env.settle}), then drain the deferred-destroy
+    queue completely ([pump_deferred ~budget:(-1)]). Returns how many
+    objects were freed. Surviving threads call this after a peer crashes
+    so parked deltas and deferred garbage do not masquerade as leaks. *)
 
 val finish_teardown : Env.t -> ptr -> unit
 (** Finish a teardown whose owner crashed after taking the count to zero
     (crash recovery's adoption path): commit the drop of every child
-    still in a slot — in wait-free mode claiming each slot's carried
-    weight first — then free the husk. Callable only on a live object
-    whose count is zero. *)
+    still in a slot — the mode claiming what each slot carries first, as
+    in a live teardown — then free the husk. Callable only on a live
+    object whose count is zero. *)
 
 val with_locals : Env.t -> int -> (ptr ref array -> 'a) -> 'a
 (** [with_locals env n f] runs [f] with [n] null-initialized local pointer
