@@ -19,6 +19,7 @@ module Heap = Lfrc_simmem.Heap
 module Layout = Lfrc_simmem.Layout
 module Env = Lfrc_core.Env
 module Lfrc = Lfrc_core.Lfrc
+module Json = Lfrc_util.Json
 
 let node = Layout.make ~name:"bench-node" ~n_ptrs:2 ~n_vals:1
 
@@ -170,20 +171,6 @@ let run_micro () =
    timed run of every experiment, written as a single JSON file so CI and
    cross-PR comparisons can diff performance without parsing tables. --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let run_json file =
   let module Clock = Lfrc_util.Clock in
   let module Metrics = Lfrc_obs.Metrics in
@@ -254,7 +241,7 @@ let run_json file =
             \"wall_ns\": %d, \"ops_per_sec\": %.1f, \"profile\": %s, \
             \"blame\": %s, \"metrics\": %s}"
            (if i > 0 then "," else "")
-           (json_escape name) workers ops wall_ns ops_per_sec
+           (Json.escape name) workers ops wall_ns ops_per_sec
            (Lfrc_obs.Profile.to_json profile)
            (if Lfrc_obs.Blame.enabled blame then Lfrc_obs.Blame.to_json blame
             else "null")
@@ -329,8 +316,8 @@ let run_json file =
            "%s\n    {\"id\": \"%s\", \"title\": \"%s\", \"wall_ms\": %.1f, \
             \"metrics\": %s}"
            (if i > 0 then "," else "")
-           (json_escape e.Lfrc_harness.Experiments.id)
-           (json_escape e.Lfrc_harness.Experiments.title)
+           (Json.escape e.Lfrc_harness.Experiments.id)
+           (Json.escape e.Lfrc_harness.Experiments.title)
            (float_of_int wall_ns /. 1e6)
            (Metrics.to_json result.Lfrc_harness.Common.metrics));
       Printf.printf "experiment %-4s %8.1f ms  (%s)\n%!"

@@ -3,6 +3,7 @@
    and observability dumps (metrics JSON, Chrome-trace timelines). *)
 
 open Cmdliner
+module Json = Lfrc_util.Json
 
 (* --- the shared experiment configuration as a term --- *)
 
@@ -803,20 +804,6 @@ let sanitize_cmd =
       value & opt int 40
       & info [ "ops" ] ~docv:"N" ~doc:"Operations per worker per run.")
   in
-  let esc s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
   let json_outcome b (o : San.outcome) =
     let t = o.San.o_totals in
     Buffer.add_string b
@@ -824,10 +811,10 @@ let sanitize_cmd =
          "{\"structure\":\"%s\",\"schedules\":[%s],\"checks\":%d,\
           \"races\":%d,\"uaf\":%d,\"uar\":%d,\"aba\":%d,\
           \"aba_harmful\":%d,\"findings\":["
-         (esc o.San.o_structure)
+         (Json.escape o.San.o_structure)
          (String.concat ","
             (List.map
-               (fun s -> Printf.sprintf "\"%s\"" (esc s))
+               (fun s -> Printf.sprintf "\"%s\"" (Json.escape s))
                o.San.o_schedules))
          t.Shadow.checks t.Shadow.races t.Shadow.uaf t.Shadow.uar
          t.Shadow.aba t.Shadow.aba_harmful);
@@ -841,9 +828,9 @@ let sanitize_cmd =
               \"count\":%d,\"replay\":\"%s\",\"message\":\"%s\",\
               \"lineage\":\"%s\"}"
              (Shadow.kind_name f.Shadow.f_kind)
-             (esc f.Shadow.f_slot) f.Shadow.f_addr f.Shadow.f_gen
-             f.Shadow.f_count (esc w.San.w_schedule)
-             (esc f.Shadow.f_message) (esc w.San.w_lineage)))
+             (Json.escape f.Shadow.f_slot) f.Shadow.f_addr f.Shadow.f_gen
+             f.Shadow.f_count (Json.escape w.San.w_schedule)
+             (Json.escape f.Shadow.f_message) (Json.escape w.San.w_lineage)))
       o.San.o_witnesses;
     Buffer.add_string b "]}"
   in

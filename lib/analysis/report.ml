@@ -7,6 +7,8 @@
     exit code of [lfrc analyze] reflects whether any errors exist, which
     is what lets CI use the checker as a build gate. *)
 
+module Json = Lfrc_util.Json
+
 type severity = Error | Warning
 
 let severity_name = function Error -> "error" | Warning -> "warning"
@@ -179,23 +181,8 @@ let summary_line (t : t) =
 let to_string (t : t) =
   Format.asprintf "%a%s\n" pp t (summary_line t)
 
-(* {2 JSON} — hand-rolled, same convention as the rest of the repo
-   (no JSON dependency baked into the image). *)
-
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* {2 JSON} — printed by hand over the shared {!Json.escape}, like every
+   JSON writer in the repo (there is no JSON library dependency). *)
 
 let json_finding b (f : finding) =
   Buffer.add_string b
@@ -204,12 +191,12 @@ let json_finding b (f : finding) =
         \"paths_hit\":%d,\"witness_decisions\":\"%s\",\"witness\":["
        (Absint.cls_name f.cls)
        (severity_name f.severity)
-       (esc f.message) f.paths_hit
-       (esc f.witness_decisions));
+       (Json.escape f.message) f.paths_hit
+       (Json.escape f.witness_decisions));
   List.iteri
     (fun i line ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (esc line)))
+      Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape line)))
     f.witness;
   Buffer.add_string b "]}"
 
@@ -218,7 +205,8 @@ let json_action b (a : action_report) =
     (Printf.sprintf
        "{\"action\":\"%s\",\"paths\":%d,\"completed\":%d,\
         \"infeasible\":%d,\"cut\":%d,\"truncated\":%b,\"findings\":["
-       (esc a.action) a.paths a.completed a.infeasible a.cut a.truncated);
+       (Json.escape a.action) a.paths a.completed a.infeasible a.cut
+       a.truncated);
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_char b ',';
@@ -233,7 +221,8 @@ let to_json (t : t) =
     (fun i (s : structure_report) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "{\"structure\":\"%s\",\"actions\":[" (esc s.structure));
+        (Printf.sprintf "{\"structure\":\"%s\",\"actions\":["
+           (Json.escape s.structure));
       List.iteri
         (fun j a ->
           if j > 0 then Buffer.add_char b ',';

@@ -1,55 +1,33 @@
 module Cell = Lfrc_simmem.Cell
 module Sched = Lfrc_sched.Sched
-module Metrics = Lfrc_obs.Metrics
-module Tracer = Lfrc_obs.Tracer
-module Profile = Lfrc_obs.Profile
-module Blame = Lfrc_obs.Blame
-module Shadow = Lfrc_sanitize.Shadow
 
 type impl = Atomic_step | Striped_lock | Software_mcas
 
-type counters = {
-  reads : int;
-  writes : int;
-  rmw_ops : int;
-  cas_attempts : int;
-  cas_failures : int;
-  dcas_attempts : int;
-  dcas_failures : int;
-  spurious_cas : int;
-  spurious_dcas : int;
-  max_cas_failure_streak : int;
-  max_dcas_failure_streak : int;
-}
-
 type injector = { inject_cas : unit -> bool; inject_dcas : unit -> bool }
+
+type observer = {
+  on_read : Cell.t -> int -> unit;
+  on_write : Cell.t -> int -> unit;
+  on_rmw : Cell.t -> unit;
+  on_cas : Cell.t -> old_v:int -> new_v:int -> ok:bool -> unit;
+  on_dcas :
+    Cell.t ->
+    Cell.t ->
+    old0:int ->
+    old1:int ->
+    new0:int ->
+    new1:int ->
+    ok:bool ->
+    unit;
+  on_spurious_cas : unit -> unit;
+  on_spurious_dcas : unit -> unit;
+}
 
 type t = {
   kind : impl;
   stripes : Mutex.t array; (* used by Striped_lock only *)
   mutable injector : injector option;
-  c_reads : int Atomic.t;
-  c_writes : int Atomic.t;
-  c_rmw : int Atomic.t;
-  c_cas : int Atomic.t;
-  c_cas_fail : int Atomic.t;
-  c_dcas : int Atomic.t;
-  c_dcas_fail : int Atomic.t;
-  c_sp_cas : int Atomic.t;
-  c_sp_dcas : int Atomic.t;
-  (* Retry telemetry: longest run of consecutive failed attempts. Exact
-     under the simulator (single domain); approximate across real
-     domains. A growing streak with no intervening success is the
-     livelock signal the chaos watchdog reports. *)
-  cas_streak : int Atomic.t;
-  cas_streak_max : int Atomic.t;
-  dcas_streak : int Atomic.t;
-  dcas_streak_max : int Atomic.t;
-  mutable metrics : Metrics.t;
-  mutable tracer : Tracer.t;
-  mutable profile : Profile.t;
-  mutable blame : Blame.t; (* contention causality; one branch when off *)
-  mutable san : Shadow.t; (* shadow-memory sanitizer; one branch when off *)
+  mutable observer : observer option; (* one branch per step when None *)
 }
 
 let n_stripes = 64
@@ -59,37 +37,11 @@ let create kind =
     kind;
     stripes = Array.init n_stripes (fun _ -> Mutex.create ());
     injector = None;
-    c_reads = Atomic.make 0;
-    c_writes = Atomic.make 0;
-    c_rmw = Atomic.make 0;
-    c_cas = Atomic.make 0;
-    c_cas_fail = Atomic.make 0;
-    c_dcas = Atomic.make 0;
-    c_dcas_fail = Atomic.make 0;
-    c_sp_cas = Atomic.make 0;
-    c_sp_dcas = Atomic.make 0;
-    cas_streak = Atomic.make 0;
-    cas_streak_max = Atomic.make 0;
-    dcas_streak = Atomic.make 0;
-    dcas_streak_max = Atomic.make 0;
-    metrics = Metrics.disabled;
-    tracer = Tracer.disabled;
-    profile = Profile.disabled;
-    blame = Blame.disabled;
-    san = Shadow.disabled;
+    observer = None;
   }
 
 let set_injector t i = t.injector <- i
-
-let attach_obs ?(profile = Profile.disabled) ?(blame = Blame.disabled) t
-    ~metrics ~tracer =
-  t.metrics <- metrics;
-  t.tracer <- tracer;
-  t.profile <- profile;
-  t.blame <- blame;
-  if t.kind = Software_mcas then Mcas.set_metrics metrics
-
-let attach_sanitizer t san = t.san <- san
+let set_observer t o = t.observer <- o
 
 let impl t = t.kind
 
@@ -99,12 +51,8 @@ let impl_name t =
   | Striped_lock -> "striped-lock"
   | Software_mcas -> "software-mcas"
 
-let stripe t c = t.stripes.(Cell.id c land (n_stripes - 1))
-
 let with_stripe t c f =
-  let m = stripe t c in
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+  Mutex.protect t.stripes.(Cell.id c land (n_stripes - 1)) f
 
 let with_two_stripes t c0 c1 f =
   let i0 = Cell.id c0 land (n_stripes - 1)
@@ -120,20 +68,16 @@ let with_two_stripes t c0 c1 f =
 
 let read t c =
   Sched.point ();
-  Atomic.incr t.c_reads;
-  Metrics.incr t.metrics "dcas.reads";
   let v =
     match t.kind with
     | Atomic_step | Striped_lock -> Cell.get c
     | Software_mcas -> Mcas.read c
   in
-  Shadow.on_read t.san c v;
+  (match t.observer with None -> () | Some o -> o.on_read c v);
   v
 
 let write t c v =
   Sched.point ();
-  Atomic.incr t.c_writes;
-  Metrics.incr t.metrics "dcas.writes";
   (match t.kind with
   | Atomic_step -> Cell.set c v
   | Striped_lock -> with_stripe t c (fun () -> Cell.set c v)
@@ -141,58 +85,21 @@ let write t c v =
       (* A blind write must still cooperate with in-flight descriptors. *)
       let rec go () = if not (Mcas.cas c (Mcas.read c) v) then go () in
       go ());
-  Shadow.on_write t.san c v;
-  Blame.stamp t.blame Blame.Write (Cell.id c)
-
-let bump_streak ~streak ~streak_max ok =
-  if ok then Atomic.set streak 0
-  else begin
-    let s = 1 + Atomic.fetch_and_add streak 1 in
-    let rec raise_max () =
-      let m = Atomic.get streak_max in
-      if s > m && not (Atomic.compare_and_set streak_max m s) then raise_max ()
-    in
-    raise_max ()
-  end
-
-let count_cas t ok =
-  Atomic.incr t.c_cas;
-  Metrics.incr t.metrics "dcas.cas_attempts";
-  if not ok then begin
-    Atomic.incr t.c_cas_fail;
-    Metrics.incr t.metrics "dcas.cas_failures";
-    Tracer.emit t.tracer Retry "cas";
-    Profile.dcas_retry t.profile
-  end;
-  bump_streak ~streak:t.cas_streak ~streak_max:t.cas_streak_max ok;
-  ok
+  match t.observer with None -> () | Some o -> o.on_write c v
 
 (* A spurious failure reports false without comparing or writing anything —
    the LL/SC-style failure mode every LFRC retry loop must compensate for
    (dropping its speculative count increments before trying again). *)
 let spurious_cas t =
-  match t.injector with
-  | Some i when i.inject_cas () ->
-      Atomic.incr t.c_sp_cas;
-      Metrics.incr t.metrics "dcas.spurious_cas";
-      Tracer.emit t.tracer Fault "spurious-cas";
-      ignore (count_cas t false);
-      true
-  | _ -> false
+  match t.injector with Some i -> i.inject_cas () | None -> false
 
 let spurious_dcas t =
-  match t.injector with
-  | Some i when i.inject_dcas () ->
-      Atomic.incr t.c_sp_dcas;
-      Metrics.incr t.metrics "dcas.spurious_dcas";
-      Tracer.emit t.tracer Fault "spurious-dcas";
-      true
-  | _ -> false
+  match t.injector with Some i -> i.inject_dcas () | None -> false
 
 let cas t c old_v new_v =
   Sched.point ();
   if spurious_cas t then begin
-    Blame.charge_spurious t.blame Blame.Cas;
+    (match t.observer with None -> () | Some o -> o.on_spurious_cas ());
     false
   end
   else begin
@@ -202,16 +109,14 @@ let cas t c old_v new_v =
       | Striped_lock -> with_stripe t c (fun () -> Cell.cas c old_v new_v)
       | Software_mcas -> Mcas.cas c old_v new_v
     in
-    Shadow.on_cas t.san c ~old_v ~new_v ~ok;
-    if ok then Blame.stamp t.blame Blame.Cas (Cell.id c)
-    else Blame.charge t.blame Blame.Cas (Cell.id c);
-    count_cas t ok
+    (match t.observer with
+    | None -> ()
+    | Some o -> o.on_cas c ~old_v ~new_v ~ok);
+    ok
   end
 
 let fetch_add t c d =
   Sched.point ();
-  Atomic.incr t.c_rmw;
-  Metrics.incr t.metrics "dcas.rmw";
   let v =
     match t.kind with
     | Atomic_step -> Cell.fetch_and_add c d
@@ -223,94 +128,37 @@ let fetch_add t c d =
         in
         go ()
   in
-  Shadow.on_rmw t.san c;
-  Blame.stamp t.blame Blame.Rmw (Cell.id c);
+  (match t.observer with None -> () | Some o -> o.on_rmw c);
   v
 
-let count_dcas t ok =
-  Atomic.incr t.c_dcas;
-  Metrics.incr t.metrics "dcas.dcas_attempts";
-  if not ok then begin
-    Atomic.incr t.c_dcas_fail;
-    Metrics.incr t.metrics "dcas.dcas_failures";
-    Tracer.emit t.tracer Retry "dcas";
-    Profile.dcas_retry t.profile
+(* Compare both words, then swap both or neither (§2.2). Indivisible
+   between yield points under the simulator; under a stripe lock pair
+   otherwise. *)
+let swap2 c0 c1 ~old0 ~old1 ~new0 ~new1 =
+  let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
+  if ok then begin
+    Cell.set c0 new0;
+    Cell.set c1 new1
   end;
-  bump_streak ~streak:t.dcas_streak ~streak_max:t.dcas_streak_max ok;
   ok
 
 let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
   Sched.point ();
   if spurious_dcas t then begin
-    Blame.charge_spurious t.blame Blame.Dcas;
-    count_dcas t false
+    (match t.observer with None -> () | Some o -> o.on_spurious_dcas ());
+    false
   end
   else begin
     let ok =
       match t.kind with
-      | Atomic_step ->
-          (* Indivisible between yield points: simulated hardware DCAS. *)
-          let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
-          if ok then begin
-            Cell.set c0 new0;
-            Cell.set c1 new1
-          end;
-          ok
+      | Atomic_step -> swap2 c0 c1 ~old0 ~old1 ~new0 ~new1
       | Striped_lock ->
           with_two_stripes t c0 c1 (fun () ->
-              let ok = Cell.get c0 = old0 && Cell.get c1 = old1 in
-              if ok then begin
-                Cell.set c0 new0;
-                Cell.set c1 new1
-              end;
-              ok)
+              swap2 c0 c1 ~old0 ~old1 ~new0 ~new1)
       | Software_mcas -> Mcas.dcas c0 c1 old0 old1 new0 new1
     in
-    Shadow.on_dcas t.san c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok;
-    if Blame.enabled t.blame then
-      if ok then begin
-        Blame.stamp t.blame Blame.Dcas (Cell.id c0);
-        Blame.stamp t.blame Blame.Dcas (Cell.id c1)
-      end
-      else begin
-        (* The culprit cell is whichever word failed its compare; a raw
-           peek (no Sched.point) keeps the schedule identical to a
-           blame-free run. With both words stale, blaming the first is
-           still a true cause. *)
-        let cid =
-          if Cell.get c0 <> old0 then Cell.id c0 else Cell.id c1
-        in
-        Blame.charge t.blame Blame.Dcas cid
-      end;
-    count_dcas t ok
+    (match t.observer with
+    | None -> ()
+    | Some o -> o.on_dcas c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok);
+    ok
   end
-
-let counters t =
-  {
-    reads = Atomic.get t.c_reads;
-    writes = Atomic.get t.c_writes;
-    rmw_ops = Atomic.get t.c_rmw;
-    cas_attempts = Atomic.get t.c_cas;
-    cas_failures = Atomic.get t.c_cas_fail;
-    dcas_attempts = Atomic.get t.c_dcas;
-    dcas_failures = Atomic.get t.c_dcas_fail;
-    spurious_cas = Atomic.get t.c_sp_cas;
-    spurious_dcas = Atomic.get t.c_sp_dcas;
-    max_cas_failure_streak = Atomic.get t.cas_streak_max;
-    max_dcas_failure_streak = Atomic.get t.dcas_streak_max;
-  }
-
-let reset_counters t =
-  Atomic.set t.c_reads 0;
-  Atomic.set t.c_writes 0;
-  Atomic.set t.c_rmw 0;
-  Atomic.set t.c_cas 0;
-  Atomic.set t.c_cas_fail 0;
-  Atomic.set t.c_dcas 0;
-  Atomic.set t.c_dcas_fail 0;
-  Atomic.set t.c_sp_cas 0;
-  Atomic.set t.c_sp_dcas 0;
-  Atomic.set t.cas_streak 0;
-  Atomic.set t.cas_streak_max 0;
-  Atomic.set t.dcas_streak 0;
-  Atomic.set t.dcas_streak_max 0

@@ -47,70 +47,49 @@ val dcas :
   new1:int ->
   bool
 
-type counters = {
-  reads : int;
-  writes : int;
-  rmw_ops : int;
-      (** fetch-and-add operations — the wait-free weighted-rc hot path;
-          also counted as [dcas.rmw] in an attached metrics registry *)
-  cas_attempts : int;
-  cas_failures : int;
-  dcas_attempts : int;
-  dcas_failures : int;
-  spurious_cas : int;  (** injected CAS failures (counted in [cas_failures]) *)
-  spurious_dcas : int;
-      (** injected DCAS failures (counted in [dcas_failures]) *)
-  max_cas_failure_streak : int;
-      (** longest run of consecutive failed CAS attempts — retry/livelock
-          telemetry; exact under the simulator *)
-  max_dcas_failure_streak : int;
-}
-
-val counters : t -> counters
-(** Operation counters, exact under the simulator (single domain); used as
-    the "simulated work" metric by the experiment harness. *)
-
-val reset_counters : t -> unit
-
 (** {2 Fault injection}
 
     An installed injector is consulted on every [cas]/[dcas]; answering
     [true] makes that attempt fail {e spuriously}: nothing is compared or
     written and the operation reports failure, exactly the LL/SC-style
-    false-negative the paper's retry loops must tolerate. Spurious
-    failures still count as attempts and failures, and additionally as
-    [spurious_cas]/[spurious_dcas]. *)
+    false-negative the paper's retry loops must tolerate. The observer
+    sees such an attempt as its own step ([on_spurious_cas] /
+    [on_spurious_dcas]), not as a [cas]/[dcas] step. *)
 
 type injector = { inject_cas : unit -> bool; inject_dcas : unit -> bool }
 
 val set_injector : t -> injector option -> unit
 
-(** {2 Observability}
+(** {2 Observation}
 
-    With an attached metrics registry, every attempt/failure/spurious
-    event also lands in [dcas.*] counters; with an attached tracer, each
-    failed attempt emits a [Retry] event and each injected failure a
-    [Fault] event; with an attached profiler, each failed attempt is
-    charged to the innermost operation frame open on the failing thread
-    ({!Lfrc_obs.Profile.dcas_retry}); with an attached blame registry,
-    each successful write/CAS/DCAS/RMW stamps its cell(s) with the winner
-    and each failed compare is charged to the stamped culprit
-    ({!Lfrc_obs.Blame}) — on a failed DCAS the culprit is whichever word
-    failed its compare. Detached (the default) the cost is one branch per
-    event. {!Lfrc_core.Env.create} attaches its environment's
-    observability here. *)
+    The substrate keeps no counts of its own. An installed observer is
+    called once per step — after the step resolves, before the next
+    yield — with the step's operands and outcome: [read] and [write]
+    report the cell and value, [fetch_add] the cell, [cas]/[dcas] their
+    operands and whether they swapped. An injected failure arrives as
+    [on_spurious_cas]/[on_spurious_dcas] instead. A [Software_mcas] step
+    is one step however many times {!Mcas} retried inside it. With no
+    observer (the default) a step pays one branch and allocates nothing;
+    with one, the operands are passed as arguments, never boxed into an
+    event. {!Lfrc_core.Env.observe_dcas} builds the observer that fans
+    each step out to metrics, tracer, profiler, blame and sanitizer. *)
 
-val attach_obs :
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
-  t ->
-  metrics:Lfrc_obs.Metrics.t ->
-  tracer:Lfrc_obs.Tracer.t ->
-  unit
+type observer = {
+  on_read : Lfrc_simmem.Cell.t -> int -> unit;
+  on_write : Lfrc_simmem.Cell.t -> int -> unit;
+  on_rmw : Lfrc_simmem.Cell.t -> unit;
+  on_cas : Lfrc_simmem.Cell.t -> old_v:int -> new_v:int -> ok:bool -> unit;
+  on_dcas :
+    Lfrc_simmem.Cell.t ->
+    Lfrc_simmem.Cell.t ->
+    old0:int ->
+    old1:int ->
+    new0:int ->
+    new1:int ->
+    ok:bool ->
+    unit;
+  on_spurious_cas : unit -> unit;
+  on_spurious_dcas : unit -> unit;
+}
 
-val attach_sanitizer : t -> Lfrc_sanitize.Shadow.t -> unit
-(** Route every read/write/CAS/DCAS through the shadow-memory sanitizer's
-    access hooks (after the operation resolves, so the hook sees the
-    outcome). Spurious injected failures are not reported — they touch no
-    memory. Detached (the default, {!Lfrc_sanitize.Shadow.disabled}) the
-    cost is one branch per operation. *)
+val set_observer : t -> observer option -> unit

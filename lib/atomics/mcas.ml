@@ -1,12 +1,5 @@
 module Cell = Lfrc_simmem.Cell
 module Sched = Lfrc_sched.Sched
-module Metrics = Lfrc_obs.Metrics
-
-(* Module-global, like the descriptor pools: MCAS has no instance handle,
-   so its counters attach module-wide. {!Dcas.attach_obs} forwards its
-   registry here when the substrate is [Software_mcas]. *)
-let metrics = ref Metrics.disabled
-let set_metrics m = metrics := m
 
 (* Raw-word tags (Cell stores application value [v] as [v lsl 2]). *)
 let tag_value = 0
@@ -246,12 +239,8 @@ let mcas spec =
     Atomic.set d.m_seq seq;
     Atomic.set d.m_status undecided;
     d.m_entries <- entries;
-    let mref = mk_ref tag_mcas slot seq in
-    Metrics.incr !metrics "mcas.attempt";
-    help_mcas mref;
-    let ok = Atomic.get d.m_status = succeeded in
-    Metrics.incr !metrics (if ok then "mcas.success" else "mcas.fail");
-    ok
+    help_mcas (mk_ref tag_mcas slot seq);
+    Atomic.get d.m_status = succeeded
   end
 
 let dcas c0 c1 old0 old1 new0 new1 =

@@ -35,7 +35,10 @@ val dcas :
   int ->
   int ->
   bool
-(** Two-word specialization of {!mcas}. *)
+(** Two-word specialization of {!mcas}. MCAS keeps no counters: a
+    [Software_mcas] {!Dcas.dcas} step is counted by the substrate's
+    observer, which {!Lfrc_core.Env.observe_dcas} turns into
+    [mcas.attempt] and [mcas.success] / [mcas.fail]. *)
 
 val read : Lfrc_simmem.Cell.t -> int
 (** Read a cell that may be targeted by in-flight MCAS operations, helping
@@ -54,10 +57,3 @@ val adopt_slot : int -> int
     many descriptors actually needed helping. *)
 
 val max_entries : int
-
-val set_metrics : Lfrc_obs.Metrics.t -> unit
-(** Attach a metrics registry to the module-wide counters
-    [mcas.attempt] / [mcas.success] / [mcas.fail] (MCAS has no instance
-    handle, so — like the descriptor pools — observability is global).
-    {!Dcas.attach_obs} calls this automatically when the substrate is
-    [Software_mcas]; defaults to the disabled registry. *)

@@ -16,7 +16,6 @@ type report = {
   audit_advisory : bool;
   recovery : Recovery.report option;
   injected : int;
-  counters : Lfrc_atomics.Dcas.counters;
   metrics : Lfrc_obs.Metrics.snapshot;
   env : Env.t;
 }
@@ -98,7 +97,6 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?rc_mode
     audit_advisory;
     recovery;
     injected = Fault_plan.injected plan;
-    counters = Lfrc_atomics.Dcas.counters (Env.dcas env);
     metrics = Lfrc_obs.Metrics.snapshot metrics;
     env;
   }
@@ -123,9 +121,8 @@ let pp_status ppf = function
         (Printexc.to_string exn)
 
 let pp ppf r =
-  Format.fprintf ppf "%a@\ninjected=%d cas_fail_streak<=%d@\nreplay: %s"
-    pp_status r.status r.injected
-    r.counters.Lfrc_atomics.Dcas.max_cas_failure_streak r.repro;
+  Format.fprintf ppf "%a@\ninjected=%d@\nreplay: %s" pp_status r.status
+    r.injected r.repro;
   if not (Lfrc_obs.Metrics.is_empty r.metrics) then
     Format.fprintf ppf "@\nmetrics: %a" Lfrc_obs.Metrics.pp r.metrics;
   (match r.recovery with

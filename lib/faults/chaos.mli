@@ -35,7 +35,6 @@ type report = {
       (** the adoption pass that ran before the audit, when [recover]
           was set and the completed run had crashed threads *)
   injected : int;  (** faults fired during the run *)
-  counters : Lfrc_atomics.Dcas.counters;
   metrics : Lfrc_obs.Metrics.snapshot;
       (** observability snapshot of the run's environment: DCAS traffic,
           LFRC operation/retry counts, heap alloc/free balance *)

@@ -67,6 +67,13 @@ let fresh_env ?dcas_impl ?policy ?rc_mode ?gc_threshold ?metrics ?tracer
   Lfrc_core.Env.create ?dcas_impl ?policy ?rc_mode ?gc_threshold ?metrics
     ?tracer ?lineage ?profile ?blame ?sanitize heap
 
+let counting metrics =
+  if Metrics.enabled metrics then metrics else Metrics.create ()
+
+let count_since metrics name =
+  let base = Metrics.count metrics name in
+  fun () -> Metrics.count metrics name - base
+
 let time_per_op_ns = Lfrc_util.Clock.time_per_op_ns
 
 let deque_impls () =

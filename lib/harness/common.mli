@@ -57,6 +57,21 @@ val fresh_env :
   Lfrc_core.Env.t
 (** A new heap wrapped in a new environment. *)
 
+(** {2 Substrate counts}
+
+    The [dcas.*] series a substrate's observer writes are the only count
+    of its traffic, so a table row that prints attempts or failures reads
+    its share of them from a registry. *)
+
+val counting : Lfrc_obs.Metrics.t -> Lfrc_obs.Metrics.t
+(** The registry a counting row runs with: [metrics] itself when enabled,
+    else a private one, so the row's cells are the same with and without
+    [--no-metrics]. *)
+
+val count_since : Lfrc_obs.Metrics.t -> string -> unit -> int
+(** [count_since metrics name] reads counter [name] now; the returned
+    function gives how much it has grown since. *)
+
 val time_per_op_ns : iters:int -> (unit -> unit) -> float
 (** Wall-clock nanoseconds per call, after a small warmup
     (= {!Lfrc_util.Clock.time_per_op_ns}). *)

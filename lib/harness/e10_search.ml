@@ -8,6 +8,7 @@
     grows linearly, the skip list logarithmically, with the crossover
     around a few dozen elements. *)
 
+module Sched = Lfrc_sched.Sched
 module Table = Lfrc_util.Table
 module Dcas = Lfrc_atomics.Dcas
 
@@ -16,13 +17,19 @@ module Skip_set = Lfrc_structures.Skiplist.Make (Lfrc_core.Lfrc_ops)
 
 let probes = 200
 
-(* Steps are counted via the environment's operation counters: reads +
-   writes + cas + dcas attempts, all of which the simulator charges one
-   step each. Measured single-threaded outside the scheduler, so counter
-   deltas are exact. *)
-let ops_count env =
-  let c = Dcas.counters (Lfrc_core.Env.dcas env) in
-  c.Dcas.reads + c.Dcas.writes + c.Dcas.cas_attempts + c.Dcas.dcas_attempts
+(* Cost in simulated steps, every cell access being one: the probe loop
+   runs as the only thread of a scheduler run, whose first step is that
+   thread's activation. *)
+let probe_cost contains n =
+  let rng = Lfrc_util.Rng.create 7 in
+  let outcome =
+    Sched.run ~max_steps:200_000_000 Lfrc_sched.Strategy.Round_robin
+      (fun () ->
+        for _ = 1 to probes do
+          ignore (contains (Lfrc_util.Rng.int rng (2 * n)))
+        done)
+  in
+  Float.of_int (outcome.Sched.steps - 1) /. Float.of_int probes
 
 let run_list n ~metrics ~tracer ~profile =
   let env =
@@ -34,12 +41,7 @@ let run_list n ~metrics ~tracer ~profile =
   for k = 1 to n do
     ignore (List_set.insert h (k * 2))
   done;
-  let rng = Lfrc_util.Rng.create 7 in
-  let before = ops_count env in
-  for _ = 1 to probes do
-    ignore (List_set.contains h (Lfrc_util.Rng.int rng (2 * n)))
-  done;
-  let cost = Float.of_int (ops_count env - before) /. Float.of_int probes in
+  let cost = probe_cost (List_set.contains h) n in
   List_set.unregister h;
   List_set.destroy s;
   cost
@@ -54,12 +56,7 @@ let run_skip n ~metrics ~tracer ~profile =
   for k = 1 to n do
     ignore (Skip_set.insert h (k * 2))
   done;
-  let rng = Lfrc_util.Rng.create 7 in
-  let before = ops_count env in
-  for _ = 1 to probes do
-    ignore (Skip_set.contains h (Lfrc_util.Rng.int rng (2 * n)))
-  done;
-  let cost = Float.of_int (ops_count env - before) /. Float.of_int probes in
+  let cost = probe_cost (Skip_set.contains h) n in
   Skip_set.unregister h;
   Skip_set.destroy s;
   cost

@@ -6,7 +6,7 @@
     memory access, spin and retry is one step, so contention shows up as
     extra steps — lock-holders make everyone spin, lock-free retries cost
     only their own re-execution. DCAS failure rates come from the
-    substrate counters. *)
+    substrate's [dcas.*] counters. *)
 
 module Sched = Lfrc_sched.Sched
 module Table = Lfrc_util.Table
@@ -15,6 +15,9 @@ module Opmix = Lfrc_workload.Opmix
 let run_one (module D : Lfrc_structures.Deque_intf.DEQUE) ~gc ~rc_mode
     ~threads ~ops_per_thread ~seed ~metrics ~tracer ~profile ~blame =
   let steps = ref 0 and dcas_fail = ref 0.0 and gc_pauses = ref 0 in
+  let metrics = Common.counting metrics in
+  let attempts = Common.count_since metrics "dcas.dcas_attempts"
+  and failures = Common.count_since metrics "dcas.dcas_failures" in
   let body () =
     let heap = Lfrc_simmem.Heap.create ~name:"e2" () in
     let env =
@@ -44,10 +47,10 @@ let run_one (module D : Lfrc_structures.Deque_intf.DEQUE) ~gc ~rc_mode
               D.unregister h))
     in
     Sched.join tids;
-    let c = Lfrc_atomics.Dcas.counters (Lfrc_core.Env.dcas env) in
+    let attempts = attempts () in
     dcas_fail :=
-      (if c.dcas_attempts = 0 then 0.0
-       else 100.0 *. Float.of_int c.dcas_failures /. Float.of_int c.dcas_attempts);
+      (if attempts = 0 then 0.0
+       else 100.0 *. Float.of_int (failures ()) /. Float.of_int attempts);
     if gc then gc_pauses := List.length (Lfrc_simmem.Gc_trace.collections heap);
     D.destroy d
   in

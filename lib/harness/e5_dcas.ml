@@ -21,7 +21,7 @@ module Table = Lfrc_util.Table
 
 let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
   let d = Dcas.create impl in
-  Dcas.attach_obs d ~metrics ~tracer ~profile ~blame;
+  Lfrc_core.Env.observe_dcas ~metrics ~tracer ~profile ~blame d;
   let c0 = Cell.make 1 and c1 = Cell.make 2 in
   let ns =
     Common.time_per_op_ns ~iters (fun () ->
@@ -32,8 +32,10 @@ let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
 let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
     ~profile ~blame =
   let d = Dcas.create impl in
-  Dcas.attach_obs d ~metrics ~tracer ~profile ~blame;
-  let steps = ref 0 in
+  let metrics = Common.counting metrics in
+  Lfrc_core.Env.observe_dcas ~metrics ~tracer ~profile ~blame d;
+  let attempts = Common.count_since metrics "dcas.dcas_attempts"
+  and failures = Common.count_since metrics "dcas.dcas_failures" in
   let body () =
     let c0 = Cell.make 0 and c1 = Cell.make 0 in
     let tids =
@@ -56,17 +58,15 @@ let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
     Sched.join tids;
     assert (Dcas.read d c0 = threads * per_thread)
   in
-  Dcas.reset_counters d;
   let outcome =
     Sched.run ~max_steps:200_000_000 (Lfrc_sched.Strategy.Random seed) body
   in
-  steps := outcome.Sched.steps;
-  let c = Dcas.counters d in
   let total_ops = threads * per_thread in
+  let attempts = attempts () in
   Table.add_rowf table "%s|%d|%.1f|%.2f|%.1f|-" (Dcas.impl_name d) threads
-    (Float.of_int !steps /. Float.of_int total_ops)
-    (Float.of_int c.dcas_attempts /. Float.of_int total_ops)
-    (100.0 *. Float.of_int c.dcas_failures /. Float.of_int c.dcas_attempts)
+    (Float.of_int outcome.Sched.steps /. Float.of_int total_ops)
+    (Float.of_int attempts /. Float.of_int total_ops)
+    (100.0 *. Float.of_int (failures ()) /. Float.of_int attempts)
 
 (* How much count traffic LFRC itself puts on the substrate: threads
    overwrite one shared counted cell with freshly allocated nodes, so every
@@ -81,7 +81,9 @@ let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
 let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
     ~tracer ~profile ~blame =
   let layout = Lfrc_simmem.Layout.make ~name:"e5-node" ~n_ptrs:1 ~n_vals:1 in
-  let steps = ref 0 and attempts = ref 0 and failures = ref 0 in
+  let metrics = Common.counting metrics in
+  let attempts = Common.count_since metrics "dcas.cas_attempts"
+  and failures = Common.count_since metrics "dcas.cas_failures" in
   let body () =
     let heap = Heap.create ~name:"e5-lfrc" () in
     let env =
@@ -101,21 +103,17 @@ let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
     Sched.join tids;
     Lfrc_core.Lfrc.store env ~dst:root Heap.null;
     ignore (Lfrc_core.Lfrc.flush env);
-    Lfrc_simmem.Report.assert_no_leaks heap;
-    let c = Dcas.counters (Lfrc_core.Env.dcas env) in
-    attempts := c.cas_attempts;
-    failures := c.cas_failures
+    Lfrc_simmem.Report.assert_no_leaks heap
   in
   let outcome =
     Sched.run ~max_steps:200_000_000 (Lfrc_sched.Strategy.Random seed) body
   in
-  steps := outcome.Sched.steps;
-  let total_ops = threads * per_thread in
+  let total_ops = threads * per_thread and attempts = attempts () in
   Table.add_rowf table "%s|%d|%.1f|%.2f|%.1f|0" label threads
-    (Float.of_int !steps /. Float.of_int total_ops)
-    (Float.of_int !attempts /. Float.of_int total_ops)
-    (if !attempts = 0 then 0.0
-     else 100.0 *. Float.of_int !failures /. Float.of_int !attempts)
+    (Float.of_int outcome.Sched.steps /. Float.of_int total_ops)
+    (Float.of_int attempts /. Float.of_int total_ops)
+    (if attempts = 0 then 0.0
+     else 100.0 *. Float.of_int (failures ()) /. Float.of_int attempts)
 
 (* The ablation the substrate rows only hint at: the same mixed-op deque
    workload over the paper's Snark (which *needs* a double-word primitive
@@ -129,10 +127,10 @@ let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
 let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
     ~dcas_impl ~threads ~per_thread ~seed ~metrics ~tracer ~profile ~blame
     ~notes =
-  let steps = ref 0
-  and attempts = ref 0
-  and failures = ref 0
-  and leaked = ref 0 in
+  let leaked = ref 0 in
+  let metrics = Common.counting metrics in
+  let attempts = Common.count_since metrics "dcas.dcas_attempts"
+  and failures = Common.count_since metrics "dcas.dcas_failures" in
   (* Every deque run carries the sanitizer and a lineage: the sanitizer
      vouches that a nonzero [leaked] column is the §2.1 cyclic-garbage
      concession and not a latent race/UAF, and the lineage turns each
@@ -193,22 +191,19 @@ let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
           (Lfrc_obs.Lineage.leak_report lineage
              ~addrs:(List.rev !leaked_ids))
         :: !notes
-    end;
-    let c = Dcas.counters (Lfrc_core.Env.dcas env) in
-    attempts := c.dcas_attempts;
-    failures := c.dcas_failures
+    end
   in
   let total_ops = threads * per_thread in
   match
     Sched.run ~max_steps:200_000_000 (Lfrc_sched.Strategy.Random seed) body
   with
   | outcome ->
-      steps := outcome.Sched.steps;
+      let attempts = attempts () in
       Table.add_rowf table "%s|%d|%.1f|%.2f|%.1f|%d" label threads
-        (Float.of_int !steps /. Float.of_int total_ops)
-        (Float.of_int !attempts /. Float.of_int total_ops)
-        (if !attempts = 0 then 0.0
-         else 100.0 *. Float.of_int !failures /. Float.of_int !attempts)
+        (Float.of_int outcome.Sched.steps /. Float.of_int total_ops)
+        (Float.of_int attempts /. Float.of_int total_ops)
+        (if attempts = 0 then 0.0
+         else 100.0 *. Float.of_int (failures ()) /. Float.of_int attempts)
         !leaked
   | exception _ ->
       (* A substrate that corrupts the run (the known case: software MCAS

@@ -86,18 +86,19 @@ val create :
     observability implementations, chosen here once so every instrumented
     hot path below pays a single branch when observability is off.
     Passing enabled instances wires the whole environment: the DCAS
-    substrate ({!Lfrc_atomics.Dcas.attach_obs}), the heap's alloc/free
-    observer ({!Lfrc_simmem.Heap.set_observer}), the deferred-destroy
-    queue, and {!Lfrc}'s operations all report into them. Sharing one
-    registry across several environments aggregates their series.
+    substrate (through the one observer {!observe_dcas} installs), the
+    heap's alloc/free observer ({!Lfrc_simmem.Heap.set_observer}), the
+    deferred-destroy queue, and {!Lfrc}'s operations all report into
+    them. Sharing one registry across several environments aggregates
+    their series.
 
     [sanitize] (default {!Lfrc_sanitize.Shadow.disabled}, one branch per
     access) wires the LFRC-San shadow-memory sanitizer: it is bound to
-    this heap and observability ({!Lfrc_sanitize.Shadow.attach}), attached
-    to the DCAS substrate's access hooks
-    ({!Lfrc_atomics.Dcas.attach_sanitizer}), fed alloc/free events through
-    the heap observer, and notified by {!Lfrc}'s zero-detect paths when a
-    thread takes ownership of a dead object's destruction.
+    this heap and observability ({!Lfrc_sanitize.Shadow.attach}), fed
+    every substrate step by the same {!observe_dcas} observer, fed
+    alloc/free events through the heap observer, and notified by
+    {!Lfrc}'s zero-detect paths when a thread takes ownership of a dead
+    object's destruction.
 
     [symbolic] marks the environment as belonging to the static analyser
     ([lib/analysis]): structure code running over it is being *recorded*,
@@ -107,6 +108,37 @@ val create :
     {!Ops_intf.OPS} functor argument and calls {!Lfrc} directly (a
     discipline violation the type checker alone cannot see, because the
     environment is reachable through the structure record). *)
+
+val observe_dcas :
+  ?metrics:Lfrc_obs.Metrics.t ->
+  ?tracer:Lfrc_obs.Tracer.t ->
+  ?profile:Lfrc_obs.Profile.t ->
+  ?blame:Lfrc_obs.Blame.t ->
+  ?sanitize:Lfrc_sanitize.Shadow.t ->
+  Lfrc_atomics.Dcas.t ->
+  unit
+(** Install on a DCAS substrate the observer that fans every step out to
+    the given layers (each defaults to its disabled form); {!create} calls
+    it for its own substrate, and callers driving a bare substrate call it
+    directly. With every layer off it installs nothing. Per step, in this
+    order:
+    - the sanitizer's access hook;
+    - blame: a winning write, CAS, DCAS or fetch-add stamps its cell(s);
+      a failed CAS or DCAS is charged to the stamped culprit — on a DCAS,
+      the first word whose compare fails, found by a raw peek that does
+      not yield;
+    - the [dcas.*] counters: [reads], [writes], [rmw], [cas_attempts] /
+      [cas_failures], [dcas_attempts] / [dcas_failures], and on a
+      [Software_mcas] substrate [mcas.attempt] with [mcas.success] or
+      [mcas.fail] per DCAS;
+    - a failed attempt emits a tracer [Retry] event and charges the
+      profiler's innermost frame ({!Lfrc_obs.Profile.dcas_retry}).
+
+    An injected failure counts [dcas.spurious_cas] or
+    [dcas.spurious_dcas], emits a [Fault] event and is then accounted as
+    a failed attempt; blame charges it to ["(fault-injection)"], after
+    that accounting for a CAS and before it for a DCAS. These [dcas.*]
+    series are the only count of substrate traffic. *)
 
 val heap : t -> Lfrc_simmem.Heap.t
 val dcas : t -> Lfrc_atomics.Dcas.t

@@ -12,6 +12,8 @@ module Cell = Lfrc_simmem.Cell
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
 module Profile = Lfrc_obs.Profile
+module Blame = Lfrc_obs.Blame
+module Shadow = Lfrc_sanitize.Shadow
 
 type policy =
   | Recursive
@@ -143,8 +145,8 @@ type t = {
   env_tracer : Tracer.t;
   env_lineage : Lfrc_obs.Lineage.t;
   env_profile : Profile.t;
-  env_blame : Lfrc_obs.Blame.t;
-  env_sanitizer : Lfrc_sanitize.Shadow.t;
+  env_blame : Blame.t;
+  env_sanitizer : Shadow.t;
   env_symbolic : bool;
 }
 
@@ -152,11 +154,96 @@ type t = {
    mode-private state. *)
 and rc = Rc : (module DELIVERY with type env = t and type state = 's) * 's -> rc
 
+(* The one fan-out from substrate steps to the observability layers. Each
+   step reports here once, and the order inside each arm is part of the
+   contract: the tracer and blame outputs pin it. *)
+let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
+    ?(profile = Profile.disabled) ?(blame = Blame.disabled)
+    ?(sanitize = Shadow.disabled) d =
+  let module Dcas = Lfrc_atomics.Dcas in
+  let attempted kind ok =
+    let attempts, failures, retry =
+      match kind with
+      | Blame.Cas -> ("dcas.cas_attempts", "dcas.cas_failures", "cas")
+      | _ -> ("dcas.dcas_attempts", "dcas.dcas_failures", "dcas")
+    in
+    Metrics.incr metrics attempts;
+    if not ok then begin
+      Metrics.incr metrics failures;
+      Tracer.emit tracer Retry retry;
+      Profile.dcas_retry profile
+    end
+  in
+  let mcas = Dcas.impl d = Dcas.Software_mcas in
+  let on =
+    Metrics.enabled metrics || Tracer.enabled tracer || Profile.enabled profile
+    || Blame.enabled blame || Shadow.enabled sanitize
+  in
+  Dcas.set_observer d
+    (if not on then None
+     else
+       Some
+         {
+           Dcas.on_read =
+             (fun c v ->
+               Shadow.on_read sanitize c v;
+               Metrics.incr metrics "dcas.reads");
+           on_write =
+             (fun c v ->
+               Shadow.on_write sanitize c v;
+               Blame.stamp blame Blame.Write (Cell.id c);
+               Metrics.incr metrics "dcas.writes");
+           on_rmw =
+             (fun c ->
+               Shadow.on_rmw sanitize c;
+               Blame.stamp blame Blame.Rmw (Cell.id c);
+               Metrics.incr metrics "dcas.rmw");
+           on_cas =
+             (fun c ~old_v ~new_v ~ok ->
+               Shadow.on_cas sanitize c ~old_v ~new_v ~ok;
+               if ok then Blame.stamp blame Blame.Cas (Cell.id c)
+               else Blame.charge blame Blame.Cas (Cell.id c);
+               attempted Blame.Cas ok);
+           on_dcas =
+             (fun c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok ->
+               Shadow.on_dcas sanitize c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok;
+               if Blame.enabled blame then
+                 if ok then begin
+                   Blame.stamp blame Blame.Dcas (Cell.id c0);
+                   Blame.stamp blame Blame.Dcas (Cell.id c1)
+                 end
+                 else
+                   (* The culprit is whichever word failed its compare; a
+                      raw peek (no Sched.point) keeps the schedule
+                      identical to a blame-free run. With both words
+                      stale, blaming the first is still a true cause. *)
+                   Blame.charge blame Blame.Dcas
+                     (Cell.id (if Cell.get c0 <> old0 then c0 else c1));
+               attempted Blame.Dcas ok;
+               if mcas then begin
+                 Metrics.incr metrics "mcas.attempt";
+                 Metrics.incr metrics
+                   (if ok then "mcas.success" else "mcas.fail")
+               end);
+           on_spurious_cas =
+             (fun () ->
+               Metrics.incr metrics "dcas.spurious_cas";
+               Tracer.emit tracer Fault "spurious-cas";
+               attempted Blame.Cas false;
+               Blame.charge_spurious blame Blame.Cas);
+           on_spurious_dcas =
+             (fun () ->
+               Metrics.incr metrics "dcas.spurious_dcas";
+               Tracer.emit tracer Fault "spurious-dcas";
+               Blame.charge_spurious blame Blame.Dcas;
+               attempted Blame.Dcas false);
+         })
+
 let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
     ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
     ?(lineage = Lfrc_obs.Lineage.disabled) ?(profile = Profile.disabled)
-    ?(blame = Lfrc_obs.Blame.disabled)
-    ?(sanitize = Lfrc_sanitize.Shadow.disabled) ?(symbolic = false) ~rc heap =
+    ?(blame = Blame.disabled) ?(sanitize = Shadow.disabled) ?(symbolic = false)
+    ~rc heap =
   let impl =
     match dcas_impl with
     | Some i -> i
@@ -168,15 +255,14 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
   (* A blame registry may outlive several environments; cell ids restart
      per heap, so stale stamps must be dropped before they can be blamed
      for this run's failures. *)
-  Lfrc_obs.Blame.new_run blame;
-  Lfrc_atomics.Dcas.attach_obs ~profile ~blame d ~metrics ~tracer;
-  Lfrc_sanitize.Shadow.attach sanitize ~heap ~metrics ~tracer ~profile;
-  Lfrc_atomics.Dcas.attach_sanitizer d sanitize;
+  Blame.new_run blame;
+  observe_dcas ~metrics ~tracer ~profile ~blame ~sanitize d;
+  Shadow.attach sanitize ~heap ~metrics ~tracer ~profile;
   let obs_on =
     Metrics.enabled metrics || Tracer.enabled tracer
     || Lfrc_obs.Lineage.enabled lineage
   in
-  let san_on = Lfrc_sanitize.Shadow.enabled sanitize in
+  let san_on = Shadow.enabled sanitize in
   if obs_on || san_on then
     Heap.set_observer heap
       (Some
@@ -194,7 +280,7 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
                  Tracer.emit tracer ~arg:p Free "free";
                  Lfrc_obs.Lineage.record lineage ~addr:p
                    (Lfrc_obs.Lineage.Free { gen }));
-           Lfrc_sanitize.Shadow.on_heap_event sanitize ev));
+           Shadow.on_heap_event sanitize ev));
   {
     env_heap = heap;
     env_dcas = d;

@@ -1,4 +1,5 @@
 module Sched = Lfrc_sched.Sched
+module Json = Lfrc_util.Json
 
 (* Contention causality. Every successful shared-memory write stamps its
    cell with (thread, call site, op kind, scheduler step); every failed
@@ -111,9 +112,7 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
-let locked r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let locked r f = Mutex.protect r.lock f
 
 (* A fresh environment attaching this registry starts a new run: stale
    stamps from a previous heap (cell ids restart per heap) must not be
@@ -580,20 +579,6 @@ let report ?(top = 10) ?namer ?lineage t =
   end;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?namer ?lineage t =
   let buf = Buffer.create 2048 in
   let attributed, unstamped, spurious, flows, ad_frames, ad_chains =
@@ -614,7 +599,7 @@ let to_json ?namer ?lineage t =
         (Printf.sprintf
            "{\"victim\":\"%s\",\"culprit\":\"%s\",\"wasted\":%d,\
             \"steps\":%d,\"rc\":%d,\"kinds\":{"
-           (json_escape r.b_victim) (json_escape r.b_culprit) r.b_wasted
+           (Json.escape r.b_victim) (Json.escape r.b_culprit) r.b_wasted
            r.b_steps r.b_rc);
       List.iteri
         (fun j (k, n) ->
@@ -630,10 +615,10 @@ let to_json ?namer ?lineage t =
             Buffer.add_string buf
               (Printf.sprintf "{\"addr\":%d,\"wasted\":%d%s%s}" addr n
                  (match family with
-                 | Some f -> Printf.sprintf ",\"family\":\"%s\"" (json_escape f)
+                 | Some f -> Printf.sprintf ",\"family\":\"%s\"" (Json.escape f)
                  | None -> "")
                  (match last with
-                 | Some l -> Printf.sprintf ",\"last\":\"%s\"" (json_escape l)
+                 | Some l -> Printf.sprintf ",\"last\":\"%s\"" (Json.escape l)
                  | None -> ""))
           end)
         r.b_addrs;
@@ -647,7 +632,7 @@ let to_json ?namer ?lineage t =
         (Printf.sprintf
            "{\"site\":\"%s\",\"chains\":%d,\"retries\":%d,\"len_max\":%d,\
             \"steps\":%d,\"adopted\":%d}"
-           (json_escape c.c_site) c.c_chains c.c_len_total c.c_len_max
+           (Json.escape c.c_site) c.c_chains c.c_len_total c.c_len_max
            c.c_steps_total c.c_adopted))
     (chain_rows t);
   Buffer.add_string buf "]}";

@@ -66,9 +66,7 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
-let locked r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let locked r f = Mutex.protect r.lock f
 
 (* --- originating-op context ---
 

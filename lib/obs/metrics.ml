@@ -1,4 +1,5 @@
 module Stats = Lfrc_util.Stats
+module Json = Lfrc_util.Json
 
 type gauge = { mutable last : int; mutable max : int }
 
@@ -30,9 +31,7 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
-let locked r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let locked r f = Mutex.protect r.lock f
 
 let add t name v =
   match t with
@@ -44,6 +43,13 @@ let add t name v =
           | None -> Hashtbl.add r.counters name (ref v))
 
 let incr t name = add t name 1
+
+let count t name =
+  match t with
+  | Disabled -> 0
+  | On r ->
+      locked r (fun () ->
+          match Hashtbl.find_opt r.counters name with Some c -> !c | None -> 0)
 
 let set_gauge t name v =
   match t with
@@ -151,26 +157,12 @@ let merge a b =
         a.samples b.samples;
   }
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_obj buf fields =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, emit) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape k));
+      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape k));
       emit buf)
     fields;
   Buffer.add_char buf '}'

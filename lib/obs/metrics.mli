@@ -11,8 +11,9 @@
     A registry is either {e enabled} (created by {!create}) or the shared
     {e disabled} singleton: on the disabled registry every recording
     operation is a single branch and touches nothing, so instrumentation
-    can stay unconditionally in the hot paths ({!Lfrc_core.Lfrc},
-    {!Lfrc_atomics.Dcas}) at negligible cost when observability is off.
+    can stay unconditionally in the hot paths ({!Lfrc_core.Lfrc}, the
+    DCAS substrate's observer) at negligible cost when observability is
+    off.
 
     Enabled registries are mutex-protected: exact under the simulator
     (single domain) and safe, if approximate in ordering, under real
@@ -42,6 +43,12 @@ val incr : t -> string -> unit
 
 val add : t -> string -> int -> unit
 (** Add an arbitrary amount to a counter. *)
+
+val count : t -> string -> int
+(** A counter's current value, read live without a {!snapshot} (which
+    copies and sorts every series); 0 when the series does not exist or
+    the registry is disabled. Callers that want one run's share of a
+    shared registry take the difference of two reads. *)
 
 val set_gauge : t -> string -> int -> unit
 (** Set a gauge's current value; the registry also retains the maximum

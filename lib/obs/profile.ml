@@ -1,4 +1,5 @@
 module Sched = Lfrc_sched.Sched
+module Json = Lfrc_util.Json
 
 (* A "site" is the instrumentation label of an operation span —
    "lfrc.load", "ebr.pop", … — registered on first use. Attribution is a
@@ -51,9 +52,7 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
-let locked r f =
-  Mutex.lock r.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
+let locked r f = Mutex.protect r.lock f
 
 let site_of r label =
   match Hashtbl.find_opt r.sites label with
@@ -206,19 +205,6 @@ let table t =
         rs;
       Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"sites\":[";
@@ -230,7 +216,7 @@ let to_json t =
            "{\"site\":\"%s\",\"calls\":%d,\"retries\":%d,\"dcas_retries\":%d,\
             \"wasted\":%d,\"steps_total\":%d,\"steps_max\":%d,\
             \"steps_per_op\":%.4f}"
-           (json_escape row.r_site) row.r_calls row.r_retries
+           (Json.escape row.r_site) row.r_calls row.r_retries
            row.r_dcas_retries row.r_wasted row.r_steps_total row.r_steps_max
            (mean_steps row)))
     (rows t);

@@ -45,7 +45,8 @@ val op_retry : t -> unit
 
 val dcas_retry : t -> unit
 (** A CAS/DCAS attempt failed underneath the innermost open operation
-    (wired from {!Lfrc_atomics.Dcas.attach_obs}). *)
+    (called by the DCAS substrate's observer,
+    {!Lfrc_core.Env.observe_dcas}). *)
 
 val current_site : t -> string
 (** The innermost open frame's site label on the current simulated

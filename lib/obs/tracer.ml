@@ -1,4 +1,5 @@
 module Sched = Lfrc_sched.Sched
+module Json = Lfrc_util.Json
 
 type kind = Begin | End | Retry | Free | Fault | Instant | Flow_out | Flow_in
 
@@ -87,20 +88,6 @@ let kind_name = function
   | Flow_out -> "flow-out"
   | Flow_in -> "flow-in"
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Spans are re-paired at export into Chrome "X" (complete) records: a ring
    that overwrote a span's Begin would otherwise emit an unmatched "E",
    which chrome://tracing renders as garbage. Instant events map to "i".
@@ -117,7 +104,7 @@ let chrome_json_of_events ?(meta = []) evs =
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
     meta;
   Buffer.add_string buf "},\"traceEvents\":[";
   let first = ref true in
@@ -131,7 +118,7 @@ let chrome_json_of_events ?(meta = []) evs =
       fields;
     Buffer.add_char buf '}'
   in
-  let quoted s = Printf.sprintf "\"%s\"" (json_escape s) in
+  let quoted s = Printf.sprintf "\"%s\"" (Json.escape s) in
   let common ev =
     [
       ("pid", "1");

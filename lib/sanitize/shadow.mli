@@ -100,8 +100,8 @@ val note_dying : t -> Heap.ptr -> unit
     its destruction: accesses to its pointer/value cells by {e other}
     threads before the free are use-after-retire. *)
 
-(** {2 Access hooks} (wired into {!Lfrc_atomics.Dcas}; one branch when
-    disabled) *)
+(** {2 Access hooks} (called by the DCAS substrate's observer,
+    {!Lfrc_core.Env.observe_dcas}; one branch when disabled) *)
 
 val on_read : t -> Cell.t -> int -> unit
 (** [on_read t c v]: [v] is the value read (recorded for ABA). *)

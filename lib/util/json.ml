@@ -195,3 +195,16 @@ let to_num = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let obj_fields = function Obj fields -> fields | _ -> []
+
+let escape s =
+  let b = Buffer.create (String.length s + 2) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b

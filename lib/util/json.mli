@@ -1,9 +1,12 @@
-(** Minimal JSON reader for the benchmark baselines.
+(** Minimal JSON support: the string escaper every writer shares, and a
+    reader for the benchmark baselines.
 
-    The repository hand-rolls its JSON {e writers} (metrics snapshots,
-    bench files, analyzer reports) because the dependency budget has no
-    JSON library; [bench --compare] needs the matching {e reader} to diff
-    a fresh run against a committed baseline. This is a small strict
+    The dependency budget has no JSON library. Each JSON {e writer}
+    (metrics snapshots, chrome traces, profile, blame, analyzer and
+    sanitizer reports, bench files) prints its own structure and quotes
+    every string through {!escape}; [bench --compare] needs the matching
+    {e reader} to diff a fresh run against a committed baseline. This is
+    a small strict
     recursive-descent parser over the subset those writers emit — which
     is to say all of RFC 8259 except [\uXXXX] surrogate pairs (decoded
     as-is into the raw code unit's UTF-8 bytes). Numbers are [float]s,
@@ -43,3 +46,10 @@ val to_list : t -> t list option
 
 val obj_fields : t -> (string * t) list
 (** Fields of an [Obj], [[]] for any other constructor. *)
+
+(** {2 Writing} *)
+
+val escape : string -> string
+(** The body of a JSON string literal for [s], without the surrounding
+    quotes: double quote, backslash and newline get backslash escapes,
+    every other control character a [\u00XX] escape. *)

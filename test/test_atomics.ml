@@ -1,10 +1,12 @@
-(* Tests for the DCAS substrates: semantics of each implementation,
-   counters, the software MCAS (including model-checked agreement with the
-   atomic reference) and the documented MCAS/LFRC incompatibility. *)
+(* Tests for the DCAS substrates: semantics of each implementation, the
+   observer seam and the counts it feeds, the software MCAS (including
+   model-checked agreement with the atomic reference) and the documented
+   MCAS/LFRC incompatibility. *)
 
 module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module Mcas = Lfrc_atomics.Mcas
+module Metrics = Lfrc_obs.Metrics
 module Sched = Lfrc_sched.Sched
 module Strategy = Lfrc_sched.Strategy
 
@@ -83,6 +85,8 @@ let test_dcas_negative_values () =
 
 let test_counters () =
   let d = Dcas.create Dcas.Atomic_step in
+  let metrics = Metrics.create () in
+  Lfrc_core.Env.observe_dcas ~metrics d;
   let c0 = Cell.make 0 and c1 = Cell.make 0 in
   ignore (Dcas.read d c0);
   Dcas.write d c0 1;
@@ -92,15 +96,137 @@ let test_counters () =
   ignore (Dcas.dcas d c0 c1 ~old0:2 ~old1:0 ~new0:3 ~new1:1);
   ignore (Dcas.dcas d c0 c1 ~old0:2 ~old1:0 ~new0:3 ~new1:1);
   (* fails *)
-  let c = Dcas.counters d in
-  checki "reads" 1 c.Dcas.reads;
-  checki "writes" 1 c.Dcas.writes;
-  checki "cas attempts" 2 c.Dcas.cas_attempts;
-  checki "cas failures" 1 c.Dcas.cas_failures;
-  checki "dcas attempts" 2 c.Dcas.dcas_attempts;
-  checki "dcas failures" 1 c.Dcas.dcas_failures;
-  Dcas.reset_counters d;
-  checki "reset" 0 (Dcas.counters d).Dcas.reads
+  let count = Metrics.count metrics in
+  checki "reads" 1 (count "dcas.reads");
+  checki "writes" 1 (count "dcas.writes");
+  checki "cas attempts" 2 (count "dcas.cas_attempts");
+  checki "cas failures" 1 (count "dcas.cas_failures");
+  checki "dcas attempts" 2 (count "dcas.dcas_attempts");
+  checki "dcas failures" 1 (count "dcas.dcas_failures")
+
+(* --- The observer seam --- *)
+
+(* With no observer, a step outside the simulator allocates nothing: the
+   seam costs one branch. *)
+let test_unobserved_steps_allocate_nothing () =
+  let d = Dcas.create Dcas.Atomic_step in
+  let c0 = Cell.make 0 and c1 = Cell.make 0 in
+  let n = 10_000 in
+  let words name step =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      step ()
+    done;
+    let per_op = (Gc.minor_words () -. before) /. Float.of_int n in
+    Alcotest.(check (float 0.)) (name ^ " words/op") 0. per_op
+  in
+  words "read" (fun () -> ignore (Dcas.read d c0));
+  words "write" (fun () -> Dcas.write d c0 0);
+  words "winning cas" (fun () -> ignore (Dcas.cas d c0 0 0));
+  words "losing cas" (fun () -> ignore (Dcas.cas d c0 1 2));
+  words "winning dcas" (fun () ->
+      ignore (Dcas.dcas d c0 c1 ~old0:0 ~old1:0 ~new0:0 ~new1:0));
+  words "losing dcas" (fun () ->
+      ignore (Dcas.dcas d c0 c1 ~old0:0 ~old1:1 ~new0:2 ~new1:2));
+  words "fetch_add" (fun () -> ignore (Dcas.fetch_add d c0 0))
+
+(* An observer that logs every step it sees; [take ()] drains the log. *)
+let recording d =
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  Dcas.set_observer d
+    (Some
+       {
+         Dcas.on_read = (fun c v -> note "read %d %d" (Cell.id c) v);
+         on_write = (fun c v -> note "write %d %d" (Cell.id c) v);
+         on_rmw = (fun c -> note "rmw %d" (Cell.id c));
+         on_cas =
+           (fun c ~old_v ~new_v ~ok ->
+             note "cas %d %d %d %b" (Cell.id c) old_v new_v ok);
+         on_dcas =
+           (fun c0 c1 ~old0 ~old1 ~new0 ~new1 ~ok ->
+             note "dcas %d %d %d %d %d %d %b" (Cell.id c0) (Cell.id c1) old0
+               old1 new0 new1 ok);
+         on_spurious_cas = (fun () -> note "spurious-cas");
+         on_spurious_dcas = (fun () -> note "spurious-dcas");
+       });
+  fun () ->
+    let l = List.rev !log in
+    log := [];
+    l
+
+let checkl = Alcotest.(check (list string))
+
+let test_observer_sees_each_step_once () =
+  for_each_impl (fun name d ->
+      let take = recording d in
+      let c0 = Cell.make 1 and c1 = Cell.make 2 in
+      let i0 = Cell.id c0 and i1 = Cell.id c1 in
+      ignore (Dcas.read d c0);
+      Dcas.write d c0 5;
+      ignore (Dcas.fetch_add d c1 3);
+      ignore (Dcas.cas d c0 5 6);
+      ignore (Dcas.cas d c0 5 7);
+      ignore (Dcas.dcas d c0 c1 ~old0:6 ~old1:5 ~new0:8 ~new1:9);
+      ignore (Dcas.dcas d c0 c1 ~old0:6 ~old1:9 ~new0:0 ~new1:0);
+      checkl (name ^ " steps")
+        [
+          Printf.sprintf "read %d 1" i0;
+          Printf.sprintf "write %d 5" i0;
+          Printf.sprintf "rmw %d" i1;
+          Printf.sprintf "cas %d 5 6 true" i0;
+          Printf.sprintf "cas %d 5 7 false" i0;
+          Printf.sprintf "dcas %d %d 6 5 8 9 true" i0 i1;
+          Printf.sprintf "dcas %d %d 6 9 0 0 false" i0 i1;
+        ]
+        (take ());
+      (* Injected failures are their own steps, never a cas/dcas step. *)
+      let always () = true in
+      Dcas.set_injector d
+        (Some { Dcas.inject_cas = always; inject_dcas = always });
+      checkb (name ^ " spurious cas fails") false (Dcas.cas d c0 8 1);
+      checkb (name ^ " spurious dcas fails") false
+        (Dcas.dcas d c0 c1 ~old0:8 ~old1:9 ~new0:1 ~new1:1);
+      checkl (name ^ " spurious steps") [ "spurious-cas"; "spurious-dcas" ]
+        (take ());
+      checki (name ^ " nothing written") 8 (Cell.get c0))
+
+(* Software MCAS retries its inner CAS when a competing step lands between
+   its read and its install; the observer still sees one step. The script
+   parks thread 1's fetch-add (or write) just before its install, runs
+   thread 2's whole step, then lets thread 1 retry. *)
+let test_observer_one_step_per_mcas_retry () =
+  let script = [| 0; 1; 1; 1; 2; 2; 2; 2 |] in
+  let run first second =
+    let d = Dcas.create Dcas.Software_mcas in
+    let take = recording d in
+    let c = Cell.make 0 in
+    ignore
+      (Sched.run ~max_steps:1_000
+         (Strategy.Scripted { prefix = script; tail_seed = None })
+         (fun () ->
+           let a = Sched.spawn (fun () -> first d c) in
+           let b = Sched.spawn (fun () -> second d c) in
+           Sched.join [ a; b ]));
+    (Cell.id c, Cell.get c, take ())
+  in
+  let added = ref (-1) in
+  let id, v, steps =
+    run (fun d c -> added := Dcas.fetch_add d c 1) (fun d c -> Dcas.write d c 5)
+  in
+  checki "fetch-add retried over the write" 5 !added;
+  checki "fetch-add landed last" 6 v;
+  checkl "one step each"
+    [ Printf.sprintf "write %d 5" id; Printf.sprintf "rmw %d" id ]
+    steps;
+  let id, v, steps =
+    run (fun d c -> Dcas.write d c 7) (fun d c -> added := Dcas.fetch_add d c 1)
+  in
+  checki "fetch-add ran first" 0 !added;
+  checki "write retried over the fetch-add" 7 v;
+  checkl "one step each"
+    [ Printf.sprintf "rmw %d" id; Printf.sprintf "write %d 7" id ]
+    steps
 
 (* --- MCAS specifics --- *)
 
@@ -383,6 +509,15 @@ let () =
           Alcotest.test_case "no-op dcas" `Quick test_dcas_same_values;
           Alcotest.test_case "negative values" `Quick test_dcas_negative_values;
           Alcotest.test_case "counters" `Quick test_counters;
+        ] );
+      ( "observer",
+        [
+          Alcotest.test_case "unobserved steps allocate nothing" `Quick
+            test_unobserved_steps_allocate_nothing;
+          Alcotest.test_case "each step seen once" `Quick
+            test_observer_sees_each_step_once;
+          Alcotest.test_case "mcas retries are one step" `Quick
+            test_observer_one_step_per_mcas_retry;
         ] );
       ( "mcas",
         [

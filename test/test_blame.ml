@@ -45,7 +45,7 @@ let test_known_winner_blamed () =
   let cell = Heap.root heap ~name:"X" () in
   let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Dcas.attach_obs ~blame d ~metrics:Metrics.disabled ~tracer:Tracer.disabled;
+  Env.observe_dcas ~blame d;
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
          let winner =
@@ -81,7 +81,7 @@ let test_winning_cas_not_charged () =
   let cell = Heap.root heap ~name:"X" () in
   let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Dcas.attach_obs ~blame d ~metrics:Metrics.disabled ~tracer:Tracer.disabled;
+  Env.observe_dcas ~blame d;
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
          Blame.op_begin blame "solo.cas";
@@ -106,12 +106,15 @@ let test_deterministic_aggregates () =
 
 (* --- blame totals tie out against the DCAS substrate --- *)
 
+(* The substrate's failures as its observer counted them. *)
+let dcas_failures metrics =
+  Metrics.count metrics "dcas.cas_failures"
+  + Metrics.count metrics "dcas.dcas_failures"
+
 let test_totals_match_dcas_counters () =
-  let blame = Blame.create () in
-  let env = run_treiber ~blame ~seed:3 () in
-  let c = Dcas.counters (Env.dcas env) in
-  checki "every failed compare charged exactly once"
-    (c.Dcas.cas_failures + c.Dcas.dcas_failures)
+  let blame = Blame.create () and metrics = Metrics.create () in
+  ignore (run_treiber ~blame ~metrics ~seed:3 ());
+  checki "every failed compare charged exactly once" (dcas_failures metrics)
     (Blame.total_wasted blame);
   checkb "rc charges are a subset" true
     (Blame.rc_wasted blame <= Blame.total_wasted blame);
@@ -144,17 +147,14 @@ let test_deferred_park_not_blamed () =
   checki "no rc blame at park" 0 (Blame.rc_wasted blame)
 
 let test_deferred_contended_still_ties_out () =
-  let blame = Blame.create () in
-  let env =
-    run_treiber ~blame
-      ~rc_mode:
-        (Env.Deferred_rc { epoch = Lfrc_harness.Scenario.deferred_rc_epoch })
-      ~seed:3 ()
-  in
-  let c = Dcas.counters (Env.dcas env) in
+  let blame = Blame.create () and metrics = Metrics.create () in
+  ignore
+    (run_treiber ~blame ~metrics
+       ~rc_mode:
+         (Env.Deferred_rc { epoch = Lfrc_harness.Scenario.deferred_rc_epoch })
+       ~seed:3 ());
   checki "deferred mode: charges still one per failed compare"
-    (c.Dcas.cas_failures + c.Dcas.dcas_failures)
-    (Blame.total_wasted blame)
+    (dcas_failures metrics) (Blame.total_wasted blame)
 
 (* --- crash adoption: pending blame is folded in, not leaked --- *)
 

@@ -130,6 +130,35 @@ let test_e7_runs_quickly () =
       checkb "metrics recorded" false
         (Lfrc_obs.Metrics.is_empty r.Lfrc_harness.Common.metrics)
 
+(* E2's and E5's attempt and failure columns read the substrate's dcas.*
+   counters, from a private registry when metrics are off: the cells must
+   not depend on the flag. E5's 1-thread rows are wall-clock times. *)
+let test_counts_independent_of_metrics () =
+  let rows id metrics =
+    match Experiments.find id with
+    | None -> Alcotest.failf "%s missing" id
+    | Some e ->
+        let cfg =
+          {
+            Scenario.default_config with
+            threads = 2;
+            ops_per_thread = 30;
+            iters = 100;
+            metrics;
+          }
+        in
+        (e.Experiments.run cfg).Lfrc_harness.Common.table
+        |> Lfrc_util.Table.csv |> String.split_on_char '\n'
+        |> List.filter (fun row ->
+               let threads = List.nth_opt (String.split_on_char ',' row) 1 in
+               not (id = "E5" && threads = Some "1"))
+  in
+  List.iter
+    (fun id ->
+      Alcotest.(check (list string))
+        (id ^ " cells") (rows id true) (rows id false))
+    [ "E2"; "E5" ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -152,5 +181,7 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_registry_complete;
           Alcotest.test_case "E7 end to end" `Quick test_e7_runs_quickly;
+          Alcotest.test_case "E2/E5 counts without metrics" `Quick
+            test_counts_independent_of_metrics;
         ] );
     ]
