@@ -58,13 +58,8 @@ let with_two_stripes t c0 c1 f =
   let i0 = Cell.id c0 land (n_stripes - 1)
   and i1 = Cell.id c1 land (n_stripes - 1) in
   let lo = min i0 i1 and hi = max i0 i1 in
-  Mutex.lock t.stripes.(lo);
-  if hi <> lo then Mutex.lock t.stripes.(hi);
-  Fun.protect
-    ~finally:(fun () ->
-      if hi <> lo then Mutex.unlock t.stripes.(hi);
-      Mutex.unlock t.stripes.(lo))
-    f
+  Mutex.protect t.stripes.(lo) (fun () ->
+      if hi = lo then f () else Mutex.protect t.stripes.(hi) f)
 
 let read t c =
   Sched.point ();
