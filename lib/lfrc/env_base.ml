@@ -111,21 +111,23 @@ type t = {
   env_rc : rc;
   pending : int Queue.t;
   pending_lock : Mutex.t;
-  (* Objects a destroy is in the middle of tearing down, keyed by simulated
-     thread id. While a destroy runs, the reference being dropped is held
-     only in OCaml locals, invisible to the heap; this registry republishes
-     it so the post-mortem fault auditor can account for it if the
-     destroying thread crashes. Deliberately NOT a heap frame: heap frames
-     feed the tracing collectors and invariant checkers, whose semantics
-     must not change under LFRC. *)
-  destroying : (int, int list ref) Hashtbl.t;
+  (* Objects a destroy is in the middle of tearing down, one slot per
+     thread ([slot_of] its tid), newest first.
+     While a destroy runs, the reference being dropped is held only in
+     OCaml locals, invisible to the heap; this registry republishes it so
+     the post-mortem fault auditor can account for it if the destroying
+     thread crashes. Deliberately NOT a heap frame: heap frames feed the
+     tracing collectors and invariant checkers, whose semantics must not
+     change under LFRC. *)
+  destroying : int list array;
   destroying_lock : Mutex.t;
   (* Speculative count increments not yet justified by a heap-visible
      pointer: store/cas/dcas raise the new pointer's count before the
      publishing CAS, and a crash in between leaves a +1 no destroy will
-     ever compensate. Keyed by thread id so recovery can compensate a
-     crashed thread's pending publications. *)
-  publishing : (int, (int * int) list ref) Hashtbl.t;
+     ever compensate. One slot per thread id, as [destroying], so
+     recovery can compensate a crashed thread's pending publications;
+     each entry is (address, weight). *)
+  publishing : (int * int) list array;
   publishing_lock : Mutex.t;
   (* Thread-local pointer variables published for the same auditor (their
      heap-frame analogue, kept off the heap for the same reason). Each
@@ -239,6 +241,15 @@ let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
                attempted Blame.Dcas false);
          })
 
+(* A thread's registry slot is its {!Lfrc_sched.Sched.tid} plus one:
+   simulated threads and real domains (all tid 0) from slot 1, and slot
+   0 for tid -1, the scheduler itself, which unwinds a failed run's
+   suspended threads. [adopt_*] take ids from the caller, so they skip
+   any without a slot. *)
+let registry_slots = Lfrc_sched.Limits.max_threads + 1
+let slot_of tid = tid + 1
+let has_slot tid = tid >= -1 && tid < Lfrc_sched.Limits.max_threads
+
 let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
     ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
     ?(lineage = Lfrc_obs.Lineage.disabled) ?(profile = Profile.disabled)
@@ -288,9 +299,9 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
     env_rc = rc;
     pending = Queue.create ();
     pending_lock = Mutex.create ();
-    destroying = Hashtbl.create 8;
+    destroying = Array.make registry_slots [];
     destroying_lock = Mutex.create ();
-    publishing = Hashtbl.create 8;
+    publishing = Array.make registry_slots [];
     publishing_lock = Mutex.create ();
     local_frames = [];
     local_frame_ctr = 0;
@@ -373,6 +384,12 @@ let per_retry_obs env =
 let record_retries env counter burst =
   if burst > 0 then Metrics.add env.env_metrics counter burst
 
+(* A retry burst for a histogram: the float is boxed only when metrics
+   are on. *)
+let observe_burst env name burst =
+  if Metrics.enabled env.env_metrics then
+    Metrics.observe env.env_metrics name (float_of_int burst)
+
 (* [counter] separates eager frees (destroy paths) from deferred-queue
    frees, the paper-§7 distinction the metrics surface. *)
 let free_obj env counter p =
@@ -410,29 +427,25 @@ let deferred_pending t =
 (* --- the destroy, publication and locals registries --- *)
 
 let begin_destroy t p =
-  let tid = Lfrc_sched.Sched.tid () in
+  let i = slot_of (Lfrc_sched.Sched.tid ()) in
   Mutex.lock t.destroying_lock;
-  (match Hashtbl.find_opt t.destroying tid with
-  | Some l -> l := p :: !l
-  | None -> Hashtbl.add t.destroying tid (ref [ p ]));
+  t.destroying.(i) <- p :: t.destroying.(i);
   Mutex.unlock t.destroying_lock
 
+(* Drop the newest entry for [p]: usually the head, which costs nothing. *)
+let rec remove_destroying p = function
+  | [] -> []
+  | x :: rest -> if x = p then rest else x :: remove_destroying p rest
+
 let end_destroy t p =
-  let tid = Lfrc_sched.Sched.tid () in
+  let i = slot_of (Lfrc_sched.Sched.tid ()) in
   Mutex.lock t.destroying_lock;
-  (match Hashtbl.find_opt t.destroying tid with
-  | Some l ->
-      let rec remove = function
-        | [] -> []
-        | x :: rest -> if x = p then rest else x :: remove rest
-      in
-      l := remove !l
-  | None -> ());
+  t.destroying.(i) <- remove_destroying p t.destroying.(i);
   Mutex.unlock t.destroying_lock
 
 let destroying_now t =
   Mutex.lock t.destroying_lock;
-  let ds = Hashtbl.fold (fun _ l acc -> !l @ acc) t.destroying [] in
+  let ds = Array.fold_left (fun acc l -> l @ acc) [] t.destroying in
   Mutex.unlock t.destroying_lock;
   ds
 
@@ -444,45 +457,39 @@ let adopt_destroying t ~tids =
   let out = ref [] in
   List.iter
     (fun tid ->
-      match Hashtbl.find_opt t.destroying tid with
-      | Some l ->
-          out := !l @ !out;
-          Hashtbl.remove t.destroying tid
-      | None -> ())
+      if has_slot tid then begin
+        out := t.destroying.(slot_of tid) @ !out;
+        t.destroying.(slot_of tid) <- []
+      end)
     tids;
   Mutex.unlock t.destroying_lock;
   !out
 
 let begin_publish ?(weight = 1) t p =
   if p <> Heap.null then begin
-    let tid = Lfrc_sched.Sched.tid () in
+    let i = slot_of (Lfrc_sched.Sched.tid ()) in
     Mutex.lock t.publishing_lock;
-    (match Hashtbl.find_opt t.publishing tid with
-    | Some l -> l := (p, weight) :: !l
-    | None -> Hashtbl.add t.publishing tid (ref [ (p, weight) ]));
+    t.publishing.(i) <- (p, weight) :: t.publishing.(i);
     Mutex.unlock t.publishing_lock
   end
 
+let rec remove_publishing p = function
+  | [] -> []
+  | ((x, _) as e) :: rest ->
+      if x = p then rest else e :: remove_publishing p rest
+
 let end_publish t p =
   if p <> Heap.null then begin
-    let tid = Lfrc_sched.Sched.tid () in
+    let i = slot_of (Lfrc_sched.Sched.tid ()) in
     Mutex.lock t.publishing_lock;
-    (match Hashtbl.find_opt t.publishing tid with
-    | Some l ->
-        let rec remove = function
-          | [] -> []
-          | (x, _) :: rest when x = p -> rest
-          | x :: rest -> x :: remove rest
-        in
-        l := remove !l
-    | None -> ());
+    t.publishing.(i) <- remove_publishing p t.publishing.(i);
     Mutex.unlock t.publishing_lock
   end
 
 let publishing_now t =
   Mutex.lock t.publishing_lock;
   let ps =
-    Hashtbl.fold (fun _ l acc -> List.map fst !l @ acc) t.publishing []
+    Array.fold_left (fun acc l -> List.map fst l @ acc) [] t.publishing
   in
   Mutex.unlock t.publishing_lock;
   ps
@@ -492,11 +499,10 @@ let adopt_publications t ~tids =
   let out = ref [] in
   List.iter
     (fun tid ->
-      match Hashtbl.find_opt t.publishing tid with
-      | Some l ->
-          out := !l @ !out;
-          Hashtbl.remove t.publishing tid
-      | None -> ())
+      if has_slot tid then begin
+        out := t.publishing.(slot_of tid) @ !out;
+        t.publishing.(slot_of tid) <- []
+      end)
     tids;
   Mutex.unlock t.publishing_lock;
   !out

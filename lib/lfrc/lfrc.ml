@@ -21,43 +21,45 @@ exception Symbolic_bypass of string
 let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
 
 (* Observability shims. Every public operation counts itself under an
-   [lfrc.*] series and, when tracing/profiling/lineage is on, opens a span
-   that closes even on the exceptional (OOM) paths. The span name doubles
-   as the profiler call site and the lineage originating-op context, so a
-   count transition or a failed DCAS underneath always knows which
-   operation it belongs to. With observability off each shim is a single
-   branch — the policy {!Env.create} documents. Retry accounting is
+   [lfrc.*] series and, when tracing/profiling/lineage/blame is on, runs
+   its body inside a span that closes even on the exceptional (OOM)
+   paths. The span name doubles as the profiler call site and the lineage
+   originating-op context, so a count transition or a failed DCAS
+   underneath always knows which operation it belongs to. With every span
+   layer off an operation applies its body directly — one branch, no
+   closure — the policy {!Env.create} documents. Retry accounting is
    shared with the mode implementations ({!Env_base.per_retry_obs}). *)
 
 let retry_slow = Env_base.retry_slow
 let per_retry_obs = Env_base.per_retry_obs
 let record_retries = Env_base.record_retries
+let observe_burst = Env_base.observe_burst
 let free_obj = Env_base.free_obj
 
-let span env name f =
+(* Count one [name] operation; answer whether it runs in a span. *)
+let spanned env name =
   Metrics.incr (Env.metrics env) name;
+  Tracer.enabled (Env.tracer env)
+  || Profile.enabled (Env.profile env)
+  || Lineage.enabled (Env.lineage env)
+  || Blame.enabled (Env.blame env)
+
+let in_span env name f =
   let tr = Env.tracer env
   and pr = Env.profile env
   and ln = Env.lineage env
   and bl = Env.blame env in
-  if
-    not
-      (Tracer.enabled tr || Profile.enabled pr || Lineage.enabled ln
-      || Blame.enabled bl)
-  then f ()
-  else begin
-    Tracer.emit tr Begin name;
-    Profile.op_begin pr name;
-    Lineage.op_begin ln name;
-    Blame.op_begin bl name;
-    Fun.protect
-      ~finally:(fun () ->
-        Blame.op_end bl;
-        Lineage.op_end ln;
-        Profile.op_end pr;
-        Tracer.emit tr End name)
-      f
-  end
+  Tracer.emit tr Begin name;
+  Profile.op_begin pr name;
+  Lineage.op_begin ln name;
+  Blame.op_begin bl name;
+  Fun.protect
+    ~finally:(fun () ->
+      Blame.op_end bl;
+      Lineage.op_end ln;
+      Profile.op_end pr;
+      Tracer.emit tr End name)
+    f
 
 (* --- count delivery ---
 
@@ -65,8 +67,7 @@ let span env name f =
    environment's {!Env_base.DELIVERY} implementation, chosen once at
    [Env.create]; the Figure-2 bodies below are written once and call it
    at the marked points. Each wrapper unpacks the implementation — two
-   loads, no allocation — so the bodies' retry-loop closures capture
-   nothing extra. *)
+   loads, no allocation. *)
 
 let borrow env ~src a =
   let (Env_base.Rc ((module D), st)) = Env_base.rc env in
@@ -134,20 +135,26 @@ let add_to_rc env p v =
 
 let alloc env layout =
   guard env "alloc";
-  span env "lfrc.alloc" @@ fun () -> Heap.alloc (Env.heap env) layout
+  if spanned env "lfrc.alloc" then
+    in_span env "lfrc.alloc" (fun () -> Heap.alloc (Env.heap env) layout)
+  else Heap.alloc (Env.heap env) layout
 
 (* Allocation with graceful OOM: a simulated allocation failure surfaces as
    a result before any count or cell is touched, so the caller can abort
    its operation with the heap intact. *)
-let try_alloc env layout =
-  guard env "try_alloc";
-  span env "lfrc.alloc" @@ fun () ->
+let try_alloc_body env layout =
   match Heap.alloc (Env.heap env) layout with
   | p -> Ok p
   | exception Heap.Simulated_oom ->
       Metrics.incr (Env.metrics env) "lfrc.alloc_oom";
       Tracer.emit (Env.tracer env) Fault "oom";
       Error `Out_of_memory
+
+let try_alloc env layout =
+  guard env "try_alloc";
+  if spanned env "lfrc.alloc" then
+    in_span env "lfrc.alloc" (fun () -> try_alloc_body env layout)
+  else try_alloc_body env layout
 
 (* Destroying the last pointer to an object frees it and destroys the
    pointers it contains, under one of three policies. Every path drops a
@@ -283,9 +290,7 @@ let destroy_registered env p =
 let flush env = flush_counts env + pump_deferred env ~budget:(-1)
 
 (* LFRCDestroy (Figure 2, lines 13..15). *)
-let destroy env p =
-  guard env "destroy";
-  span env "lfrc.destroy" @@ fun () ->
+let destroy_body env p =
   if p <> null then begin
     if drop env p then commit env p
   end
@@ -294,6 +299,12 @@ let destroy env p =
     | Env.Deferred { budget_per_op } ->
         ignore (pump_deferred env ~budget:budget_per_op)
     | Env.Recursive | Env.Iterative -> ()
+
+let destroy env p =
+  guard env "destroy";
+  if spanned env "lfrc.destroy" then
+    in_span env "lfrc.destroy" (fun () -> destroy_body env p)
+  else destroy_body env p
 
 (* Drop a reference a winning CAS displaced ([counted]), or one handed back
    by a failed publication or a crashed teardown: as its own
@@ -307,115 +318,125 @@ let drop_taken env p ~counted =
     commit env p
   end
 
-(* LFRCLoad (Figure 2, lines 1..12). *)
-let load env ~src ~dest =
-  guard env "load";
-  span env "lfrc.load" @@ fun () ->
-  let heap = Env.heap env in
-  let d = Env.dcas env in
-  let olddest = !dest in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let a = Dcas.read d src in
-    if a = null then begin
-      dest := null;
-      burst
-    end
-    else if borrow env ~src a then begin
+(* LFRCLoad (Figure 2, lines 1..12). This and the retry loops below are
+   top-level functions, so an operation builds no closure. [load_retry]
+   returns its retry burst. *)
+let rec load_retry env d ~src ~dest ~slow burst =
+  let a = Dcas.read d src in
+  if a = null then begin
+    dest := null;
+    burst
+  end
+  else if borrow env ~src a then begin
+    dest := a;
+    burst
+  end
+  else begin
+    let rc = Heap.rc_cell (Env.heap env) a in
+    Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
+    let r = Dcas.read d rc in
+    (* Increment the count while atomically checking that [src] still
+       points at [a]: the object cannot have been freed and recycled
+       under us if the pointer still exists. *)
+    if Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + load_mint env)
+    then begin
+      loaded env ~src a ~old_rc:r;
       dest := a;
       burst
     end
     else begin
-      let rc = Heap.rc_cell heap a in
-      Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
-      let r = Dcas.read d rc in
-      (* Increment the count while atomically checking that [src] still
-         points at [a]: the object cannot have been freed and recycled
-         under us if the pointer still exists. *)
-      if
-        Dcas.dcas d src rc ~old0:a ~old1:r ~new0:a ~new1:(r + load_mint env)
-      then begin
-        loaded env ~src a ~old_rc:r;
-        dest := a;
-        burst
-      end
-      else begin
-        if slow then retry_slow env "lfrc.load_retry";
-        go (burst + 1)
-      end
+      if slow then retry_slow env "lfrc.load_retry";
+      load_retry env d ~src ~dest ~slow (burst + 1)
     end
+  end
+
+let load_body env ~src ~dest =
+  let olddest = !dest in
+  let burst =
+    load_retry env (Env.dcas env) ~src ~dest ~slow:(per_retry_obs env) 0
   in
-  let burst = go 0 in
   record_retries env "lfrc.load_retry" burst;
   (* Every load contributes its burst — zeros included — so the retry
      histogram is populated even in uncontended runs. *)
-  Metrics.observe (Env.metrics env) "lfrc.load.retries" (float_of_int burst);
+  observe_burst env "lfrc.load.retries" burst;
   destroy env olddest
 
+let load env ~src ~dest =
+  guard env "load";
+  if spanned env "lfrc.load" then
+    in_span env "lfrc.load" (fun () -> load_body env ~src ~dest)
+  else load_body env ~src ~dest
+
 (* LFRCStore (Figure 2, lines 21..28). *)
+let rec store_retry env d ~dst v ~slow burst =
+  let oldval = Dcas.read d dst in
+  if Dcas.cas d dst oldval v then begin
+    (* No yield since the CAS: the +1 is now heap-justified, so ending
+       the publication — and the mode's slot bookkeeping — is atomic
+       with it. *)
+    Env.end_publish env v;
+    installed env ~cell:dst ~old:oldval v ~owned:false;
+    record_retries env "lfrc.store_retry" burst;
+    observe_burst env "lfrc.store.retries" burst;
+    drop_taken env oldval ~counted:true
+  end
+  else begin
+    if slow then retry_slow env "lfrc.store_retry";
+    store_retry env d ~dst v ~slow (burst + 1)
+  end
+
+let store_body env ~dst v =
+  publish env v;
+  store_retry env (Env.dcas env) ~dst v ~slow:(per_retry_obs env) 0
+
 let store env ~dst v =
   guard env "store";
-  span env "lfrc.store" @@ fun () ->
-  publish env v;
-  let d = Env.dcas env in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      (* No yield since the CAS: the +1 is now heap-justified, so ending
-         the publication — and the mode's slot bookkeeping — is atomic
-         with it. *)
-      Env.end_publish env v;
-      installed env ~cell:dst ~old:oldval v ~owned:false;
-      record_retries env "lfrc.store_retry" burst;
-      Metrics.observe (Env.metrics env) "lfrc.store.retries"
-        (float_of_int burst);
-      drop_taken env oldval ~counted:true
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
+  if spanned env "lfrc.store" then
+    in_span env "lfrc.store" (fun () -> store_body env ~dst v)
+  else store_body env ~dst v
 
 (* LFRCStoreAlloc (paper Figure 1, line 35): consume the allocation's
    count instead of raising it. The source is a (registered-local) ref,
    cleared in the same atomic step as the winning CAS, so the
    allocation's count has exactly one owner — the local or the heap slot
    — at every yield point. *)
+let rec store_alloc_retry env d ~dst r v ~slow burst =
+  let oldval = Dcas.read d dst in
+  if Dcas.cas d dst oldval v then begin
+    r := null;
+    installed env ~cell:dst ~old:oldval v ~owned:true;
+    record_retries env "lfrc.store_retry" burst;
+    drop_taken env oldval ~counted:true
+  end
+  else begin
+    if slow then retry_slow env "lfrc.store_retry";
+    store_alloc_retry env d ~dst r v ~slow (burst + 1)
+  end
+
+let store_alloc_body env ~dst r =
+  store_alloc_retry env (Env.dcas env) ~dst r !r ~slow:(per_retry_obs env) 0
+
 let store_alloc_from env ~dst r =
   guard env "store_alloc";
-  span env "lfrc.store_alloc" @@ fun () ->
-  let d = Env.dcas env in
-  let v = !r in
-  let slow = per_retry_obs env in
-  let rec go burst =
-    let oldval = Dcas.read d dst in
-    if Dcas.cas d dst oldval v then begin
-      r := null;
-      installed env ~cell:dst ~old:oldval v ~owned:true;
-      record_retries env "lfrc.store_retry" burst;
-      drop_taken env oldval ~counted:true
-    end
-    else begin
-      if slow then retry_slow env "lfrc.store_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
+  if spanned env "lfrc.store_alloc" then
+    in_span env "lfrc.store_alloc" (fun () -> store_alloc_body env ~dst r)
+  else store_alloc_body env ~dst r
 
 let store_alloc env ~dst v = store_alloc_from env ~dst (ref v)
 
 (* LFRCCopy (Figure 2, lines 29..32). *)
-let copy env ~dest w =
-  guard env "copy";
-  span env "lfrc.copy" @@ fun () ->
+let copy_body env ~dest w =
   let published = acquire_copy env w in
   let old = !dest in
   dest := w;
   if published then Env.end_publish env w;
   destroy env old
+
+let copy env ~dest w =
+  guard env "copy";
+  if spanned env "lfrc.copy" then
+    in_span env "lfrc.copy" (fun () -> copy_body env ~dest w)
+  else copy_body env ~dest w
 
 (* A losing CAS's publication of [p] resolves: the mode keeps the unspent
    raise, or the caller drops it. *)
@@ -424,9 +445,7 @@ let unpublish env p =
   if not (retract env p) then drop_taken env p ~counted:false
 
 (* LFRCDCAS (Figure 2, lines 33..39). *)
-let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
-  guard env "dcas";
-  span env "lfrc.dcas" @@ fun () ->
+let dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1 =
   publish env new0;
   publish env new1;
   if Dcas.dcas (Env.dcas env) c0 c1 ~old0 ~old1 ~new0 ~new1 then begin
@@ -452,6 +471,13 @@ let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
     false
   end
 
+let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
+  guard env "dcas";
+  if spanned env "lfrc.dcas" then
+    in_span env "lfrc.dcas" (fun () ->
+        dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1)
+  else dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1
+
 (* The single-pointer tail of LFRCCAS and [dcas_ptr_val]: [won] is the
    outcome of the CAS that tried to replace [old_ptr] with the published
    [new_ptr] on [cell]. *)
@@ -465,21 +491,34 @@ let resolve env cell ~old_ptr ~new_ptr won =
   won
 
 (* LFRCCAS: the paper's "obvious simplification" of LFRCDCAS. *)
-let cas env c ~old_ptr ~new_ptr =
-  guard env "cas";
-  span env "lfrc.cas" @@ fun () ->
+let cas_body env c ~old_ptr ~new_ptr =
   publish env new_ptr;
   resolve env c ~old_ptr ~new_ptr (Dcas.cas (Env.dcas env) c old_ptr new_ptr)
 
+let cas env c ~old_ptr ~new_ptr =
+  guard env "cas";
+  if spanned env "lfrc.cas" then
+    in_span env "lfrc.cas" (fun () -> cas_body env c ~old_ptr ~new_ptr)
+  else cas_body env c ~old_ptr ~new_ptr
+
 (* Extension: DCAS over one pointer cell and one plain-value cell.
    Reference counting applies to the pointer side only. *)
-let dcas_ptr_val env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val ~new_val =
-  guard env "dcas_ptr_val";
-  span env "lfrc.dcas_ptr_val" @@ fun () ->
+let dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
+    ~new_val =
   publish env new_ptr;
   resolve env ptr_cell ~old_ptr ~new_ptr
     (Dcas.dcas (Env.dcas env) ptr_cell val_cell ~old0:old_ptr ~old1:old_val
        ~new0:new_ptr ~new1:new_val)
+
+let dcas_ptr_val env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val ~new_val =
+  guard env "dcas_ptr_val";
+  if spanned env "lfrc.dcas_ptr_val" then
+    in_span env "lfrc.dcas_ptr_val" (fun () ->
+        dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
+          ~new_val)
+  else
+    dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
+      ~new_val
 
 (* Finish a destroy whose owner crashed after taking the count to zero
    (used by crash recovery). Under the slot-nulling discipline every

@@ -49,6 +49,12 @@ let declare ctx =
   ctx.locals := l :: !(ctx.locals);
   l
 
+(* Unlink [local] by physical equality — each local is listed once —
+   copying only the newer locals in front of it. *)
+let rec unlink local = function
+  | [] -> []
+  | l :: rest -> if l == local then rest else l :: unlink local rest
+
 let retire ctx local =
   (* Take the reference out of the frame first: clearing the local is
      atomic with destroy's own re-anchoring (registry entry or parked
@@ -57,7 +63,7 @@ let retire ctx local =
      there would make an adopter drop it a second time. *)
   let p = !local in
   local := Heap.null;
-  ctx.locals := List.filter (fun l -> l != local) !(ctx.locals);
+  ctx.locals := unlink local !(ctx.locals);
   Lfrc.destroy ctx.ctx_env p
 
 let get local = !local

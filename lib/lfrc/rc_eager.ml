@@ -6,7 +6,6 @@
 module Heap = Lfrc_simmem.Heap
 module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
-module Metrics = Lfrc_obs.Metrics
 module Lineage = Lfrc_obs.Lineage
 module E = Env_base
 
@@ -14,29 +13,27 @@ type env = E.t
 type state = unit
 
 (* add_to_rc (Figure 2, lines 16..20). The caller holds a counted
-   reference, so the object cannot be freed while the loop runs. *)
+   reference, so the object cannot be freed while the loop runs. The loop
+   is a top-level function, so an adjustment builds no closure. *)
+let rec add_retry env d rc p v ~slow burst =
+  let oldrc = Dcas.read d rc in
+  if Dcas.cas d rc oldrc (oldrc + v) then begin
+    E.record_retries env "lfrc.rc_retry" burst;
+    (* Contended transitions record their retry burst; the quiet common
+       case stays out of the histogram. *)
+    if burst > 0 then E.observe_burst env "lfrc.rc_retry" burst;
+    Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:oldrc ~delta:v ();
+    oldrc
+  end
+  else begin
+    if slow then E.retry_slow env "lfrc.rc_retry";
+    add_retry env d rc p v ~slow (burst + 1)
+  end
+
 let add_to_rc env p v =
   let rc = Heap.rc_cell (E.heap env) p in
-  let d = E.dcas env in
   Lfrc_obs.Blame.bind_owner (E.blame env) ~cell:(Cell.id rc) ~addr:p;
-  let slow = E.per_retry_obs env in
-  let rec go burst =
-    let oldrc = Dcas.read d rc in
-    if Dcas.cas d rc oldrc (oldrc + v) then begin
-      E.record_retries env "lfrc.rc_retry" burst;
-      (* Contended transitions record their retry burst; the quiet common
-         case stays out of the histogram. *)
-      if burst > 0 then
-        Metrics.observe (E.metrics env) "lfrc.rc_retry" (float_of_int burst);
-      Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:oldrc ~delta:v ();
-      oldrc
-    end
-    else begin
-      if slow then E.retry_slow env "lfrc.rc_retry";
-      go (burst + 1)
-    end
-  in
-  go 0
+  add_retry env (E.dcas env) rc p v ~slow:(E.per_retry_obs env) 0
 
 let mode () = E.Eager
 let borrow () _ ~src:_ _ = false

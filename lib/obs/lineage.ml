@@ -151,8 +151,12 @@ let record t ?op ~addr kind =
               ());
           push r e { step; tid; kind; op })
 
+(* Matched first, so a disabled registry builds no event on the count
+   path. *)
 let record_rc t ?op ~addr ~old_rc ~delta () =
-  record t ?op ~addr (Rc { old_rc; delta })
+  match t with
+  | Disabled -> ()
+  | On _ -> record t ?op ~addr (Rc { old_rc; delta })
 
 (* --- queries --- *)
 

@@ -70,7 +70,8 @@ let name_of tid =
 let crashed_so_far () =
   match !current_sched with None -> [] | Some s -> List.rev s.crashed
 
-let point () = if !current_sched <> None then Effect.perform Yield
+let point () =
+  match !current_sched with None -> () | Some _ -> Effect.perform Yield
 
 let spawn ?name body =
   if !current_sched = None then
@@ -100,7 +101,9 @@ let kill tid =
 
 let add_thread s name body =
   let id = s.n_threads in
-  if id > 61 then invalid_arg "Sched: more than 62 threads";
+  if id >= Limits.max_threads then
+    invalid_arg
+      (Printf.sprintf "Sched: more than %d threads" Limits.max_threads);
   if id >= Array.length s.threads then begin
     let nt = Array.make (2 * Array.length s.threads) s.threads.(0) in
     Array.blit s.threads 0 nt 0 (Array.length s.threads);
@@ -114,8 +117,14 @@ let add_thread s name body =
   s.n_threads <- id + 1;
   id
 
-let all_finished s tids =
-  List.for_all (fun t -> t < s.n_threads && s.threads.(t).state = Finished) tids
+let rec all_finished s = function
+  | [] -> true
+  | t :: rest -> (
+      t < s.n_threads
+      &&
+      match s.threads.(t).state with
+      | Finished -> all_finished s rest
+      | Not_started _ | Suspended _ | Waiting _ | Running -> false)
 
 let enabled_mask s =
   let mask = ref 0 in
@@ -127,42 +136,49 @@ let enabled_mask s =
   done;
   !mask
 
+(* A thread's effect handler, built once when it starts: a resumed
+   continuation keeps the handler it was captured under, so no later step
+   needs one. The [Yield] arm is built with it, so a step allocates only
+   the continuation and its [Suspended] box. *)
+let handler s th : (unit, unit) Effect.Deep.handler =
+  let on_yield =
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        if s.aborting then Effect.Deep.continue k ()
+        else th.state <- Suspended k)
+  in
+  {
+    retc = (fun () -> th.state <- Finished);
+    exnc =
+      (fun exn ->
+        th.state <- Finished;
+        if (not s.aborting) && s.failure = None then
+          s.failure <- Some (th.id, exn));
+    effc =
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) Effect.Deep.continuation -> unit) option ->
+        match eff with
+        | Yield -> on_yield
+        | Spawn (name, body) ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                let id = add_thread s name body in
+                Effect.Deep.continue k id)
+        | Join tids ->
+            Some
+              (fun (k : (a, unit) Effect.Deep.continuation) ->
+                if s.aborting || all_finished s tids then
+                  Effect.Deep.continue k ()
+                else th.state <- Waiting (tids, k))
+        | _ -> None);
+  }
+
 (* Run one thread until it yields, finishes, or fails. *)
 let step_thread s th =
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> th.state <- Finished);
-      exnc =
-        (fun exn ->
-          th.state <- Finished;
-          if (not s.aborting) && s.failure = None then
-            s.failure <- Some (th.id, exn));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Yield ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if s.aborting then Effect.Deep.continue k ()
-                  else th.state <- Suspended k)
-          | Spawn (name, body) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let id = add_thread s name body in
-                  Effect.Deep.continue k id)
-          | Join tids ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  if s.aborting || all_finished s tids then
-                    Effect.Deep.continue k ()
-                  else th.state <- Waiting (tids, k))
-          | _ -> None);
-    }
-  in
   match th.state with
   | Not_started body ->
       th.state <- Running;
-      Effect.Deep.match_with body () handler
+      Effect.Deep.match_with body () (handler s th)
   | Suspended k | Waiting (_, k) ->
       th.state <- Running;
       Effect.Deep.continue k ()

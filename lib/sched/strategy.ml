@@ -46,18 +46,12 @@ type state =
       rng : Lfrc_util.Rng.t;
       priorities : float array; (* lower value = runs first *)
       change_steps : int array; (* sorted step indices where priority drops *)
+      mutable next_change : int; (* first entry of [change_steps] not passed *)
     }
   | Scripted_state of { prefix : int array; tail : Lfrc_util.Rng.t option }
   | Handicap_state of { rng : Lfrc_util.Rng.t; victim : int; period : int }
 
-let max_threads = 62
-
-let bits_of enabled =
-  let rec go i acc =
-    if i > max_threads then List.rev acc
-    else go (i + 1) (if enabled land (1 lsl i) <> 0 then i :: acc else acc)
-  in
-  go 0 []
+let max_threads = Limits.max_threads
 
 let start t ~expected_steps =
   match t with
@@ -73,50 +67,75 @@ let start t ~expected_steps =
             Lfrc_util.Rng.int rng (max expected_steps 1))
       in
       Array.sort compare change_steps;
-      Pct_state { rng; priorities; change_steps }
+      Pct_state { rng; priorities; change_steps; next_change = 0 }
   | Scripted { prefix; tail_seed } ->
       Scripted_state
         { prefix; tail = Option.map Lfrc_util.Rng.create tail_seed }
   | Handicap { seed; victim; period } ->
       Handicap_state { rng = Lfrc_util.Rng.create seed; victim; period }
 
+(* Every choice walks the enabled bitmask itself, so a choice allocates
+   nothing. A scan for a set bit needs no bound: it starts below a bit
+   that is set. *)
+
+let rec lowest_bit mask i =
+  if mask land (1 lsl i) <> 0 then i else lowest_bit mask (i + 1)
+
+let rec popcount mask n =
+  if mask = 0 then n else popcount (mask land (mask - 1)) (n + 1)
+
+(* The [k]-th set bit, counting from the lowest: the [k]-th element of
+   the ascending list of enabled ids. *)
+let rec nth_bit mask k =
+  if k = 0 then lowest_bit mask 0 else nth_bit (mask land (mask - 1)) (k - 1)
+
+let uniform rng mask =
+  nth_bit mask (Lfrc_util.Rng.int rng (popcount mask 0))
+
+(* The thread in [mask] with the lowest priority value, starting from
+   [best]; ties go to the lowest id. *)
+let rec min_priority (priorities : float array) mask best =
+  if mask = 0 then best
+  else
+    let i = lowest_bit mask 0 in
+    min_priority priorities (mask land (mask - 1))
+      (if priorities.(i) < priorities.(best) then i else best)
+
+(* The enabled thread PCT runs next. *)
+let runs_first priorities enabled =
+  min_priority priorities enabled (lowest_bit enabled 0)
+
+(* The first entry of the sorted [steps], from [c] on, not below [step]. *)
+let rec skip_before (steps : int array) step c =
+  if c < Array.length steps && steps.(c) < step then
+    skip_before steps step (c + 1)
+  else c
+
 let first_enabled enabled =
-  let rec go i =
-    if enabled land (1 lsl i) <> 0 then i
-    else if i >= max_threads then invalid_arg "Strategy: empty enabled set"
-    else go (i + 1)
-  in
-  go 0
+  if enabled = 0 then invalid_arg "Strategy: empty enabled set"
+  else lowest_bit enabled 0
+
+(* Next enabled thread at or after [i], wrapping. *)
+let rec next_enabled enabled i =
+  let i = if i >= max_threads then 0 else i in
+  if enabled land (1 lsl i) <> 0 then i else next_enabled enabled (i + 1)
 
 let choose st ~step ~enabled ~last =
   match st with
-  | Rr_state ->
-      (* Next enabled thread after [last], wrapping. *)
-      let rec go i =
-        let i = if i > max_threads then 0 else i in
-        if enabled land (1 lsl i) <> 0 then i else go (i + 1)
-      in
-      go (last + 1)
-  | Random_state rng ->
-      let ids = bits_of enabled in
-      List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
-  | Pct_state { rng; priorities; change_steps } ->
+  | Rr_state -> next_enabled enabled (last + 1)
+  | Random_state rng -> uniform rng enabled
+  | Pct_state p ->
       (* At a change point, demote the currently highest-priority enabled
-         thread to the back of the priority order. *)
-      if Array.exists (fun s -> s = step) change_steps then begin
-        let ids = bits_of enabled in
-        let best =
-          List.fold_left
-            (fun acc i ->
-              if priorities.(i) < priorities.(acc) then i else acc)
-            (List.hd ids) ids
-        in
-        priorities.(best) <- 1.0 +. Lfrc_util.Rng.float rng
+         thread to the back of the priority order. [Sched.run] passes
+         steps in order, so a cursor over the sorted change points finds
+         each one without a search. *)
+      let c = skip_before p.change_steps step p.next_change in
+      p.next_change <- c;
+      if c < Array.length p.change_steps && p.change_steps.(c) = step then begin
+        let best = runs_first p.priorities enabled in
+        p.priorities.(best) <- 1.0 +. Lfrc_util.Rng.float p.rng
       end;
-      let ids = bits_of enabled in
-      List.fold_left
-        (fun acc i -> if priorities.(i) < priorities.(acc) then i else acc)
-        (List.hd ids) ids
+      runs_first p.priorities enabled
   | Handicap_state { rng; victim; period } ->
       (* Duty-cycle stall: the victim runs normally for [period] steps,
          then freezes for [period] steps, repeatedly — so it can be
@@ -128,8 +147,7 @@ let choose st ~step ~enabled ~last =
           enabled land lnot (1 lsl victim)
         else enabled
       in
-      let ids = bits_of eligible in
-      List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
+      uniform rng eligible
   | Scripted_state { prefix; tail } ->
       if step < Array.length prefix then begin
         let wanted = prefix.(step) in
@@ -140,7 +158,5 @@ let choose st ~step ~enabled ~last =
       else begin
         match tail with
         | None -> first_enabled enabled
-        | Some rng ->
-            let ids = bits_of enabled in
-            List.nth ids (Lfrc_util.Rng.int rng (List.length ids))
+        | Some rng -> uniform rng enabled
       end

@@ -24,7 +24,7 @@ type t = {
   lock : Mutex.t;
   objs : obj array Atomic.t; (* index id-1; grown under lock *)
   n_objs : int Atomic.t;
-  free_by_shape : (int * int, int list ref) Hashtbl.t;
+  free_by_shape : (int, int list ref) Hashtbl.t; (* keyed by [shape] *)
   mutable root_cells : Cell.t list;
   mutable frames : (frame * (unit -> ptr list)) list;
   mutable frame_ctr : int;
@@ -66,9 +66,6 @@ let set_alloc_hook t h = t.alloc_hook <- h
 
 let set_observer t f = t.observer <- f
 
-(* Observers run outside the heap lock (they may read heap state). *)
-let notify t ev = match t.observer with Some f -> f ev | None -> ()
-
 let get_obj t p op =
   if p <= 0 || p > Atomic.get t.n_objs then
     raise (Invalid_pointer { value = p; op });
@@ -87,7 +84,12 @@ let is_live t p =
 let layout t p = (live_obj t p "layout").obj_layout
 let generation t p = (get_obj t p "generation").gen
 
-let shape (l : Layout.t) = (l.Layout.n_ptrs, l.Layout.n_vals)
+(* One int per (pointer slots, value slots) pair — the Cantor pairing,
+   injective on non-negative counts — so a free-list lookup hashes an int
+   and builds no tuple. *)
+let shape (l : Layout.t) =
+  let s = l.Layout.n_ptrs + l.Layout.n_vals in
+  (s * (s + 1) / 2) + l.Layout.n_vals
 
 let init_cells o (l : Layout.t) =
   let n = Layout.n_cells l in
@@ -105,13 +107,9 @@ let init_cells o (l : Layout.t) =
     Cell.thaw o.cells.(i) 0
   done
 
-let bump_peak t =
-  let l = Atomic.get t.live in
-  let rec go () =
-    let p = Atomic.get t.peak in
-    if l > p && not (Atomic.compare_and_set t.peak p l) then go ()
-  in
-  go ()
+let rec bump_peak t l =
+  let p = Atomic.get t.peak in
+  if l > p && not (Atomic.compare_and_set t.peak p l) then bump_peak t l
 
 let alloc t l =
   (* Consulted before any mutation: a simulated OOM leaves the heap exactly
@@ -121,14 +119,14 @@ let alloc t l =
   | _ -> ());
   Mutex.lock t.lock;
   let o =
-    match Hashtbl.find_opt t.free_by_shape (shape l) with
-    | Some ({ contents = id :: rest } as cell_list) ->
-        cell_list := rest;
+    match Hashtbl.find t.free_by_shape (shape l) with
+    | { contents = id :: rest } as free_ids ->
+        free_ids := rest;
         let o = (Atomic.get t.objs).(id - 1) in
         o.gen <- o.gen + 1;
         o.obj_layout <- l;
         o
-    | Some { contents = [] } | None ->
+    | { contents = [] } | exception Not_found ->
         let id = Atomic.get t.n_objs + 1 in
         let o =
           {
@@ -157,10 +155,13 @@ let alloc t l =
   Atomic.incr t.allocs;
   Atomic.incr t.live;
   ignore (Atomic.fetch_and_add t.live_cells (Layout.n_cells l));
-  bump_peak t;
+  bump_peak t (Atomic.get t.live);
   let live_now = Atomic.get t.live in
   Mutex.unlock t.lock;
-  notify t (Obs_alloc { p = o.id; gen = o.gen; live = live_now });
+  (* Observers run outside the heap lock (they may read heap state). *)
+  (match t.observer with
+  | Some f -> f (Obs_alloc { p = o.id; gen = o.gen; live = live_now })
+  | None -> ());
   o.id
 
 let free t p =
@@ -175,15 +176,17 @@ let free t p =
     Cell.freeze o.cells.(i)
   done;
   let key = shape o.obj_layout in
-  (match Hashtbl.find_opt t.free_by_shape key with
-  | Some lst -> lst := o.id :: !lst
-  | None -> Hashtbl.add t.free_by_shape key (ref [ o.id ]));
+  (match Hashtbl.find t.free_by_shape key with
+  | ids -> ids := o.id :: !ids
+  | exception Not_found -> Hashtbl.add t.free_by_shape key (ref [ o.id ]));
   Atomic.incr t.frees;
   Atomic.decr t.live;
   ignore (Atomic.fetch_and_add t.live_cells (-Layout.n_cells o.obj_layout));
   let live_now = Atomic.get t.live in
   Mutex.unlock t.lock;
-  notify t (Obs_free { p; gen = o.gen; live = live_now })
+  match t.observer with
+  | Some f -> f (Obs_free { p; gen = o.gen; live = live_now })
+  | None -> ()
 
 let rc_cell t p =
   let o = get_obj t p "rc_cell" in

@@ -1,34 +1,42 @@
-(* Splitmix64 implemented over Int64 (OCaml's native int is 63-bit). *)
+(* Splitmix64 over Int64 (OCaml's native int is 63-bit). The state lives
+   in an 8-byte buffer rather than a mutable [int64] field, which would
+   box on every write. A draw reads, advances and writes it back in
+   inlined code, so its int64s stay unboxed and the draw allocates
+   nothing. *)
 
-type t = { mutable state : int64 }
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.add (Int64.of_int seed) golden_gamma) }
+let of_state z =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 z;
+  t
 
-let raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.add (Int64.of_int seed) golden_gamma))
 
-let next t = Int64.to_int (raw t) land max_int
+let[@inline] advance t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
+  mix64 z
 
-let split t = { state = raw t }
+let next t = Int64.to_int (advance t) land max_int
+let split t = of_state (advance t)
+
+(* Rejection sampling to avoid modulo bias on pathological bounds. *)
+let rec below t bound limit =
+  let v = next t in
+  if v < limit then v mod bound else below t bound limit
 
 let int t bound =
   assert (bound > 0);
-  (* Rejection sampling to avoid modulo bias on pathological bounds. *)
-  let limit = max_int - (max_int mod bound) in
-  let rec go () =
-    let v = next t in
-    if v < limit then v mod bound else go ()
-  in
-  go ()
+  below t bound (max_int - (max_int mod bound))
 
 let bool t = next t land 1 = 1
 

@@ -223,6 +223,24 @@ let test_with_locals_exception_safe () =
    with Failure _ -> ());
   checki "destroyed despite exception" 1 (rc env a)
 
+(* A run that fails unwinds its suspended threads from the scheduler
+   itself, as tid -1: their cleanup still registers and drops their
+   references. *)
+let test_failed_run_unwinds_locals () =
+  let env, heap = fresh "unwind" in
+  let p = Lfrc.alloc env node in
+  (match
+     Sched.run ~max_steps:50 (Lfrc_sched.Strategy.Random 1) (fun () ->
+         Lfrc.with_locals env 1 (fun locals ->
+             locals.(0) := p;
+             while true do
+               Sched.point ()
+             done))
+   with
+  | _ -> Alcotest.fail "expected the step limit"
+  | exception Sched.Step_limit_exceeded _ -> ());
+  checkb "freed by the unwinding" false (Heap.is_live heap p)
+
 (* --- Destroy policies --- *)
 
 let build_chain env n =
@@ -478,6 +496,37 @@ let prop_chain_destroy_total =
       Lfrc.destroy env head;
       Heap.live_count heap = 0 && (Heap.stats heap).Heap.frees = n)
 
+(* --- Allocation budgets --- *)
+
+(* Outside the simulator, with observability off, an eager Figure-2
+   operation builds no closure and no box: what is left is the registry
+   entries the crash auditor needs. *)
+let test_obs_off_op_budgets () =
+  let env, heap = fresh "budget" in
+  let cell = Heap.root heap () in
+  Lfrc.store_alloc env ~dst:cell (Lfrc.alloc env node);
+  let local = ref Heap.null and tmp = ref Heap.null in
+  Lfrc.load env ~src:cell ~dest:local;
+  let n = 10_000 in
+  let budget name limit op =
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      op ()
+    done;
+    let words = (Gc.minor_words () -. before) /. Float.of_int n in
+    if words > limit then
+      Alcotest.failf "%s: %.2f words per op (budget %.0f)" name words limit
+  in
+  budget "load" 9. (fun () -> Lfrc.load env ~src:cell ~dest:local);
+  budget "store" 15. (fun () -> Lfrc.store env ~dst:cell !local);
+  budget "cas" 15. (fun () ->
+      ignore (Lfrc.cas env cell ~old_ptr:!local ~new_ptr:!local));
+  budget "copy+destroy" 15. (fun () ->
+      Lfrc.copy env ~dest:tmp !local;
+      Lfrc.destroy env !tmp;
+      tmp := Heap.null);
+  checki "counts unchanged" 2 (rc env !local)
+
 let () =
   Alcotest.run "lfrc"
     [
@@ -502,6 +551,8 @@ let () =
           Alcotest.test_case "add_to_rc" `Quick test_add_to_rc;
           Alcotest.test_case "with_locals destroys" `Quick test_with_locals_destroys;
           Alcotest.test_case "with_locals exception-safe" `Quick test_with_locals_exception_safe;
+          Alcotest.test_case "failed run unwinds locals" `Quick
+            test_failed_run_unwinds_locals;
         ] );
       ( "policies",
         [
@@ -516,6 +567,11 @@ let () =
             test_rc_lower_bound_always;
           Alcotest.test_case "dead thread orphans bounded garbage" `Quick
             test_dead_thread_orphans_garbage;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "obs-off op budgets" `Quick
+            test_obs_off_op_budgets;
         ] );
       ( "properties",
         [

@@ -203,6 +203,235 @@ let test_pct_runs () =
   in
   checkb "pct completes" true (o.Sched.steps > 0)
 
+(* --- Schedule identity: the bitmask [choose] against the list model --- *)
+
+(* The list-based [Strategy.choose] that the bitmask walks replaced, kept
+   as the reference model: same parameters, same Rng draws, same picks. *)
+module Model = struct
+  module Rng = Lfrc_util.Rng
+
+  type state =
+    | Rr_state
+    | Random_state of Rng.t
+    | Pct_state of {
+        rng : Rng.t;
+        priorities : float array;
+        change_steps : int array;
+      }
+    | Scripted_state of { prefix : int array; tail : Rng.t option }
+    | Handicap_state of { rng : Rng.t; victim : int; period : int }
+
+  let max_threads = 62
+
+  let bits_of enabled =
+    let rec go i acc =
+      if i > max_threads then List.rev acc
+      else go (i + 1) (if enabled land (1 lsl i) <> 0 then i :: acc else acc)
+    in
+    go 0 []
+
+  let start (t : Strategy.t) ~expected_steps =
+    match t with
+    | Round_robin -> Rr_state
+    | Random seed -> Random_state (Rng.create seed)
+    | Pct { seed; change_points } ->
+        let rng = Rng.create seed in
+        let priorities = Array.init max_threads (fun _ -> Rng.float rng) in
+        let change_steps =
+          Array.init change_points (fun _ ->
+              Rng.int rng (max expected_steps 1))
+        in
+        Array.sort compare change_steps;
+        Pct_state { rng; priorities; change_steps }
+    | Scripted { prefix; tail_seed } ->
+        Scripted_state { prefix; tail = Option.map Rng.create tail_seed }
+    | Handicap { seed; victim; period } ->
+        Handicap_state { rng = Rng.create seed; victim; period }
+
+  let first_enabled enabled =
+    let rec go i =
+      if enabled land (1 lsl i) <> 0 then i
+      else if i >= max_threads then invalid_arg "Strategy: empty enabled set"
+      else go (i + 1)
+    in
+    go 0
+
+  let choose st ~step ~enabled ~last =
+    match st with
+    | Rr_state ->
+        let rec go i =
+          let i = if i > max_threads then 0 else i in
+          if enabled land (1 lsl i) <> 0 then i else go (i + 1)
+        in
+        go (last + 1)
+    | Random_state rng ->
+        let ids = bits_of enabled in
+        List.nth ids (Rng.int rng (List.length ids))
+    | Pct_state { rng; priorities; change_steps } ->
+        if Array.exists (fun s -> s = step) change_steps then begin
+          let ids = bits_of enabled in
+          let best =
+            List.fold_left
+              (fun acc i ->
+                if priorities.(i) < priorities.(acc) then i else acc)
+              (List.hd ids) ids
+          in
+          priorities.(best) <- 1.0 +. Rng.float rng
+        end;
+        let ids = bits_of enabled in
+        List.fold_left
+          (fun acc i -> if priorities.(i) < priorities.(acc) then i else acc)
+          (List.hd ids) ids
+    | Handicap_state { rng; victim; period } ->
+        let frozen = step mod (2 * period) >= period in
+        let eligible =
+          if frozen && enabled <> 1 lsl victim then
+            enabled land lnot (1 lsl victim)
+          else enabled
+        in
+        let ids = bits_of eligible in
+        List.nth ids (Rng.int rng (List.length ids))
+    | Scripted_state { prefix; tail } ->
+        if step < Array.length prefix then prefix.(step)
+        else begin
+          match tail with
+          | None -> first_enabled enabled
+          | Some rng ->
+              let ids = bits_of enabled in
+              List.nth ids (Rng.int rng (List.length ids))
+        end
+end
+
+let all_threads = (1 lsl 62) - 1
+
+(* An enabled set of 1 to 62 threads. *)
+let random_mask r =
+  let mask = ref 0 in
+  for _ = 0 to Lfrc_util.Rng.int r 62 do
+    mask := !mask lor (1 lsl Lfrc_util.Rng.int r 62)
+  done;
+  !mask
+
+let steps = 500
+
+(* The strategies under test, each from one seed: change points fall
+   inside the sequence, and a script covers its first steps. *)
+let strategy_of kind seed =
+  let r = Lfrc_util.Rng.create (seed + 1) in
+  match kind with
+  | `Rr -> Strategy.Round_robin
+  | `Random -> Strategy.Random seed
+  | `Pct ->
+      Strategy.Pct { seed; change_points = 1 + Lfrc_util.Rng.int r 8 }
+  | `Handicap ->
+      Strategy.Handicap
+        {
+          seed;
+          victim = Lfrc_util.Rng.int r 62;
+          period = 1 + Lfrc_util.Rng.int r 20;
+        }
+  | `Scripted ->
+      Strategy.Scripted
+        {
+          prefix = Array.init (Lfrc_util.Rng.int r 100) (fun _ ->
+              Lfrc_util.Rng.int r 62);
+          tail_seed = Some seed;
+        }
+
+(* [steps] random enabled sets, then eight more with every thread enabled:
+   at each step both must pick the same thread. The full-mask tail shows
+   that both consumed the same Rng draws over the sequence. *)
+let prop_choose_matches_model (kind, name) =
+  QCheck2.Test.make
+    ~name:(name ^ " picks what the list model picks")
+    ~count:100 QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let t = strategy_of kind seed in
+      let st = Strategy.start t ~expected_steps:steps in
+      let model = Model.start t ~expected_steps:steps in
+      let prefix =
+        match t with Strategy.Scripted { prefix; _ } -> prefix | _ -> [||]
+      in
+      let masks = Lfrc_util.Rng.create (seed + 2) in
+      let last = ref (-1) and ok = ref true in
+      for step = 0 to steps + 7 do
+        let enabled =
+          if step >= steps then all_threads
+          else
+            random_mask masks
+            lor if step < Array.length prefix then 1 lsl prefix.(step) else 0
+        in
+        let want = Model.choose model ~step ~enabled ~last:!last in
+        let got = Strategy.choose st ~step ~enabled ~last:!last in
+        if got <> want then ok := false;
+        last := want
+      done;
+      !ok)
+
+let strategy_kinds =
+  [
+    (`Rr, "round robin");
+    (`Random, "random");
+    (`Pct, "pct");
+    (`Handicap, "handicap");
+    (`Scripted, "scripted with tail");
+  ]
+
+(* --- Allocation budgets --- *)
+
+let words_per_call n f =
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    f i
+  done;
+  (Gc.minor_words () -. before) /. Float.of_int n
+
+(* A choice at a step that is not a PCT change point allocates nothing. *)
+let test_choose_allocates_nothing () =
+  let masks = Array.init 64 (fun i -> random_mask (Lfrc_util.Rng.create i)) in
+  List.iter
+    (fun (name, t) ->
+      (* [expected_steps:1] puts every change point at step 0. *)
+      let st = Strategy.start t ~expected_steps:1 in
+      ignore (Strategy.choose st ~step:0 ~enabled:masks.(0) ~last:(-1));
+      let words =
+        words_per_call 10_000 (fun i ->
+            ignore
+              (Sys.opaque_identity
+                 (Strategy.choose st ~step:(i + 1) ~enabled:masks.(i land 63)
+                    ~last:(i mod 62))))
+      in
+      Alcotest.(check (float 0.)) (name ^ " words/call") 0. words)
+    [
+      ("round robin", Strategy.Round_robin);
+      ("random", Strategy.Random 3);
+      ("pct", Strategy.Pct { seed = 3; change_points = 3 });
+      ("handicap", Strategy.Handicap { seed = 3; victim = 1; period = 7 });
+      ( "scripted tail",
+        Strategy.Scripted { prefix = [| 0 |]; tail_seed = Some 3 } );
+      ("scripted first-enabled", Strategy.Scripted { prefix = [||]; tail_seed = None });
+    ]
+
+(* A simulated step allocates its continuation and little else: at most
+   8 words per [Sched.point], alone and with a joined main thread. *)
+let test_point_budget () =
+  let n = 10_000 in
+  let points _ = Sched.point () in
+  let budget name words =
+    if words > 8. then
+      Alcotest.failf "%s: %.2f words per Sched.point (budget 8)" name words
+  in
+  let words = ref 0. in
+  ignore
+    (Sched.run Strategy.Round_robin (fun () ->
+         words := words_per_call n points));
+  budget "one thread, round robin" !words;
+  ignore
+    (Sched.run (Strategy.Random 5) (fun () ->
+         let w = Sched.spawn (fun () -> words := words_per_call n points) in
+         Sched.join [ w ]));
+  budget "random, main joined" !words
+
 (* --- Explore --- *)
 
 let test_explore_finds_race () =
@@ -303,6 +532,16 @@ let () =
           Alcotest.test_case "scripted replay" `Quick test_scripted_replay;
           Alcotest.test_case "script divergence" `Quick test_scripted_divergence_detected;
           Alcotest.test_case "pct runs" `Quick test_pct_runs;
+        ] );
+      ( "schedule identity",
+        List.map
+          (fun k -> QCheck_alcotest.to_alcotest (prop_choose_matches_model k))
+          strategy_kinds );
+      ( "allocation",
+        [
+          Alcotest.test_case "choose allocates nothing" `Quick
+            test_choose_allocates_nothing;
+          Alcotest.test_case "point budget" `Quick test_point_budget;
         ] );
       ( "explore",
         [

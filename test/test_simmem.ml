@@ -168,6 +168,20 @@ let test_ptr_slot_values () =
   Cell.set (Heap.ptr_cell h a 0) b;
   Alcotest.(check (list int)) "slot values" [ b; 0 ] (Heap.ptr_slot_values h a)
 
+(* With no observer, an alloc+free pair builds no event and no key
+   tuple: at most 12 words. *)
+let test_alloc_free_budget () =
+  let h = Heap.create () in
+  Heap.free h (Heap.alloc h node);
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Heap.free h (Heap.alloc h node)
+  done;
+  let words = (Gc.minor_words () -. before) /. Float.of_int n in
+  if words > 12. then
+    Alcotest.failf "%.2f words per alloc+free (budget 12)" words
+
 (* --- Roots and frames --- *)
 
 let test_roots_registry () =
@@ -406,6 +420,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "iter live" `Quick test_iter_live;
           Alcotest.test_case "ptr slot values" `Quick test_ptr_slot_values;
+          Alcotest.test_case "alloc+free budget" `Quick test_alloc_free_budget;
         ] );
       ( "roots",
         [

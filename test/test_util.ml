@@ -91,6 +91,45 @@ let test_rng_pick_member () =
     checkb "member" true (Array.exists (( = ) (Rng.pick r arr)) arr)
   done
 
+(* The splitmix64 stream, pinned: every seeded schedule and workload
+   input derives from it, so a shift here must fail here first. *)
+let test_rng_stream_pinned () =
+  let first4 r = List.init 4 (fun _ -> Rng.next r) in
+  let stream = Alcotest.(check (list int)) in
+  stream "seed 0"
+    [ 2812178212566171247; 3711708288874794846; 2529493934907586327;
+      2885323623997114630 ]
+    (first4 (Rng.create 0));
+  stream "seed 42"
+    [ 1720932211098677764; 3795357200955883605; 4359879407727870898;
+      1242533817266198696 ]
+    (first4 (Rng.create 42));
+  stream "seed -7"
+    [ 1533972906235141153; 2147330243305597785; 3304354537809254571;
+      4562636802253452157 ]
+    (first4 (Rng.create (-7)));
+  let parent = Rng.create 42 in
+  let child = Rng.split parent in
+  stream "split child of seed 42"
+    [ 2526729418481631046; 3160245005113617744; 1533225871787718299;
+      1909064496713179942 ]
+    (first4 child);
+  stream "seed 42 after the split"
+    [ 3795357200955883605; 4359879407727870898; 1242533817266198696;
+      3263519356654262073 ]
+    (first4 parent)
+
+(* A draw allocates nothing: the scheduler makes one per step. *)
+let test_rng_int_allocates_nothing () =
+  let r = Rng.create 1 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Sys.opaque_identity (Rng.int r i))
+  done;
+  let per_call = (Gc.minor_words () -. before) /. Float.of_int n in
+  Alcotest.(check (float 0.)) "Rng.int words/call" 0. per_call
+
 (* --- Stats --- *)
 
 let test_mean () =
@@ -165,6 +204,9 @@ let () =
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "pick member" `Quick test_rng_pick_member;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
+          Alcotest.test_case "int allocates nothing" `Quick
+            test_rng_int_allocates_nothing;
         ] );
       ( "stats",
         [
