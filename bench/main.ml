@@ -199,7 +199,8 @@ let run_json file =
   List.iteri
     (fun i (name, rc_mode, workload) ->
       (* Two passes over the same deterministic schedule: a profile-free
-         pass supplies wall_ns/ops_per_sec (the profiler costs ~35% and
+         pass supplies wall_ns/ops_per_sec (on the treiber workload the
+         profiler still costs ~30% of ops/sec on top of metrics, and
          would poison cross-PR comparison against profile-free
          baselines), then an instrumented pass supplies the profile
          section and the snapshot's histograms. The counters are

@@ -7,6 +7,10 @@ module Mcas = Lfrc_atomics.Mcas
 module Metrics = Lfrc_obs.Metrics
 module Lineage = Lfrc_obs.Lineage
 
+let k_adopt_descriptor = Metrics.key "lfrc.adopt_descriptor"
+let k_adopt_rc = Metrics.key "lfrc.adopt_rc"
+let k_adopt_guard = Metrics.key "lfrc.adopt_guard"
+
 type report = {
   crashed : int list;
   rc_settled : int;
@@ -45,7 +49,7 @@ let run env ~crashed =
     else 0
   in
   if descriptors_helped > 0 then
-    Metrics.add metrics "lfrc.adopt_descriptor" descriptors_helped;
+    Metrics.add metrics k_adopt_descriptor descriptors_helped;
 
   (* 3. Reclamation schemes registered through the environment's hook
      table (epoch pins, hazard slots): evict the dead threads' slots so
@@ -110,9 +114,9 @@ let run env ~crashed =
   let rc_adopted =
     rc_settled + !destroys_completed + !publications_compensated
   in
-  if rc_adopted > 0 then Metrics.add metrics "lfrc.adopt_rc" rc_adopted;
+  if rc_adopted > 0 then Metrics.add metrics k_adopt_rc rc_adopted;
   if !guards_released > 0 then
-    Metrics.add metrics "lfrc.adopt_guard" !guards_released;
+    Metrics.add metrics k_adopt_guard !guards_released;
 
   (* 5. Settle: one final flush lands every parked delta — the dead
      threads' own, the restaged ones, and whatever the adoption destroys

@@ -70,9 +70,14 @@ let fresh_env ?dcas_impl ?policy ?rc_mode ?gc_threshold ?metrics ?tracer
 let counting metrics =
   if Metrics.enabled metrics then metrics else Metrics.create ()
 
-let count_since metrics name =
-  let base = Metrics.count metrics name in
-  fun () -> Metrics.count metrics name - base
+let k_cas_attempts = Metrics.key "dcas.cas_attempts"
+let k_cas_failures = Metrics.key "dcas.cas_failures"
+let k_dcas_attempts = Metrics.key "dcas.dcas_attempts"
+let k_dcas_failures = Metrics.key "dcas.dcas_failures"
+
+let count_since metrics key =
+  let base = Metrics.count metrics key in
+  fun () -> Metrics.count metrics key - base
 
 let time_per_op_ns = Lfrc_util.Clock.time_per_op_ns
 

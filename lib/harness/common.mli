@@ -68,8 +68,14 @@ val counting : Lfrc_obs.Metrics.t -> Lfrc_obs.Metrics.t
     else a private one, so the row's cells are the same with and without
     [--no-metrics]. *)
 
-val count_since : Lfrc_obs.Metrics.t -> string -> unit -> int
-(** [count_since metrics name] reads counter [name] now; the returned
+val k_cas_attempts : Lfrc_obs.Metrics.key
+val k_cas_failures : Lfrc_obs.Metrics.key
+val k_dcas_attempts : Lfrc_obs.Metrics.key
+val k_dcas_failures : Lfrc_obs.Metrics.key
+(** The substrate's [dcas.cas_*] and [dcas.dcas_*] counters. *)
+
+val count_since : Lfrc_obs.Metrics.t -> Lfrc_obs.Metrics.key -> unit -> int
+(** [count_since metrics key] reads the counter now; the returned
     function gives how much it has grown since. *)
 
 val time_per_op_ns : iters:int -> (unit -> unit) -> float

@@ -130,9 +130,9 @@ let fault_kinds_for (cfg : Scenario.config) =
 
 let run_one ?(workers = default_workers)
     ?(ops_per_worker = default_ops_per_worker) ?rc_mode
-    ?(recover = false) ?metrics ?blame ~structure ~fault ~seed () =
+    ?(recover = false) ?metrics ?profile ?blame ~structure ~fault ~seed () =
   let spec = fault.spec_for ~seed in
-  Chaos.run ?metrics ?blame ?rc_mode ~recover ~max_steps:400_000
+  Chaos.run ?metrics ?profile ?blame ?rc_mode ~recover ~max_steps:400_000
     ~strategy:(Strategy.Random seed)
     ~spec
     (fun env ->
@@ -183,7 +183,7 @@ let run (cfg : Scenario.config) =
               let r =
                 run_one ~workers ~ops_per_worker
                   ~rc_mode:(Scenario.rc_mode_of cfg)
-                  ~metrics ~blame ~structure ~fault ~seed ()
+                  ~metrics ~profile ~blame ~structure ~fault ~seed ()
               in
               injected := !injected + r.Chaos.injected;
               (match r.Chaos.status with
@@ -208,7 +208,8 @@ let run (cfg : Scenario.config) =
                   let rr =
                     run_one ~workers ~ops_per_worker
                       ~rc_mode:(Scenario.rc_mode_of cfg)
-                      ~recover:true ~metrics ~blame ~structure ~fault ~seed ()
+                      ~recover:true ~metrics ~profile ~blame ~structure ~fault
+                      ~seed ()
                   in
                   rec_ran := true;
                   (match rr.Chaos.audit with

@@ -27,6 +27,7 @@ val run_one :
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?recover:bool ->
   ?metrics:Lfrc_obs.Metrics.t ->
+  ?profile:Lfrc_obs.Profile.t ->
   ?blame:Lfrc_obs.Blame.t ->
   structure:structure ->
   fault:fault_kind ->
@@ -37,8 +38,8 @@ val run_one :
     command); prints nothing. [workers] defaults to 3, [ops_per_worker]
     to 25; [rc_mode] (the count-delivery mode, default eager), [recover]
     (default false: run the crash-recovery adoption pass and audit
-    strictly) and [metrics] are passed through to
-    {!Lfrc_faults.Chaos.run} (the latter defaulting to a fresh registry
+    strictly), [metrics], [profile] and [blame] are passed through to
+    {!Lfrc_faults.Chaos.run} ([metrics] defaulting to a fresh registry
     private to the run). *)
 
 val run : Scenario.config -> Common.result

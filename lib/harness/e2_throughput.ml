@@ -16,8 +16,8 @@ let run_one (module D : Lfrc_structures.Deque_intf.DEQUE) ~gc ~rc_mode
     ~threads ~ops_per_thread ~seed ~metrics ~tracer ~profile ~blame =
   let steps = ref 0 and dcas_fail = ref 0.0 and gc_pauses = ref 0 in
   let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics "dcas.dcas_attempts"
-  and failures = Common.count_since metrics "dcas.dcas_failures" in
+  let attempts = Common.count_since metrics Common.k_dcas_attempts
+  and failures = Common.count_since metrics Common.k_dcas_failures in
   let body () =
     let heap = Lfrc_simmem.Heap.create ~name:"e2" () in
     let env =

@@ -34,8 +34,8 @@ let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
   let d = Dcas.create impl in
   let metrics = Common.counting metrics in
   Lfrc_core.Env.observe_dcas ~metrics ~tracer ~profile ~blame d;
-  let attempts = Common.count_since metrics "dcas.dcas_attempts"
-  and failures = Common.count_since metrics "dcas.dcas_failures" in
+  let attempts = Common.count_since metrics Common.k_dcas_attempts
+  and failures = Common.count_since metrics Common.k_dcas_failures in
   let body () =
     let c0 = Cell.make 0 and c1 = Cell.make 0 in
     let tids =
@@ -82,8 +82,8 @@ let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
     ~tracer ~profile ~blame =
   let layout = Lfrc_simmem.Layout.make ~name:"e5-node" ~n_ptrs:1 ~n_vals:1 in
   let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics "dcas.cas_attempts"
-  and failures = Common.count_since metrics "dcas.cas_failures" in
+  let attempts = Common.count_since metrics Common.k_cas_attempts
+  and failures = Common.count_since metrics Common.k_cas_failures in
   let body () =
     let heap = Heap.create ~name:"e5-lfrc" () in
     let env =
@@ -129,8 +129,8 @@ let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
     ~notes =
   let leaked = ref 0 in
   let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics "dcas.dcas_attempts"
-  and failures = Common.count_since metrics "dcas.dcas_failures" in
+  let attempts = Common.count_since metrics Common.k_dcas_attempts
+  and failures = Common.count_since metrics Common.k_dcas_failures in
   (* Every deque run carries the sanitizer and a lineage: the sanitizer
      vouches that a nonzero [leaked] column is the §2.1 cyclic-garbage
      concession and not a latent race/UAF, and the lineage turns each

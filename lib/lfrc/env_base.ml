@@ -156,6 +156,27 @@ type t = {
    mode-private state. *)
 and rc = Rc : (module DELIVERY with type env = t and type state = 's) * 's -> rc
 
+(* Series keys, interned once; every recording site below names one. *)
+let k_reads = Metrics.key "dcas.reads"
+let k_writes = Metrics.key "dcas.writes"
+let k_rmw = Metrics.key "dcas.rmw"
+let k_cas_attempts = Metrics.key "dcas.cas_attempts"
+let k_cas_failures = Metrics.key "dcas.cas_failures"
+let k_dcas_attempts = Metrics.key "dcas.dcas_attempts"
+let k_dcas_failures = Metrics.key "dcas.dcas_failures"
+let k_spurious_cas = Metrics.key "dcas.spurious_cas"
+let k_spurious_dcas = Metrics.key "dcas.spurious_dcas"
+let k_mcas_attempt = Metrics.key "mcas.attempt"
+let k_mcas_success = Metrics.key "mcas.success"
+let k_mcas_fail = Metrics.key "mcas.fail"
+let k_heap_allocs = Metrics.key "heap.allocs"
+let k_heap_frees = Metrics.key "heap.frees"
+let k_heap_live = Metrics.key "heap.live"
+let k_deferred = Metrics.key "lfrc.deferred"
+let k_deferred_depth = Metrics.key "lfrc.deferred_depth"
+let k_frees = Metrics.key "lfrc.frees"
+let k_rc_retry = Metrics.key "lfrc.rc_retry"
+
 (* The one fan-out from substrate steps to the observability layers. Each
    step reports here once, and the order inside each arm is part of the
    contract: the tracer and blame outputs pin it. *)
@@ -164,15 +185,11 @@ let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
     ?(sanitize = Shadow.disabled) d =
   let module Dcas = Lfrc_atomics.Dcas in
   let attempted kind ok =
-    let attempts, failures, retry =
-      match kind with
-      | Blame.Cas -> ("dcas.cas_attempts", "dcas.cas_failures", "cas")
-      | _ -> ("dcas.dcas_attempts", "dcas.dcas_failures", "dcas")
-    in
-    Metrics.incr metrics attempts;
+    let cas = kind = Blame.Cas in
+    Metrics.incr metrics (if cas then k_cas_attempts else k_dcas_attempts);
     if not ok then begin
-      Metrics.incr metrics failures;
-      Tracer.emit tracer Retry retry;
+      Metrics.incr metrics (if cas then k_cas_failures else k_dcas_failures);
+      Tracer.emit tracer Retry (if cas then "cas" else "dcas");
       Profile.dcas_retry profile
     end
   in
@@ -189,17 +206,17 @@ let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
            Dcas.on_read =
              (fun c v ->
                Shadow.on_read sanitize c v;
-               Metrics.incr metrics "dcas.reads");
+               Metrics.incr metrics k_reads);
            on_write =
              (fun c v ->
                Shadow.on_write sanitize c v;
                Blame.stamp blame Blame.Write (Cell.id c);
-               Metrics.incr metrics "dcas.writes");
+               Metrics.incr metrics k_writes);
            on_rmw =
              (fun c ->
                Shadow.on_rmw sanitize c;
                Blame.stamp blame Blame.Rmw (Cell.id c);
-               Metrics.incr metrics "dcas.rmw");
+               Metrics.incr metrics k_rmw);
            on_cas =
              (fun c ~old_v ~new_v ~ok ->
                Shadow.on_cas sanitize c ~old_v ~new_v ~ok;
@@ -223,32 +240,29 @@ let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
                      (Cell.id (if Cell.get c0 <> old0 then c0 else c1));
                attempted Blame.Dcas ok;
                if mcas then begin
-                 Metrics.incr metrics "mcas.attempt";
-                 Metrics.incr metrics
-                   (if ok then "mcas.success" else "mcas.fail")
+                 Metrics.incr metrics k_mcas_attempt;
+                 Metrics.incr metrics (if ok then k_mcas_success else k_mcas_fail)
                end);
            on_spurious_cas =
              (fun () ->
-               Metrics.incr metrics "dcas.spurious_cas";
+               Metrics.incr metrics k_spurious_cas;
                Tracer.emit tracer Fault "spurious-cas";
                attempted Blame.Cas false;
                Blame.charge_spurious blame Blame.Cas);
            on_spurious_dcas =
              (fun () ->
-               Metrics.incr metrics "dcas.spurious_dcas";
+               Metrics.incr metrics k_spurious_dcas;
                Tracer.emit tracer Fault "spurious-dcas";
                Blame.charge_spurious blame Blame.Dcas;
                attempted Blame.Dcas false);
          })
 
-(* A thread's registry slot is its {!Lfrc_sched.Sched.tid} plus one:
-   simulated threads and real domains (all tid 0) from slot 1, and slot
-   0 for tid -1, the scheduler itself, which unwinds a failed run's
-   suspended threads. [adopt_*] take ids from the caller, so they skip
-   any without a slot. *)
-let registry_slots = Lfrc_sched.Limits.max_threads + 1
+(* A thread's registry slot is {!Lfrc_sched.Limits.slot_of_tid} of its
+   tid, spelled out here so the hot registry paths inline it. [adopt_*]
+   take ids from the caller, so they skip any without a slot. *)
+let registry_slots = Lfrc_sched.Limits.thread_slots
 let slot_of tid = tid + 1
-let has_slot tid = tid >= -1 && tid < Lfrc_sched.Limits.max_threads
+let has_slot = Lfrc_sched.Limits.has_slot
 
 let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
     ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
@@ -281,13 +295,13 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
            if obs_on then
              (match ev with
              | Heap.Obs_alloc { p; gen; live } ->
-                 Metrics.incr metrics "heap.allocs";
-                 Metrics.set_gauge metrics "heap.live" live;
+                 Metrics.incr metrics k_heap_allocs;
+                 Metrics.set_gauge metrics k_heap_live live;
                  Lfrc_obs.Lineage.record lineage ~addr:p
                    (Lfrc_obs.Lineage.Alloc { gen })
              | Heap.Obs_free { p; gen; live } ->
-                 Metrics.incr metrics "heap.frees";
-                 Metrics.set_gauge metrics "heap.live" live;
+                 Metrics.incr metrics k_heap_frees;
+                 Metrics.set_gauge metrics k_heap_live live;
                  Tracer.emit tracer ~arg:p Free "free";
                  Lfrc_obs.Lineage.record lineage ~addr:p
                    (Lfrc_obs.Lineage.Free { gen }));
@@ -371,11 +385,11 @@ let in_transit t =
 
 let retry env counter =
   Metrics.incr env.env_metrics counter;
-  Tracer.emit env.env_tracer Retry counter;
+  Tracer.emit env.env_tracer Retry (Metrics.key_name counter);
   Profile.op_retry env.env_profile
 
 let retry_slow env counter =
-  Tracer.emit env.env_tracer Retry counter;
+  Tracer.emit env.env_tracer Retry (Metrics.key_name counter);
   Profile.op_retry env.env_profile
 
 let per_retry_obs env =
@@ -386,9 +400,9 @@ let record_retries env counter burst =
 
 (* A retry burst for a histogram: the float is boxed only when metrics
    are on. *)
-let observe_burst env name burst =
+let observe_burst env key burst =
   if Metrics.enabled env.env_metrics then
-    Metrics.observe env.env_metrics name (float_of_int burst)
+    Metrics.observe env.env_metrics key (float_of_int burst)
 
 (* [counter] separates eager frees (destroy paths) from deferred-queue
    frees, the paper-§7 distinction the metrics surface. *)
@@ -403,8 +417,8 @@ let defer t p =
   Queue.add p t.pending;
   let depth = Queue.length t.pending in
   Mutex.unlock t.pending_lock;
-  Metrics.incr t.env_metrics "lfrc.deferred";
-  Metrics.set_gauge t.env_metrics "lfrc.deferred_depth" depth
+  Metrics.incr t.env_metrics k_deferred;
+  Metrics.set_gauge t.env_metrics k_deferred_depth depth
 
 let drain_deferred t ~max =
   Mutex.lock t.pending_lock;
@@ -415,7 +429,7 @@ let drain_deferred t ~max =
   let out = go 0 [] in
   let depth = Queue.length t.pending in
   Mutex.unlock t.pending_lock;
-  if out <> [] then Metrics.set_gauge t.env_metrics "lfrc.deferred_depth" depth;
+  if out <> [] then Metrics.set_gauge t.env_metrics k_deferred_depth depth;
   out
 
 let deferred_pending t =

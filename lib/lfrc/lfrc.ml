@@ -23,12 +23,13 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
 (* Observability shims. Every public operation counts itself under an
    [lfrc.*] series and, when tracing/profiling/lineage/blame is on, runs
    its body inside a span that closes even on the exceptional (OOM)
-   paths. The span name doubles as the profiler call site and the lineage
-   originating-op context, so a count transition or a failed DCAS
-   underneath always knows which operation it belongs to. With every span
-   layer off an operation applies its body directly — one branch, no
-   closure — the policy {!Env.create} documents. Retry accounting is
-   shared with the mode implementations ({!Env_base.per_retry_obs}). *)
+   paths. The span key doubles as the counter, the profiler call site
+   and the lineage originating-op context, so a count transition or a
+   failed DCAS underneath always knows which operation it belongs to.
+   With every span layer off an operation applies its body directly —
+   one branch, no closure — the policy {!Env.create} documents. Retry
+   accounting is shared with the mode implementations
+   ({!Env_base.per_retry_obs}). *)
 
 let retry_slow = Env_base.retry_slow
 let per_retry_obs = Env_base.per_retry_obs
@@ -36,30 +37,53 @@ let record_retries = Env_base.record_retries
 let observe_burst = Env_base.observe_burst
 let free_obj = Env_base.free_obj
 
-(* Count one [name] operation; answer whether it runs in a span. *)
-let spanned env name =
-  Metrics.incr (Env.metrics env) name;
+let k_alloc = Metrics.key "lfrc.alloc"
+let k_alloc_oom = Metrics.key "lfrc.alloc_oom"
+let k_destroy = Metrics.key "lfrc.destroy"
+let k_load = Metrics.key "lfrc.load"
+let k_store = Metrics.key "lfrc.store"
+let k_store_alloc = Metrics.key "lfrc.store_alloc"
+let k_copy = Metrics.key "lfrc.copy"
+let k_dcas = Metrics.key "lfrc.dcas"
+let k_cas = Metrics.key "lfrc.cas"
+let k_dcas_ptr_val = Metrics.key "lfrc.dcas_ptr_val"
+let k_frees = Env_base.k_frees
+let k_deferred_frees = Metrics.key "lfrc.deferred_frees"
+let k_load_retry = Metrics.key "lfrc.load_retry"
+let k_store_retry = Metrics.key "lfrc.store_retry"
+let k_load_retries = Metrics.key "lfrc.load.retries"
+let k_store_retries = Metrics.key "lfrc.store.retries"
+
+(* Count one operation; answer whether it runs in a span. *)
+let spanned env key =
+  Metrics.incr (Env.metrics env) key;
   Tracer.enabled (Env.tracer env)
   || Profile.enabled (Env.profile env)
   || Lineage.enabled (Env.lineage env)
   || Blame.enabled (Env.blame env)
 
-let in_span env name f =
-  let tr = Env.tracer env
-  and pr = Env.profile env
-  and ln = Env.lineage env
-  and bl = Env.blame env in
-  Tracer.emit tr Begin name;
-  Profile.op_begin pr name;
-  Lineage.op_begin ln name;
-  Blame.op_begin bl name;
-  Fun.protect
-    ~finally:(fun () ->
-      Blame.op_end bl;
-      Lineage.op_end ln;
-      Profile.op_end pr;
-      Tracer.emit tr End name)
-    f
+let end_span env name =
+  Blame.op_end (Env.blame env);
+  Lineage.op_end (Env.lineage env);
+  Profile.op_end (Env.profile env);
+  Tracer.emit (Env.tracer env) End name
+
+(* The span closes on return and on exception alike, in the same order,
+   and an exception is re-raised with its backtrace. *)
+let in_span env key f =
+  let name = Metrics.key_name key in
+  Tracer.emit (Env.tracer env) Begin name;
+  Profile.op_begin (Env.profile env) key;
+  Lineage.op_begin (Env.lineage env) name;
+  Blame.op_begin (Env.blame env) key;
+  match f () with
+  | v ->
+      end_span env name;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      end_span env name;
+      Printexc.raise_with_backtrace e bt
 
 (* --- count delivery ---
 
@@ -135,8 +159,8 @@ let add_to_rc env p v =
 
 let alloc env layout =
   guard env "alloc";
-  if spanned env "lfrc.alloc" then
-    in_span env "lfrc.alloc" (fun () -> Heap.alloc (Env.heap env) layout)
+  if spanned env k_alloc then
+    in_span env k_alloc (fun () -> Heap.alloc (Env.heap env) layout)
   else Heap.alloc (Env.heap env) layout
 
 (* Allocation with graceful OOM: a simulated allocation failure surfaces as
@@ -146,14 +170,14 @@ let try_alloc_body env layout =
   match Heap.alloc (Env.heap env) layout with
   | p -> Ok p
   | exception Heap.Simulated_oom ->
-      Metrics.incr (Env.metrics env) "lfrc.alloc_oom";
+      Metrics.incr (Env.metrics env) k_alloc_oom;
       Tracer.emit (Env.tracer env) Fault "oom";
       Error `Out_of_memory
 
 let try_alloc env layout =
   guard env "try_alloc";
-  if spanned env "lfrc.alloc" then
-    in_span env "lfrc.alloc" (fun () -> try_alloc_body env layout)
+  if spanned env k_alloc then
+    in_span env k_alloc (fun () -> try_alloc_body env layout)
   else try_alloc_body env layout
 
 (* Destroying the last pointer to an object frees it and destroys the
@@ -198,7 +222,7 @@ let rec destroy_recursive_registered env p =
         destroy_recursive_registered env child
       end
     done;
-    free_obj env "lfrc.frees" p;
+    free_obj env k_frees p;
     Env.end_destroy env p
   end
 
@@ -222,7 +246,7 @@ let teardown env p =
             if release env child then work := child :: !work
           end
         done;
-        free_obj env "lfrc.frees" q;
+        free_obj env k_frees q;
         Env.end_destroy env q
   done
 
@@ -264,7 +288,7 @@ let pump_deferred env ~budget =
             end
           end
         done;
-        free_obj env "lfrc.deferred_frees" q;
+        free_obj env k_deferred_frees q;
         Env.end_destroy env q
   done;
   !freed
@@ -284,7 +308,7 @@ let commit env p =
   | Env.Recursive | Env.Iterative -> if release env p then teardown env p
 
 let destroy_registered env p =
-  Metrics.incr (Env.metrics env) "lfrc.destroy";
+  Metrics.incr (Env.metrics env) k_destroy;
   commit env p
 
 let flush env = flush_counts env + pump_deferred env ~budget:(-1)
@@ -302,8 +326,8 @@ let destroy_body env p =
 
 let destroy env p =
   guard env "destroy";
-  if spanned env "lfrc.destroy" then
-    in_span env "lfrc.destroy" (fun () -> destroy_body env p)
+  if spanned env k_destroy then
+    in_span env k_destroy (fun () -> destroy_body env p)
   else destroy_body env p
 
 (* Drop a reference a winning CAS displaced ([counted]), or one handed back
@@ -314,7 +338,7 @@ let drop_taken env p ~counted =
   if nested_drop_span env then destroy env p
   else if p <> null then begin
     Env.begin_destroy env p;
-    if counted then Metrics.incr (Env.metrics env) "lfrc.destroy";
+    if counted then Metrics.incr (Env.metrics env) k_destroy;
     commit env p
   end
 
@@ -345,7 +369,7 @@ let rec load_retry env d ~src ~dest ~slow burst =
       burst
     end
     else begin
-      if slow then retry_slow env "lfrc.load_retry";
+      if slow then retry_slow env k_load_retry;
       load_retry env d ~src ~dest ~slow (burst + 1)
     end
   end
@@ -355,16 +379,16 @@ let load_body env ~src ~dest =
   let burst =
     load_retry env (Env.dcas env) ~src ~dest ~slow:(per_retry_obs env) 0
   in
-  record_retries env "lfrc.load_retry" burst;
+  record_retries env k_load_retry burst;
   (* Every load contributes its burst — zeros included — so the retry
      histogram is populated even in uncontended runs. *)
-  observe_burst env "lfrc.load.retries" burst;
+  observe_burst env k_load_retries burst;
   destroy env olddest
 
 let load env ~src ~dest =
   guard env "load";
-  if spanned env "lfrc.load" then
-    in_span env "lfrc.load" (fun () -> load_body env ~src ~dest)
+  if spanned env k_load then
+    in_span env k_load (fun () -> load_body env ~src ~dest)
   else load_body env ~src ~dest
 
 (* LFRCStore (Figure 2, lines 21..28). *)
@@ -376,12 +400,12 @@ let rec store_retry env d ~dst v ~slow burst =
        with it. *)
     Env.end_publish env v;
     installed env ~cell:dst ~old:oldval v ~owned:false;
-    record_retries env "lfrc.store_retry" burst;
-    observe_burst env "lfrc.store.retries" burst;
+    record_retries env k_store_retry burst;
+    observe_burst env k_store_retries burst;
     drop_taken env oldval ~counted:true
   end
   else begin
-    if slow then retry_slow env "lfrc.store_retry";
+    if slow then retry_slow env k_store_retry;
     store_retry env d ~dst v ~slow (burst + 1)
   end
 
@@ -391,8 +415,8 @@ let store_body env ~dst v =
 
 let store env ~dst v =
   guard env "store";
-  if spanned env "lfrc.store" then
-    in_span env "lfrc.store" (fun () -> store_body env ~dst v)
+  if spanned env k_store then
+    in_span env k_store (fun () -> store_body env ~dst v)
   else store_body env ~dst v
 
 (* LFRCStoreAlloc (paper Figure 1, line 35): consume the allocation's
@@ -405,11 +429,11 @@ let rec store_alloc_retry env d ~dst r v ~slow burst =
   if Dcas.cas d dst oldval v then begin
     r := null;
     installed env ~cell:dst ~old:oldval v ~owned:true;
-    record_retries env "lfrc.store_retry" burst;
+    record_retries env k_store_retry burst;
     drop_taken env oldval ~counted:true
   end
   else begin
-    if slow then retry_slow env "lfrc.store_retry";
+    if slow then retry_slow env k_store_retry;
     store_alloc_retry env d ~dst r v ~slow (burst + 1)
   end
 
@@ -418,8 +442,8 @@ let store_alloc_body env ~dst r =
 
 let store_alloc_from env ~dst r =
   guard env "store_alloc";
-  if spanned env "lfrc.store_alloc" then
-    in_span env "lfrc.store_alloc" (fun () -> store_alloc_body env ~dst r)
+  if spanned env k_store_alloc then
+    in_span env k_store_alloc (fun () -> store_alloc_body env ~dst r)
   else store_alloc_body env ~dst r
 
 let store_alloc env ~dst v = store_alloc_from env ~dst (ref v)
@@ -434,8 +458,8 @@ let copy_body env ~dest w =
 
 let copy env ~dest w =
   guard env "copy";
-  if spanned env "lfrc.copy" then
-    in_span env "lfrc.copy" (fun () -> copy_body env ~dest w)
+  if spanned env k_copy then
+    in_span env k_copy (fun () -> copy_body env ~dest w)
   else copy_body env ~dest w
 
 (* A losing CAS's publication of [p] resolves: the mode keeps the unspent
@@ -473,8 +497,8 @@ let dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1 =
 
 let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
   guard env "dcas";
-  if spanned env "lfrc.dcas" then
-    in_span env "lfrc.dcas" (fun () ->
+  if spanned env k_dcas then
+    in_span env k_dcas (fun () ->
         dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1)
   else dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1
 
@@ -497,8 +521,8 @@ let cas_body env c ~old_ptr ~new_ptr =
 
 let cas env c ~old_ptr ~new_ptr =
   guard env "cas";
-  if spanned env "lfrc.cas" then
-    in_span env "lfrc.cas" (fun () -> cas_body env c ~old_ptr ~new_ptr)
+  if spanned env k_cas then
+    in_span env k_cas (fun () -> cas_body env c ~old_ptr ~new_ptr)
   else cas_body env c ~old_ptr ~new_ptr
 
 (* Extension: DCAS over one pointer cell and one plain-value cell.
@@ -512,8 +536,8 @@ let dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
 
 let dcas_ptr_val env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val ~new_val =
   guard env "dcas_ptr_val";
-  if spanned env "lfrc.dcas_ptr_val" then
-    in_span env "lfrc.dcas_ptr_val" (fun () ->
+  if spanned env k_dcas_ptr_val then
+    in_span env k_dcas_ptr_val (fun () ->
         dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
           ~new_val)
   else
@@ -538,7 +562,7 @@ let finish_teardown env p =
       drop_taken env child ~counted:false
     end
   done;
-  free_obj env "lfrc.frees" p
+  free_obj env k_frees p
 
 let with_locals env n f =
   let locals = Array.init n (fun _ -> ref null) in

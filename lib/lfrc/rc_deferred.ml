@@ -32,6 +32,12 @@ module E = Env_base
 
 type env = E.t
 
+let k_rc_flush = Metrics.key "lfrc.rc_flush"
+let k_rc_flush_cas = Metrics.key "lfrc.rc_flush_cas"
+let k_defer_inc = Metrics.key "lfrc.defer_inc"
+let k_defer_dec = Metrics.key "lfrc.defer_dec"
+let k_rc_parked = Metrics.key "lfrc.rc_parked"
+
 type t = {
   epoch : int;  (* parked adjustments that trigger an automatic flush *)
   buffers : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* tid -> addr -> net *)
@@ -231,7 +237,7 @@ let flush t env =
     let ln = E.lineage env in
     let freed = ref 0 in
     Fun.protect ~finally:(fun () -> end_flush t) @@ fun () ->
-    Metrics.incr metrics "lfrc.rc_flush";
+    Metrics.incr metrics k_rc_flush;
     (* Crash safety: every delta this flush is working on lives in the
        applying table (staged atomically out of the buffers), never only
        in this function's locals. A CAS success unstages its delta in the
@@ -249,7 +255,7 @@ let flush t env =
            lands. *)
         let v = restage t ~addr in
         if v <> 0 then begin
-          Metrics.incr metrics "lfrc.rc_flush_cas";
+          Metrics.incr metrics k_rc_flush_cas;
           if Dcas.cas d rc oldrc (oldrc + v) then begin
             (* No yield since the CAS: unstaging is atomic with it, so a
                crashed flush can never re-apply a landed delta. *)
@@ -282,14 +288,14 @@ let flush t env =
                     Cell.set cell Heap.null
                   end
                 done;
-                E.free_obj env "lfrc.frees" addr;
+                E.free_obj env E.k_frees addr;
                 incr freed;
                 E.end_destroy env addr
               end
             end
           end
           else begin
-            E.retry env "lfrc.rc_retry";
+            E.retry env E.k_rc_retry;
             apply addr
           end
         end
@@ -321,14 +327,13 @@ let flush t env =
 (* Park one ±1 for a non-null [p], returning the park count for the epoch
    trigger. *)
 let park_counted t env p delta =
-  Metrics.incr (E.metrics env)
-    (if delta > 0 then "lfrc.defer_inc" else "lfrc.defer_dec");
+  Metrics.incr (E.metrics env) (if delta > 0 then k_defer_inc else k_defer_dec);
   Lineage.record (E.lineage env) ~addr:p
     (if delta > 0 then Lineage.Defer_inc else Lineage.Defer_dec);
   park t ~addr:p ~delta
 
 let after_park t env parked =
-  Metrics.set_gauge (E.metrics env) "lfrc.rc_parked" parked;
+  Metrics.set_gauge (E.metrics env) k_rc_parked parked;
   if parked >= t.epoch then ignore (flush t env)
 
 let mode t = E.Deferred_rc { epoch = t.epoch }

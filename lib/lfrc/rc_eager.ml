@@ -18,15 +18,15 @@ type state = unit
 let rec add_retry env d rc p v ~slow burst =
   let oldrc = Dcas.read d rc in
   if Dcas.cas d rc oldrc (oldrc + v) then begin
-    E.record_retries env "lfrc.rc_retry" burst;
+    E.record_retries env E.k_rc_retry burst;
     (* Contended transitions record their retry burst; the quiet common
        case stays out of the histogram. *)
-    if burst > 0 then E.observe_burst env "lfrc.rc_retry" burst;
+    if burst > 0 then E.observe_burst env E.k_rc_retry burst;
     Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:oldrc ~delta:v ();
     oldrc
   end
   else begin
-    if slow then E.retry_slow env "lfrc.rc_retry";
+    if slow then E.retry_slow env E.k_rc_retry;
     add_retry env d rc p v ~slow (burst + 1)
   end
 

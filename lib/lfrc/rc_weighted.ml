@@ -29,6 +29,15 @@ module E = Env_base
 
 type env = E.t
 
+let k_weight_borrow = Metrics.key "lfrc.weight_borrow"
+let k_weight_exhaust = Metrics.key "lfrc.weight_exhaust"
+let k_weight_pub = Metrics.key "lfrc.weight_pub"
+let k_weight_share = Metrics.key "lfrc.weight_share"
+let k_weight_refill = Metrics.key "lfrc.weight_refill"
+let k_weight_absorb = Metrics.key "lfrc.weight_absorb"
+let k_weight_release = Metrics.key "lfrc.weight_release"
+let k_adopt_weight = Metrics.key "lfrc.adopt_weight"
+
 type t = {
   weight : int;  (* the batch minted per refill or publication *)
   pools : (int, (int, int * int) Hashtbl.t) Hashtbl.t;
@@ -236,7 +245,7 @@ let borrow t env ~src a =
   then false
   else begin
     pool_add t ~addr:a ~w:1 ~n:1;
-    Metrics.incr (E.metrics env) "lfrc.weight_borrow";
+    Metrics.incr (E.metrics env) k_weight_borrow;
     Lineage.record (E.lineage env) ~addr:a Lineage.Wborrow;
     true
   end
@@ -250,7 +259,7 @@ let load_mint t = t.weight + 1
 let loaded t env ~src a ~old_rc =
   slot_give t ~cell:src ~w:t.weight;
   pool_add t ~addr:a ~w:1 ~n:1;
-  Metrics.incr (E.metrics env) "lfrc.weight_exhaust";
+  Metrics.incr (E.metrics env) k_weight_exhaust;
   Lineage.record_rc (E.lineage env) ~addr:a ~old_rc ~delta:(t.weight + 1) ()
 
 (* Mint a whole batch with one fetch-add; the registry entry carries the
@@ -260,7 +269,7 @@ let publish t env p =
   let prev = Dcas.fetch_add (E.dcas env) (bind_rc env p) t.weight in
   (* Atomic with the add: the speculative batch is never unanchored. *)
   E.begin_publish ~weight:t.weight env p;
-  Metrics.incr (E.metrics env) "lfrc.weight_pub";
+  Metrics.incr (E.metrics env) k_weight_pub;
   Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:prev ~delta:t.weight ()
 
 (* Cover the new reference from the thread's pooled weight when the pouch
@@ -270,14 +279,14 @@ let publish t env p =
 let acquire_copy t env w =
   if w <> Heap.null then begin
     if pool_try_share t ~addr:w then begin
-      Metrics.incr (E.metrics env) "lfrc.weight_share";
+      Metrics.incr (E.metrics env) k_weight_share;
       Lineage.record (E.lineage env) ~addr:w Lineage.Wshare
     end
     else begin
       let prev = Dcas.fetch_add (E.dcas env) (bind_rc env w) t.weight in
       (* Atomic with the add: pouch the batch before any yield. *)
       pool_add t ~addr:w ~w:t.weight ~n:1;
-      Metrics.incr (E.metrics env) "lfrc.weight_refill";
+      Metrics.incr (E.metrics env) k_weight_refill;
       Lineage.record_rc (E.lineage env) ~addr:w ~old_rc:prev ~delta:t.weight ()
     end
   end;
@@ -321,7 +330,7 @@ let drop _ env p =
    gone. *)
 let release t env p =
   if pool_try_drop_shared t ~addr:p then begin
-    Metrics.incr (E.metrics env) "lfrc.weight_absorb";
+    Metrics.incr (E.metrics env) k_weight_absorb;
     E.end_destroy env p;
     false
   end
@@ -333,7 +342,7 @@ let release t env p =
        (a crash at the add's own yield point means nothing happened and
        the pouch is intact). *)
     pool_remove t ~addr:p;
-    Metrics.incr (E.metrics env) "lfrc.weight_release";
+    Metrics.incr (E.metrics env) k_weight_release;
     Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:prev ~delta:(-w) ();
     let died = prev = w in
     if died then Lfrc_sanitize.Shadow.note_dying (E.sanitizer env) p
@@ -358,7 +367,7 @@ let flush _ _ = 0
    pooled weight and the ledger balances exactly as in a live release. *)
 let adopt t env ~crashed =
   let n = adopt_pools t ~tids:crashed in
-  if n > 0 then Metrics.add (E.metrics env) "lfrc.adopt_weight" n;
+  if n > 0 then Metrics.add (E.metrics env) k_adopt_weight n;
   n
 
 (* The registry entry carries the whole published batch; pouching it

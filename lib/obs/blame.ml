@@ -1,4 +1,5 @@
 module Sched = Lfrc_sched.Sched
+module Limits = Lfrc_sched.Limits
 module Json = Lfrc_util.Json
 
 (* Contention causality. Every successful shared-memory write stamps its
@@ -33,9 +34,24 @@ let op_kind_name = function
 let op_kind_index = function Write -> 0 | Cas -> 1 | Dcas -> 2 | Rmw -> 3
 let op_kinds = [| Write; Cas; Dcas; Rmw |]
 
-type stamp = { s_tid : int; s_site : string; s_kind : op_kind; s_step : int }
+module Itbl = Hashtbl.Make (Int)
+
+(* A site is named by its {!Metrics.key}: the span key {!Lfrc_core.Lfrc}
+   opens, or one of the reserved culprits below. Names are resolved only
+   when reporting. *)
+type site = Metrics.key
+
+(* A cell's last successful writer, updated in place on each write. *)
+type stamp = {
+  mutable s_tid : int;
+  mutable s_site : site;
+  mutable s_kind : op_kind;
+  mutable s_step : int;
+}
 
 type pair = {
+  p_victim : site;
+  p_culprit : site;
   mutable p_wasted : int;  (* failed attempts charged to this pair *)
   mutable p_steps : int;
       (* scheduler-step latency: for each charged failure, how many steps
@@ -43,22 +59,11 @@ type pair = {
          loser paid for. *)
   mutable p_rc : int;  (* charged failures on cells bound as rc cells *)
   p_kinds : int array;  (* by culprit op kind *)
-  p_addrs : (int, int) Hashtbl.t;  (* owner addr -> charged failures *)
-}
-
-(* A retry chain: consecutive charged failures on one thread with no
-   intervening successful write by that thread. The chain is the critical
-   path of one operation attempt; it closes on the thread's next
-   successful write (the op finally landed) or on the owning span's end
-   (the op gave up), and a crashed owner's open chain is adopted. *)
-type chain = {
-  ch_site : string;
-  ch_first : int;
-  mutable ch_last : int;
-  mutable ch_len : int;
+  p_addrs : int Itbl.t;  (* owner addr -> charged failures *)
 }
 
 type chain_stat = {
+  cs_site : site;
   mutable cs_chains : int;
   mutable cs_adopted : int;
   mutable cs_len_total : int;
@@ -66,15 +71,30 @@ type chain_stat = {
   mutable cs_steps_total : int;  (* first-to-last failure, summed *)
 }
 
+(* One thread's slot: its stack of open op sites, [sites.(0 .. depth - 1)]
+   innermost last, and its open retry chain. A retry chain is consecutive
+   charged failures on one thread with no intervening successful write by
+   that thread: the critical path of one operation attempt. It closes on
+   the thread's next successful write (the op finally landed) or on the
+   owning span's end (the op gave up), and a crashed owner's open chain
+   is adopted. [ch_len = 0] is the sentinel for "no open chain". *)
+type thread = {
+  mutable depth : int;
+  mutable sites : site array;
+  mutable ch_site : site;
+  mutable ch_first : int;
+  mutable ch_last : int;
+  mutable ch_len : int;
+}
+
 type reg = {
   lock : Mutex.t;
   tracer : Tracer.t;  (* flow events (winning write -> doomed attempt) *)
-  stamps : (int, stamp) Hashtbl.t;  (* cell id -> last successful writer *)
-  owners : (int, int) Hashtbl.t;  (* cell id -> owning object (rc cells) *)
-  pairs : (string * string, pair) Hashtbl.t;  (* (victim, culprit) *)
-  stacks : (int, string list ref) Hashtbl.t;  (* tid -> open op labels *)
-  chains : (int, chain) Hashtbl.t;  (* tid -> open retry chain *)
-  chain_stats : (string, chain_stat) Hashtbl.t;  (* victim site -> stats *)
+  stamps : stamp Itbl.t;  (* cell id -> last successful writer *)
+  owners : int Itbl.t;  (* cell id -> owning object (rc cells) *)
+  pairs : pair Itbl.t;  (* pair_id victim culprit *)
+  threads : thread array;  (* thread slot -> open sites and chain *)
+  chain_stats : chain_stat Itbl.t;  (* victim site -> stats *)
   mutable flows : int;
   mutable attributed : int;
   mutable unstamped : int;
@@ -85,21 +105,34 @@ type reg = {
 
 type t = Disabled | On of reg
 
-let unattributed_site = "(unattributed)"
-let unstamped_site = "(unstamped)"
-let injected_site = "(fault-injection)"
+let unattributed_site = Metrics.key "(unattributed)"
+let unstamped_site = Metrics.key "(unstamped)"
+let injected_site = Metrics.key "(fault-injection)"
+
+(* A (victim, culprit) pair packed into one int: keys are dense and far
+   below 2^30. *)
+let pair_id (victim : site) (culprit : site) =
+  ((victim :> int) lsl 30) lor (culprit :> int)
 
 let create ?(tracer = Tracer.disabled) () =
   On
     {
       lock = Mutex.create ();
       tracer;
-      stamps = Hashtbl.create 256;
-      owners = Hashtbl.create 256;
-      pairs = Hashtbl.create 32;
-      stacks = Hashtbl.create 8;
-      chains = Hashtbl.create 8;
-      chain_stats = Hashtbl.create 16;
+      stamps = Itbl.create 256;
+      owners = Itbl.create 256;
+      pairs = Itbl.create 32;
+      threads =
+        Array.init Limits.thread_slots (fun _ ->
+            {
+              depth = 0;
+              sites = [||];
+              ch_site = unattributed_site;
+              ch_first = 0;
+              ch_last = 0;
+              ch_len = 0;
+            });
+      chain_stats = Itbl.create 16;
       flows = 0;
       attributed = 0;
       unstamped = 0;
@@ -112,7 +145,10 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
+(* For the cold reporting paths; the hooks lock without a closure. *)
 let locked r f = Mutex.protect r.lock f
+
+let thread_of r tid = r.threads.(Limits.slot_of_tid tid)
 
 (* A fresh environment attaching this registry starts a new run: stale
    stamps from a previous heap (cell ids restart per heap) must not be
@@ -121,40 +157,41 @@ let locked r f = Mutex.protect r.lock f
 let new_run = function
   | Disabled -> ()
   | On r ->
-      locked r (fun () ->
-          Hashtbl.reset r.stamps;
-          Hashtbl.reset r.owners;
-          Hashtbl.reset r.stacks;
-          Hashtbl.reset r.chains)
+      Mutex.lock r.lock;
+      Itbl.reset r.stamps;
+      Itbl.reset r.owners;
+      Array.iter
+        (fun th ->
+          th.depth <- 0;
+          th.ch_len <- 0)
+        r.threads;
+      Mutex.unlock r.lock
 
-let stack_of r tid =
-  match Hashtbl.find_opt r.stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.add r.stacks tid s;
-      s
+let current_site th =
+  if th.depth = 0 then unattributed_site else th.sites.(th.depth - 1)
 
-let current_site_locked r tid =
-  match Hashtbl.find_opt r.stacks tid with
-  | Some { contents = site :: _ } -> site
-  | _ -> unattributed_site
-
-let op_begin t label =
+let op_begin t site =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          let s = stack_of r tid in
-          s := label :: !s)
+      let th = thread_of r (Sched.tid ()) in
+      Mutex.lock r.lock;
+      if th.depth = Array.length th.sites then begin
+        let bigger = Array.make (max 4 (2 * th.depth)) unattributed_site in
+        Array.blit th.sites 0 bigger 0 th.depth;
+        th.sites <- bigger
+      end;
+      th.sites.(th.depth) <- site;
+      th.depth <- th.depth + 1;
+      Mutex.unlock r.lock
 
-let chain_stat_of r site =
-  match Hashtbl.find_opt r.chain_stats site with
+let chain_stat_of r (site : site) =
+  match Itbl.find_opt r.chain_stats (site :> int) with
   | Some cs -> cs
   | None ->
       let cs =
         {
+          cs_site = site;
           cs_chains = 0;
           cs_adopted = 0;
           cs_len_total = 0;
@@ -162,79 +199,90 @@ let chain_stat_of r site =
           cs_steps_total = 0;
         }
       in
-      Hashtbl.add r.chain_stats site cs;
+      Itbl.add r.chain_stats (site :> int) cs;
       cs
 
-let close_chain_locked r tid ~adopted =
-  match Hashtbl.find_opt r.chains tid with
-  | None -> ()
-  | Some ch ->
-      Hashtbl.remove r.chains tid;
-      let cs = chain_stat_of r ch.ch_site in
-      cs.cs_chains <- cs.cs_chains + 1;
-      if adopted then begin
-        cs.cs_adopted <- cs.cs_adopted + 1;
-        r.adopted_chains <- r.adopted_chains + 1
-      end;
-      cs.cs_len_total <- cs.cs_len_total + ch.ch_len;
-      if ch.ch_len > cs.cs_len_max then cs.cs_len_max <- ch.ch_len;
-      cs.cs_steps_total <- cs.cs_steps_total + max 0 (ch.ch_last - ch.ch_first)
+(* Called under the lock, on a thread with an open chain. *)
+let close_chain_locked r th ~adopted =
+  let cs = chain_stat_of r th.ch_site in
+  cs.cs_chains <- cs.cs_chains + 1;
+  if adopted then begin
+    cs.cs_adopted <- cs.cs_adopted + 1;
+    r.adopted_chains <- r.adopted_chains + 1
+  end;
+  cs.cs_len_total <- cs.cs_len_total + th.ch_len;
+  if th.ch_len > cs.cs_len_max then cs.cs_len_max <- th.ch_len;
+  cs.cs_steps_total <- cs.cs_steps_total + max 0 (th.ch_last - th.ch_first);
+  th.ch_len <- 0
 
 let op_end t =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.stacks tid with
-          | Some ({ contents = site :: rest } as s) ->
-              s := rest;
-              (* An op that ends while its retry chain is still open gave
-                 up without a winning write (a failed Lfrc.cas, an empty
-                 pop): the chain is complete, close it. A chain opened by
-                 a *different* (enclosing) site stays open. *)
-              (match Hashtbl.find_opt r.chains tid with
-              | Some ch when ch.ch_site = site ->
-                  close_chain_locked r tid ~adopted:false
-              | _ -> ())
-          | _ -> ())
+      let th = thread_of r (Sched.tid ()) in
+      Mutex.lock r.lock;
+      if th.depth > 0 then begin
+        th.depth <- th.depth - 1;
+        (* An op that ends while its retry chain is still open gave up
+           without a winning write (a failed Lfrc.cas, an empty pop): the
+           chain is complete, close it. A chain opened by a *different*
+           (enclosing) site stays open. *)
+        if th.ch_len > 0 && th.ch_site = th.sites.(th.depth) then
+          close_chain_locked r th ~adopted:false
+      end;
+      Mutex.unlock r.lock
 
 let bind_owner t ~cell ~addr =
   match t with
   | Disabled -> ()
-  | On r -> locked r (fun () -> Hashtbl.replace r.owners cell addr)
+  | On r ->
+      Mutex.lock r.lock;
+      Itbl.replace r.owners cell addr;
+      Mutex.unlock r.lock
 
 let stamp t kind cell =
   match t with
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
-      locked r (fun () ->
-          let site = current_site_locked r tid in
-          Hashtbl.replace r.stamps cell
-            { s_tid = tid; s_site = site; s_kind = kind; s_step = step };
-          (* This thread just won a write: whatever it was retrying is
-             through — its chain (if any) is complete. *)
-          close_chain_locked r tid ~adopted:false)
+      let th = thread_of r tid in
+      Mutex.lock r.lock;
+      let site = current_site th in
+      (match Itbl.find r.stamps cell with
+      | st ->
+          st.s_tid <- tid;
+          st.s_site <- site;
+          st.s_kind <- kind;
+          st.s_step <- step
+      | exception Not_found ->
+          Itbl.add r.stamps cell
+            { s_tid = tid; s_site = site; s_kind = kind; s_step = step });
+      (* This thread just won a write: whatever it was retrying is
+         through — its chain (if any) is complete. *)
+      if th.ch_len > 0 then close_chain_locked r th ~adopted:false;
+      Mutex.unlock r.lock
 
-let pair_of r key =
-  match Hashtbl.find_opt r.pairs key with
+let pair_of r ~victim ~culprit =
+  let id = pair_id victim culprit in
+  match Itbl.find_opt r.pairs id with
   | Some p -> p
   | None ->
       let p =
         {
+          p_victim = victim;
+          p_culprit = culprit;
           p_wasted = 0;
           p_steps = 0;
           p_rc = 0;
           p_kinds = Array.make 4 0;
-          p_addrs = Hashtbl.create 8;
+          p_addrs = Itbl.create 8;
         }
       in
-      Hashtbl.add r.pairs key p;
+      Itbl.add r.pairs id p;
       p
 
 let charge_locked r ~victim ~culprit ~kind ~steps ~owner =
-  let p = pair_of r (victim, culprit) in
+  let p = pair_of r ~victim ~culprit in
   p.p_wasted <- p.p_wasted + 1;
   p.p_steps <- p.p_steps + steps;
   p.p_kinds.(op_kind_index kind) <- p.p_kinds.(op_kind_index kind) + 1;
@@ -243,54 +291,55 @@ let charge_locked r ~victim ~culprit ~kind ~steps ~owner =
   | Some addr ->
       p.p_rc <- p.p_rc + 1;
       let n =
-        match Hashtbl.find_opt p.p_addrs addr with Some n -> n | None -> 0
+        match Itbl.find_opt p.p_addrs addr with Some n -> n | None -> 0
       in
-      Hashtbl.replace p.p_addrs addr (n + 1)
+      Itbl.replace p.p_addrs addr (n + 1)
 
-let extend_chain_locked r tid ~victim ~step =
-  match Hashtbl.find_opt r.chains tid with
-  | Some ch ->
-      ch.ch_len <- ch.ch_len + 1;
-      ch.ch_last <- step
-  | None ->
-      Hashtbl.replace r.chains tid
-        { ch_site = victim; ch_first = step; ch_last = step; ch_len = 1 }
+let extend_chain_locked th ~victim ~step =
+  if th.ch_len > 0 then begin
+    th.ch_len <- th.ch_len + 1;
+    th.ch_last <- step
+  end
+  else begin
+    th.ch_site <- victim;
+    th.ch_first <- step;
+    th.ch_last <- step;
+    th.ch_len <- 1
+  end
 
 let charge t kind cell =
   match t with
   | Disabled -> ()
-  | On r ->
+  | On r -> (
       let tid = Sched.tid () and step = Sched.steps_so_far () in
-      let flow =
-        locked r (fun () ->
-            let victim = current_site_locked r tid in
-            extend_chain_locked r tid ~victim ~step;
-            let owner = Hashtbl.find_opt r.owners cell in
-            match Hashtbl.find_opt r.stamps cell with
-            | Some st ->
-                r.attributed <- r.attributed + 1;
-                charge_locked r ~victim ~culprit:st.s_site ~kind:st.s_kind
-                  ~steps:(max 0 (step - st.s_step))
-                  ~owner;
-                if Tracer.enabled r.tracer then begin
-                  r.flows <- r.flows + 1;
-                  Some (r.flows, st.s_step, st.s_tid)
-                end
-                else None
-            | None ->
-                r.unstamped <- r.unstamped + 1;
-                charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0
-                  ~owner;
-                None)
-      in
-      (* The flow arrow: from the culprit's winning write to the attempt
-         it doomed. Emitted outside our lock (the tracer has its own). *)
-      match flow with
-      | None -> ()
-      | Some (id, c_step, c_tid) ->
-          Tracer.emit_at r.tracer ~step:c_step ~tid:c_tid ~arg:id
-            Tracer.Flow_out "blame";
-          Tracer.emit_at r.tracer ~step ~tid ~arg:id Tracer.Flow_in "blame"
+      let th = thread_of r tid in
+      Mutex.lock r.lock;
+      let victim = current_site th in
+      extend_chain_locked th ~victim ~step;
+      let owner = Itbl.find_opt r.owners cell in
+      match Itbl.find r.stamps cell with
+      | st ->
+          r.attributed <- r.attributed + 1;
+          charge_locked r ~victim ~culprit:st.s_site ~kind:st.s_kind
+            ~steps:(max 0 (step - st.s_step))
+            ~owner;
+          if not (Tracer.enabled r.tracer) then Mutex.unlock r.lock
+          else begin
+            r.flows <- r.flows + 1;
+            let id = r.flows and c_step = st.s_step and c_tid = st.s_tid in
+            Mutex.unlock r.lock;
+            (* The flow arrow: from the culprit's winning write to the
+               attempt it doomed. Emitted outside our lock (the tracer has
+               its own). *)
+            Tracer.emit_at r.tracer ~step:c_step ~tid:c_tid ~arg:id
+              Tracer.Flow_out "blame";
+            Tracer.emit_at r.tracer ~step ~tid ~arg:id Tracer.Flow_in "blame"
+          end
+      | exception Not_found ->
+          r.unstamped <- r.unstamped + 1;
+          charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0
+            ~owner;
+          Mutex.unlock r.lock)
 
 (* A spurious (injected) failure compared nothing: no write invalidated
    the attempt, the fault plan did. Charged to a reserved culprit so
@@ -299,13 +348,15 @@ let charge_spurious t kind =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () and step = Sched.steps_so_far () in
-      locked r (fun () ->
-          let victim = current_site_locked r tid in
-          extend_chain_locked r tid ~victim ~step;
-          r.spurious <- r.spurious + 1;
-          charge_locked r ~victim ~culprit:injected_site ~kind ~steps:0
-            ~owner:None)
+      let step = Sched.steps_so_far () in
+      let th = thread_of r (Sched.tid ()) in
+      Mutex.lock r.lock;
+      let victim = current_site th in
+      extend_chain_locked th ~victim ~step;
+      r.spurious <- r.spurious + 1;
+      charge_locked r ~victim ~culprit:injected_site ~kind ~steps:0
+        ~owner:None;
+      Mutex.unlock r.lock
 
 (* Fold crashed threads' pending state — open op frames and open retry
    chains — into the aggregates instead of leaving it dangling: the
@@ -315,31 +366,36 @@ let adopt t ~crashed =
   match t with
   | Disabled -> (0, 0)
   | On r ->
-      locked r (fun () ->
-          let frames = ref 0 and chains = ref 0 in
-          List.iter
-            (fun tid ->
-              (match Hashtbl.find_opt r.stacks tid with
-              | Some s ->
-                  frames := !frames + List.length !s;
-                  Hashtbl.remove r.stacks tid
-              | None -> ());
-              match Hashtbl.find_opt r.chains tid with
-              | Some _ ->
-                  incr chains;
-                  close_chain_locked r tid ~adopted:true
-              | None -> ())
-            crashed;
-          r.adopted_frames <- r.adopted_frames + !frames;
-          (!frames, !chains))
+      Mutex.lock r.lock;
+      let frames = ref 0 and chains = ref 0 in
+      List.iter
+        (fun tid ->
+          if Limits.has_slot tid then begin
+            let th = thread_of r tid in
+            frames := !frames + th.depth;
+            th.depth <- 0;
+            if th.ch_len > 0 then begin
+              incr chains;
+              close_chain_locked r th ~adopted:true
+            end
+          end)
+        crashed;
+      r.adopted_frames <- r.adopted_frames + !frames;
+      Mutex.unlock r.lock;
+      (!frames, !chains)
 
 let pending t =
   match t with
   | Disabled -> 0
   | On r ->
-      locked r (fun () ->
-          Hashtbl.fold (fun _ s acc -> acc + List.length !s) r.stacks 0
-          + Hashtbl.length r.chains)
+      Mutex.lock r.lock;
+      let n =
+        Array.fold_left
+          (fun acc th -> acc + th.depth + if th.ch_len > 0 then 1 else 0)
+          0 r.threads
+      in
+      Mutex.unlock r.lock;
+      n
 
 (* --- reporting --- *)
 
@@ -368,8 +424,8 @@ let rows t =
   | On r ->
       let all =
         locked r (fun () ->
-            Hashtbl.fold
-              (fun (victim, culprit) p acc ->
+            Itbl.fold
+              (fun _ p acc ->
                 let kinds =
                   Array.to_list op_kinds
                   |> List.filter_map (fun k ->
@@ -377,13 +433,13 @@ let rows t =
                          if n > 0 then Some (op_kind_name k, n) else None)
                 in
                 let addrs =
-                  Hashtbl.fold (fun a n acc -> (a, n) :: acc) p.p_addrs []
+                  Itbl.fold (fun a n acc -> (a, n) :: acc) p.p_addrs []
                   |> List.sort (fun (a1, n1) (a2, n2) ->
                          compare (n2, a1) (n1, a2))
                 in
                 {
-                  b_victim = victim;
-                  b_culprit = culprit;
+                  b_victim = Metrics.key_name p.p_victim;
+                  b_culprit = Metrics.key_name p.p_culprit;
                   b_wasted = p.p_wasted;
                   b_steps = p.p_steps;
                   b_rc = p.p_rc;
@@ -407,10 +463,10 @@ let chain_rows t =
   | Disabled -> []
   | On r ->
       locked r (fun () ->
-          Hashtbl.fold
-            (fun site cs acc ->
+          Itbl.fold
+            (fun _ cs acc ->
               {
-                c_site = site;
+                c_site = Metrics.key_name cs.cs_site;
                 c_chains = cs.cs_chains;
                 c_adopted = cs.cs_adopted;
                 c_len_total = cs.cs_len_total;

@@ -37,9 +37,12 @@ val new_run : t -> unit
     per-thread state. Aggregated pairs/chains/totals survive. Called by
     [Env.create] when a blame registry is attached. *)
 
-val op_begin : t -> string -> unit
-(** Push a call-site label on the calling thread's blame stack; the
-    innermost open label is the victim/culprit site for charges/stamps. *)
+val op_begin : t -> Metrics.key -> unit
+(** Push a call site, named by its span key, on the calling thread's
+    blame stack; the innermost open site is the victim/culprit site for
+    charges/stamps. Each thread's stack and open retry chain sit in its
+    own slot, and a stamp is updated in place, so the hooks allocate
+    nothing once a cell has been stamped. *)
 
 val op_end : t -> unit
 (** Pop the innermost label; closes the thread's retry chain if that op

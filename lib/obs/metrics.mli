@@ -15,10 +15,12 @@
     DCAS substrate's observer) at negligible cost when observability is
     off.
 
-    Enabled registries are mutex-protected: exact under the simulator
-    (single domain) and safe, if approximate in ordering, under real
-    domains. Several environments may share one registry — the harness
-    does exactly that to aggregate an experiment's sub-runs. *)
+    Series names are interned once into {!key}s, so a recording call
+    indexes a slot rather than hashing a string. Counters are atomic
+    cells, exact on real domains without a lock; gauges and histograms
+    sit under the registry's mutex. Several environments may share one
+    registry — the harness does exactly that to aggregate an experiment's
+    sub-runs. *)
 
 type t
 
@@ -31,6 +33,21 @@ val disabled : t
 
 val enabled : t -> bool
 
+(** {2 Keys} *)
+
+type key = private int
+(** An interned series name: a dense index, process-wide, so the same
+    name gives the same key in every registry. Other layers index their
+    own per-site tables by it. *)
+
+val key : string -> key
+(** Intern a name. This takes a process-wide lock, so call it once — at
+    module initialisation or when a call site is created — and keep the
+    key. *)
+
+val key_name : key -> string
+(** The name a key was interned from. *)
+
 (** {2 Recording}
 
     Series are named by convention ["layer.event"], e.g.
@@ -38,23 +55,24 @@ val enabled : t -> bool
     springs into existence on first use. All recording operations are
     no-ops on the disabled registry. *)
 
-val incr : t -> string -> unit
+val incr : t -> key -> unit
 (** Add 1 to a counter. *)
 
-val add : t -> string -> int -> unit
-(** Add an arbitrary amount to a counter. *)
+val add : t -> key -> int -> unit
+(** Add an arbitrary amount to a counter. Adding 0 still creates the
+    series. *)
 
-val count : t -> string -> int
+val count : t -> key -> int
 (** A counter's current value, read live without a {!snapshot} (which
     copies and sorts every series); 0 when the series does not exist or
     the registry is disabled. Callers that want one run's share of a
     shared registry take the difference of two reads. *)
 
-val set_gauge : t -> string -> int -> unit
+val set_gauge : t -> key -> int -> unit
 (** Set a gauge's current value; the registry also retains the maximum
     ever set (high-water mark). *)
 
-val observe : t -> string -> float -> unit
+val observe : t -> key -> float -> unit
 (** Record one sample into a histogram series. *)
 
 (** {2 Snapshots} *)

@@ -32,8 +32,11 @@ val enabled : t -> bool
 
 (** {1 Attribution} *)
 
-val op_begin : t -> string -> unit
-(** Open a frame for site [label] on the current simulated thread. *)
+val op_begin : t -> Metrics.key -> unit
+(** Open a frame for the site named by the key on the current simulated
+    thread. A site's histogram keys are built once, when the profiler
+    first sees it; a span pair allocates only the three samples it
+    observes. *)
 
 val op_end : t -> unit
 (** Close the innermost frame: accumulate into the site registry and

@@ -4,6 +4,12 @@ module Sched = Lfrc_sched.Sched
 module Metrics = Lfrc_obs.Metrics
 module Lineage = Lfrc_obs.Lineage
 
+let k_advances = Metrics.key "epoch.advances"
+let k_freed = Metrics.key "epoch.freed"
+let k_limbo_depth = Metrics.key "epoch.limbo_depth"
+let k_retires = Metrics.key "epoch.retires"
+let k_epoch_evict = Metrics.key "lfrc.epoch_evict"
+
 type slot_state = {
   active : Cell.t; (* 0 = quiescent, 1 = pinned *)
   epoch : Cell.t; (* epoch observed at pin *)
@@ -96,7 +102,7 @@ let try_advance t =
       t.slots
   in
   let advanced = ok && Cell.cas t.global e (e + 1) in
-  if advanced then Metrics.incr t.metrics "epoch.advances";
+  if advanced then Metrics.incr t.metrics k_advances;
   advanced
 
 (* Free this slot's limbo objects retired at least two epochs ago. *)
@@ -110,7 +116,7 @@ let reap t s =
       if g < safe_before then begin
         Heap.free t.heap p;
         Atomic.incr t.freed;
-        Metrics.incr t.metrics "epoch.freed"
+        Metrics.incr t.metrics k_freed
       end
       else begin
         keep := (g, p) :: !keep;
@@ -119,7 +125,7 @@ let reap t s =
     sl.limbo;
   sl.limbo <- !keep;
   sl.limbo_len <- !kept;
-  Metrics.set_gauge t.metrics "epoch.limbo_depth" !kept
+  Metrics.set_gauge t.metrics k_limbo_depth !kept
 
 let bump_max t n =
   let rec go () =
@@ -135,9 +141,9 @@ let retire t s p =
   sl.limbo <- (e, p) :: sl.limbo;
   sl.limbo_len <- sl.limbo_len + 1;
   bump_max t sl.limbo_len;
-  Metrics.incr t.metrics "epoch.retires";
+  Metrics.incr t.metrics k_retires;
   Lineage.record t.lineage ~addr:p Lineage.Retire;
-  Metrics.set_gauge t.metrics "epoch.limbo_depth" sl.limbo_len;
+  Metrics.set_gauge t.metrics k_limbo_depth sl.limbo_len;
   sl.retire_count <- sl.retire_count + 1;
   if sl.retire_count mod t.advance_every = 0 then ignore (try_advance t);
   reap t s
@@ -171,7 +177,7 @@ let flush t =
       if g < safe_before then begin
         Heap.free t.heap p;
         Atomic.incr t.freed;
-        Metrics.incr t.metrics "epoch.freed"
+        Metrics.incr t.metrics k_freed
       end
       else begin
         Mutex.lock t.lock;
@@ -201,7 +207,7 @@ let adopt t ~crashed =
         sl.in_use <- false;
         sl.owner <- -1;
         incr evicted;
-        Metrics.incr t.metrics "lfrc.epoch_evict"
+        Metrics.incr t.metrics k_epoch_evict
       end)
     t.slots;
   Mutex.unlock t.lock;

@@ -4,6 +4,12 @@ module Sched = Lfrc_sched.Sched
 module Metrics = Lfrc_obs.Metrics
 module Lineage = Lfrc_obs.Lineage
 
+let k_scans = Metrics.key "hazard.scans"
+let k_freed = Metrics.key "hazard.freed"
+let k_retires = Metrics.key "hazard.retires"
+let k_retired_depth = Metrics.key "hazard.retired_depth"
+let k_hazard_evict = Metrics.key "lfrc.hazard_evict"
+
 type slot_state = {
   hazards : Cell.t array;
   mutable retired : Heap.ptr list;
@@ -88,7 +94,7 @@ let clear t s =
 
 (* Scan: free every retired object no hazard protects. *)
 let scan t s =
-  Metrics.incr t.metrics "hazard.scans";
+  Metrics.incr t.metrics k_scans;
   let protected_set = Hashtbl.create 64 in
   Array.iter
     (fun sl ->
@@ -115,7 +121,7 @@ let scan t s =
       else begin
         Heap.free t.heap p;
         Atomic.incr t.freed;
-        Metrics.incr t.metrics "hazard.freed"
+        Metrics.incr t.metrics k_freed
       end)
     (sl.retired @ adopted);
   sl.retired <- !keep;
@@ -133,9 +139,9 @@ let retire t s p =
   sl.retired <- p :: sl.retired;
   sl.retired_len <- sl.retired_len + 1;
   bump_max t sl.retired_len;
-  Metrics.incr t.metrics "hazard.retires";
+  Metrics.incr t.metrics k_retires;
   Lineage.record t.lineage ~addr:p Lineage.Retire;
-  Metrics.set_gauge t.metrics "hazard.retired_depth" sl.retired_len;
+  Metrics.set_gauge t.metrics k_retired_depth sl.retired_len;
   if sl.retired_len >= t.scan_threshold then scan t s
 
 let unregister t s =
@@ -172,7 +178,7 @@ let adopt t ~crashed =
         sl.owner <- -1;
         incr evicted;
         rescan := i;
-        Metrics.incr t.metrics "lfrc.hazard_evict"
+        Metrics.incr t.metrics k_hazard_evict
       end)
     t.slots;
   Mutex.unlock t.lock;

@@ -3,6 +3,9 @@ module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
 
+let k_freelist_len = Metrics.key "valois.freelist_len"
+let k_recycled = Metrics.key "valois.recycled"
+
 let name = "treiber-valois"
 
 let null = Heap.null
@@ -51,7 +54,7 @@ let park t p =
   t.flist_len <- t.flist_len + 1;
   let len = t.flist_len in
   Mutex.unlock t.flist_lock;
-  Metrics.set_gauge (Lfrc_core.Env.metrics t.env) "valois.freelist_len" len
+  Metrics.set_gauge (Lfrc_core.Env.metrics t.env) k_freelist_len len
 
 (* Release one count; a node dying releases its next pointer in turn and
    parks on the free-list (never Heap.free: type-stable memory). *)
@@ -110,8 +113,8 @@ let alloc_node t =
   match reused with
   | Some p ->
       let m = Lfrc_core.Env.metrics t.env in
-      Metrics.incr m "valois.recycled";
-      Metrics.set_gauge m "valois.freelist_len" len;
+      Metrics.incr m k_recycled;
+      Metrics.set_gauge m k_freelist_len len;
       ignore (add_to_rc t p 1);
       Dcas.write (d t) (Heap.ptr_cell t.heap p 0) null;
       Dcas.write (d t) (Heap.val_cell t.heap p 0) 0;

@@ -17,11 +17,17 @@ let kind_name = function
   | Use_after_retire -> "use-after-retire"
   | Aba -> "aba"
 
+let k_races = Metrics.key "san.races"
+let k_uaf = Metrics.key "san.uaf"
+let k_uar = Metrics.key "san.uar"
+let k_aba_harmful = Metrics.key "san.aba_harmful"
+let k_aba = Metrics.key "san.aba"
+
 let kind_counter = function
-  | Race -> "san.races"
-  | Use_after_free -> "san.uaf"
-  | Use_after_retire -> "san.uar"
-  | Aba -> "san.aba_harmful"
+  | Race -> k_races
+  | Use_after_free -> k_uaf
+  | Use_after_retire -> k_uar
+  | Aba -> k_aba_harmful
 
 type access = {
   a_tid : int;
@@ -395,7 +401,7 @@ let aba_check st ~cell_id cs ~old_v access =
     match Hashtbl.find_opt cs.aba_reads access.a_tid with
     | Some (v, ver, gen) when v = old_v && ver < cs.aba_version ->
         st.aba_all <- st.aba_all + 1;
-        Metrics.incr st.metrics "san.aba";
+        Metrics.incr st.metrics k_aba;
         bump_site st access.a_site;
         Hashtbl.remove cs.aba_reads access.a_tid;
         if old_v > 0 && gen_of st old_v <> gen then

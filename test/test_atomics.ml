@@ -96,7 +96,7 @@ let test_counters () =
   ignore (Dcas.dcas d c0 c1 ~old0:2 ~old1:0 ~new0:3 ~new1:1);
   ignore (Dcas.dcas d c0 c1 ~old0:2 ~old1:0 ~new0:3 ~new1:1);
   (* fails *)
-  let count = Metrics.count metrics in
+  let count name = Metrics.count metrics (Metrics.key name) in
   checki "reads" 1 (count "dcas.reads");
   checki "writes" 1 (count "dcas.writes");
   checki "cas attempts" 2 (count "dcas.cas_attempts");

@@ -50,14 +50,14 @@ let test_known_winner_blamed () =
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
          let winner =
            Sched.spawn (fun () ->
-               Blame.op_begin blame "winner.write";
+               Blame.op_begin blame (Metrics.key "winner.write");
                Dcas.write d cell 42;
                Blame.op_end blame)
          in
          Sched.join [ winner ];
          let victim =
            Sched.spawn (fun () ->
-               Blame.op_begin blame "victim.cas";
+               Blame.op_begin blame (Metrics.key "victim.cas");
                checkb "stale cas fails" false (Dcas.cas d cell 0 7);
                Blame.op_end blame)
          in
@@ -84,12 +84,28 @@ let test_winning_cas_not_charged () =
   Env.observe_dcas ~blame d;
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
-         Blame.op_begin blame "solo.cas";
+         Blame.op_begin blame (Metrics.key "solo.cas");
          checkb "cas wins" true (Dcas.cas d cell 0 1);
          checkb "cas wins again" true (Dcas.cas d cell 1 2);
          Blame.op_end blame));
   checki "no wasted attempts" 0 (Blame.total_wasted blame);
   checki "no pairs" 0 (List.length (Blame.rows blame))
+
+(* A stamp is updated in place: re-stamping a cell, inside an open span,
+   allocates nothing. *)
+let test_stamp_allocates_nothing () =
+  let blame = Blame.create () in
+  Blame.op_begin blame (Metrics.key "stamp.site");
+  Blame.stamp blame Blame.Cas 7;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    Blame.stamp blame Blame.Cas 7
+  done;
+  let per_op = (Gc.minor_words () -. before) /. Float.of_int n in
+  Blame.op_end blame;
+  Alcotest.(check (float 0.)) "stamp words/op" 0. per_op;
+  checki "nothing pending" 0 (Blame.pending blame)
 
 (* --- determinism --- *)
 
@@ -108,8 +124,8 @@ let test_deterministic_aggregates () =
 
 (* The substrate's failures as its observer counted them. *)
 let dcas_failures metrics =
-  Metrics.count metrics "dcas.cas_failures"
-  + Metrics.count metrics "dcas.dcas_failures"
+  Metrics.count metrics (Metrics.key "dcas.cas_failures")
+  + Metrics.count metrics (Metrics.key "dcas.dcas_failures")
 
 let test_totals_match_dcas_counters () =
   let blame = Blame.create () and metrics = Metrics.create () in
@@ -373,6 +389,11 @@ let () =
             test_winning_cas_not_charged;
           Alcotest.test_case "totals tie out vs dcas counters" `Quick
             test_totals_match_dcas_counters;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "stamp in place" `Quick
+            test_stamp_allocates_nothing;
         ] );
       ( "determinism",
         [

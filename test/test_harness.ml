@@ -159,6 +159,21 @@ let test_counts_independent_of_metrics () =
         (id ^ " cells") (rows id true) (rows id false))
     [ "E2"; "E5" ]
 
+(* Every experiment threads the config's profiler through its
+   environments, E11's chaos cells included: its contention table has
+   rows. *)
+let test_e11_profiles () =
+  match Experiments.find "E11" with
+  | None -> Alcotest.fail "E11 missing"
+  | Some e ->
+      let cfg =
+        { Scenario.default_config with threads = 2; ops_per_thread = 5;
+          profile = true }
+      in
+      let r = e.Experiments.run cfg in
+      checkb "profiled sites" true
+        (Lfrc_obs.Profile.rows r.Lfrc_harness.Common.profile <> [])
+
 let () =
   Alcotest.run "harness"
     [
@@ -183,5 +198,6 @@ let () =
           Alcotest.test_case "E7 end to end" `Quick test_e7_runs_quickly;
           Alcotest.test_case "E2/E5 counts without metrics" `Quick
             test_counts_independent_of_metrics;
+          Alcotest.test_case "E11 profiles" `Quick test_e11_profiles;
         ] );
     ]

@@ -15,9 +15,12 @@ let checkb = Alcotest.(check bool)
 
 let node = Layout.make ~name:"node" ~n_ptrs:2 ~n_vals:1
 
-let fresh ?policy name =
+let fresh ?policy ?metrics ?profile ?blame name =
   let heap = Heap.create ~name () in
-  let env = Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?policy heap in
+  let env =
+    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?policy ?metrics
+      ?profile ?blame heap
+  in
   (env, heap)
 
 let rc env p = Cell.get (Heap.rc_cell (Env.heap env) p)
@@ -498,34 +501,86 @@ let prop_chain_destroy_total =
 
 (* --- Allocation budgets --- *)
 
+(* Minor words per call of [op], over 10,000 calls; fails past [limit]. *)
+let budget name limit op =
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  let words = (Gc.minor_words () -. before) /. Float.of_int n in
+  if words > limit then
+    Alcotest.failf "%s: %.2f words per op (budget %.0f)" name words limit
+
+(* Eager load, store and cas, outside the simulator, each within its
+   budget of minor words per call. *)
+let op_budgets ?metrics ?profile ?blame (load, store, cas) =
+  let env, heap = fresh ?metrics ?profile ?blame "budget" in
+  let cell = Heap.root heap () in
+  Lfrc.store_alloc env ~dst:cell (Lfrc.alloc env node);
+  let local = ref Heap.null in
+  Lfrc.load env ~src:cell ~dest:local;
+  budget "load" load (fun () -> Lfrc.load env ~src:cell ~dest:local);
+  budget "store" store (fun () -> Lfrc.store env ~dst:cell !local);
+  budget "cas" cas (fun () ->
+      ignore (Lfrc.cas env cell ~old_ptr:!local ~new_ptr:!local));
+  (env, local)
+
 (* Outside the simulator, with observability off, an eager Figure-2
    operation builds no closure and no box: what is left is the registry
    entries the crash auditor needs. *)
 let test_obs_off_op_budgets () =
-  let env, heap = fresh "budget" in
-  let cell = Heap.root heap () in
-  Lfrc.store_alloc env ~dst:cell (Lfrc.alloc env node);
-  let local = ref Heap.null and tmp = ref Heap.null in
-  Lfrc.load env ~src:cell ~dest:local;
-  let n = 10_000 in
-  let budget name limit op =
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      op ()
-    done;
-    let words = (Gc.minor_words () -. before) /. Float.of_int n in
-    if words > limit then
-      Alcotest.failf "%s: %.2f words per op (budget %.0f)" name words limit
-  in
-  budget "load" 9. (fun () -> Lfrc.load env ~src:cell ~dest:local);
-  budget "store" 15. (fun () -> Lfrc.store env ~dst:cell !local);
-  budget "cas" 15. (fun () ->
-      ignore (Lfrc.cas env cell ~old_ptr:!local ~new_ptr:!local));
+  let env, local = op_budgets (9., 15., 15.) in
+  let tmp = ref Heap.null in
   budget "copy+destroy" 15. (fun () ->
       Lfrc.copy env ~dest:tmp !local;
       Lfrc.destroy env !tmp;
       tmp := Heap.null);
   checki "counts unchanged" 2 (rc env !local)
+
+(* With metrics on, an op's counters are atomic slots: it adds to the
+   obs-off cost only its boxed retry-burst sample. *)
+let test_metrics_op_budgets () =
+  ignore (op_budgets ~metrics:(Lfrc_obs.Metrics.create ()) (8., 16., 16.))
+
+(* With the full bundle on, every op also runs in a span: the body's
+   closure, the profiler's three histogram samples, and the blame stamps
+   on the cells it writes. *)
+let test_obs_bundle_op_budgets () =
+  let metrics = Lfrc_obs.Metrics.create () in
+  ignore
+    (op_budgets ~metrics
+       ~profile:(Lfrc_obs.Profile.create ~metrics ())
+       ~blame:(Lfrc_obs.Blame.create ()) (64., 72., 72.))
+
+(* A span closes on the exceptional path too: an allocation that fails
+   with [Simulated_oom] inside [Lfrc.alloc]'s span leaves no open
+   profiler or blame frame behind. *)
+let test_span_closes_on_raise () =
+  let heap = Heap.create ~name:"span-raise" () in
+  let metrics = Lfrc_obs.Metrics.create () in
+  let profile = Lfrc_obs.Profile.create ~metrics ()
+  and blame = Lfrc_obs.Blame.create () in
+  let env =
+    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ~metrics ~profile
+      ~blame heap
+  in
+  let p = Lfrc.alloc env node in
+  Heap.set_alloc_hook heap (Some (fun () -> true));
+  (match Lfrc.alloc env node with
+  | _ -> Alcotest.fail "the hook should fail the allocation"
+  | exception Heap.Simulated_oom -> ());
+  Heap.set_alloc_hook heap None;
+  checki "no open blame frame" 0 (Lfrc_obs.Blame.pending blame);
+  Alcotest.(check string)
+    "no open profiler frame" "(unattributed)"
+    (Lfrc_obs.Profile.current_site profile);
+  let calls =
+    List.find (fun r -> r.Lfrc_obs.Profile.r_site = "lfrc.alloc")
+      (Lfrc_obs.Profile.rows profile)
+  in
+  checki "both allocs closed their frames" 2 calls.Lfrc_obs.Profile.r_calls;
+  Lfrc.destroy env p
 
 let () =
   Alcotest.run "lfrc"
@@ -572,6 +627,12 @@ let () =
         [
           Alcotest.test_case "obs-off op budgets" `Quick
             test_obs_off_op_budgets;
+          Alcotest.test_case "metrics op budgets" `Quick
+            test_metrics_op_budgets;
+          Alcotest.test_case "obs bundle op budgets" `Quick
+            test_obs_bundle_op_budgets;
+          Alcotest.test_case "span closes on raise" `Quick
+            test_span_closes_on_raise;
         ] );
       ( "properties",
         [

@@ -28,10 +28,10 @@ let close eps a b =
 let test_counter_exact () =
   let m = Metrics.create () in
   for _ = 1 to 3 do
-    Metrics.incr m "a.x"
+    Metrics.incr m (Metrics.key "a.x")
   done;
-  Metrics.add m "a.x" 5;
-  Metrics.incr m "b.y";
+  Metrics.add m (Metrics.key "a.x") 5;
+  Metrics.incr m (Metrics.key "b.y");
   let s = Metrics.snapshot m in
   checki "a.x" 8 (Metrics.counter_value s "a.x");
   checki "b.y" 1 (Metrics.counter_value s "b.y");
@@ -39,29 +39,29 @@ let test_counter_exact () =
 
 let test_gauge_high_water () =
   let m = Metrics.create () in
-  Metrics.set_gauge m "g" 5;
-  Metrics.set_gauge m "g" 2;
+  Metrics.set_gauge m (Metrics.key "g") 5;
+  Metrics.set_gauge m (Metrics.key "g") 2;
   let s = Metrics.snapshot m in
   checkb "last 2, max 5" true (Metrics.gauge_value s "g" = Some (2, 5))
 
 let test_disabled_records_nothing () =
   let m = Metrics.disabled in
   checkb "not enabled" false (Metrics.enabled m);
-  Metrics.incr m "a";
-  Metrics.add m "a" 10;
-  Metrics.set_gauge m "g" 1;
-  Metrics.observe m "h" 1.0;
+  Metrics.incr m (Metrics.key "a");
+  Metrics.add m (Metrics.key "a") 10;
+  Metrics.set_gauge m (Metrics.key "g") 1;
+  Metrics.observe m (Metrics.key "h") 1.0;
   checkb "snapshot empty" true (Metrics.is_empty (Metrics.snapshot m))
 
 let test_merge () =
   let m1 = Metrics.create () and m2 = Metrics.create () in
-  Metrics.add m1 "c" 3;
-  Metrics.add m2 "c" 4;
-  Metrics.add m2 "only2" 1;
-  Metrics.set_gauge m1 "g" 7;
-  Metrics.set_gauge m2 "g" 2;
-  Metrics.observe m1 "h" 1.0;
-  Metrics.observe m2 "h" 3.0;
+  Metrics.add m1 (Metrics.key "c") 3;
+  Metrics.add m2 (Metrics.key "c") 4;
+  Metrics.add m2 (Metrics.key "only2") 1;
+  Metrics.set_gauge m1 (Metrics.key "g") 7;
+  Metrics.set_gauge m2 (Metrics.key "g") 2;
+  Metrics.observe m1 (Metrics.key "h") 1.0;
+  Metrics.observe m2 (Metrics.key "h") 3.0;
   let s = Metrics.merge (Metrics.snapshot m1) (Metrics.snapshot m2) in
   checki "counters add" 7 (Metrics.counter_value s "c");
   checki "disjoint kept" 1 (Metrics.counter_value s "only2");
@@ -88,9 +88,9 @@ let test_quantile_sanity () =
 
 let test_metrics_json_shape () =
   let m = Metrics.create () in
-  Metrics.incr m "dcas.reads";
-  Metrics.set_gauge m "heap.live" 3;
-  Metrics.observe m "pause" 2.5;
+  Metrics.incr m (Metrics.key "dcas.reads");
+  Metrics.set_gauge m (Metrics.key "heap.live") 3;
+  Metrics.observe m (Metrics.key "pause") 2.5;
   let j = Metrics.to_json (Metrics.snapshot m) in
   List.iter
     (fun frag ->
@@ -105,6 +105,102 @@ let test_metrics_json_shape () =
       "\"histograms\"";
       "\"p50\"";
     ]
+
+(* --- interned keys --- *)
+
+let test_key_interning () =
+  let k = Metrics.key "keys.same" in
+  checkb "same name, same key" true (k = Metrics.key "keys.same");
+  checkb "other name, other key" true (k <> Metrics.key "keys.other");
+  Alcotest.(check string) "name round-trips" "keys.same" (Metrics.key_name k);
+  let m1 = Metrics.create () and m2 = Metrics.create () in
+  Metrics.incr m1 k;
+  Metrics.add m2 (Metrics.key "keys.same") 2;
+  checki "first registry" 1
+    (Metrics.counter_value (Metrics.snapshot m1) "keys.same");
+  checki "second registry" 2
+    (Metrics.counter_value (Metrics.snapshot m2) "keys.same")
+
+let test_zero_add_present () =
+  let m = Metrics.create () in
+  Metrics.add m (Metrics.key "keys.zero") 0;
+  checkb "series present" true
+    (List.mem ("keys.zero", 0) (Metrics.snapshot m).Metrics.counters);
+  checki "live read" 0 (Metrics.count m (Metrics.key "keys.zero"))
+
+let test_reset_drops_series () =
+  let m = Metrics.create () in
+  let k = Metrics.key "keys.reset" in
+  Metrics.add m k 3;
+  Metrics.set_gauge m k 4;
+  Metrics.observe m k 5.0;
+  Metrics.reset m;
+  checkb "snapshot empty" true (Metrics.is_empty (Metrics.snapshot m));
+  checki "live read" 0 (Metrics.count m k);
+  Metrics.incr m k;
+  checki "counts again from zero" 1
+    (Metrics.counter_value (Metrics.snapshot m) "keys.reset")
+
+(* Small integer samples are kept as counts, the rest as values; a
+   snapshot returns exactly the samples observed, sorted. *)
+let test_histogram_keeps_samples () =
+  let m = Metrics.create () in
+  let k = Metrics.key "keys.hist" in
+  let xs =
+    [ 3.; 0.; 2.5; 3.; 5000.; -1.; 0.; 1e9; 4095.; 4096.; 7.; 0.25 ]
+  in
+  List.iter (Metrics.observe m k) xs;
+  match List.assoc_opt "keys.hist" (Metrics.snapshot m).Metrics.samples with
+  | Some got ->
+      Alcotest.(check (list (float 0.)))
+        "sorted samples" (List.sort compare xs) (Array.to_list got)
+  | None -> Alcotest.fail "histogram missing"
+
+(* Two domains bump one shared key; midway each interns and bumps fresh
+   keys past the registry's current slots, so the slot array grows while
+   the other domain is adding. No add may be lost. *)
+let test_counters_exact_across_domains () =
+  let m = Metrics.create () in
+  let shared = Metrics.key "keys.shared" in
+  let n = 100_000 and fresh = 200 in
+  let worker d () =
+    for i = 1 to n do
+      Metrics.incr m shared;
+      if i = n / 2 then
+        for j = 1 to fresh do
+          Metrics.incr m (Metrics.key (Printf.sprintf "keys.d%d.%d" d j))
+        done
+    done
+  in
+  let other = Domain.spawn (worker 1) in
+  worker 0 ();
+  Domain.join other;
+  let s = Metrics.snapshot m in
+  checki "shared total exact" (2 * n) (Metrics.counter_value s "keys.shared");
+  checki "live read agrees" (2 * n) (Metrics.count m shared);
+  for d = 0 to 1 do
+    for j = 1 to fresh do
+      checki "fresh key counted once" 1
+        (Metrics.counter_value s (Printf.sprintf "keys.d%d.%d" d j))
+    done
+  done
+
+(* An enabled registry's counters are atomic slots: bumping one
+   allocates nothing. *)
+let test_counter_allocates_nothing () =
+  let m = Metrics.create () in
+  let k = Metrics.key "keys.alloc" in
+  Metrics.incr m k;
+  let words f =
+    let n = 10_000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. Float.of_int n
+  in
+  Alcotest.(check (float 0.)) "incr words/op" 0. (words (fun () -> Metrics.incr m k));
+  Alcotest.(check (float 0.)) "add words/op" 0. (words (fun () -> Metrics.add m k 3))
 
 (* --- wiring: a scripted single-threaded LFRC sequence has exact counts --- *)
 
@@ -245,6 +341,19 @@ let () =
           Alcotest.test_case "merge" `Quick test_merge;
           Alcotest.test_case "quantiles" `Quick test_quantile_sanity;
           Alcotest.test_case "json shape" `Quick test_metrics_json_shape;
+          Alcotest.test_case "key interning" `Quick test_key_interning;
+          Alcotest.test_case "zero add present" `Quick test_zero_add_present;
+          Alcotest.test_case "reset drops series" `Quick
+            test_reset_drops_series;
+          Alcotest.test_case "histogram keeps samples" `Quick
+            test_histogram_keeps_samples;
+          Alcotest.test_case "exact across domains" `Quick
+            test_counters_exact_across_domains;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "counter incr and add" `Quick
+            test_counter_allocates_nothing;
         ] );
       ( "wiring",
         [
