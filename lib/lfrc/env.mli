@@ -229,8 +229,8 @@ val deferred_pending : t -> int
     From the moment a destroy commits to dropping a reference until the
     object is freed (or parked in the deferred queue), that reference is
     held only in the destroying thread's OCaml locals — invisible to the
-    heap. The destroy registry republishes such objects (keyed by
-    simulated thread id), and {!register_locals} does the same for a
+    heap. The destroy registry republishes such objects (one stack per
+    simulated thread's slot), and {!register_locals} does the same for a
     thread's local pointer variables, so the post-mortem fault auditor can
     attribute a crashed thread's leaks to its lost references instead of
     flagging them as unaccounted.
@@ -247,8 +247,8 @@ val begin_destroy : t -> int -> unit
     reference to this object while tearing it down. *)
 
 val end_destroy : t -> int -> unit
-(** The object has been freed (or handed to the deferred queue); drop it
-    from the current thread's registry entry. *)
+(** The object has been freed (or handed to the deferred queue); drop
+    the current thread's newest registry entry for it. *)
 
 val destroying_now : t -> int list
 (** All registered in-flight destroys, across threads (auditing aid). *)
@@ -256,25 +256,29 @@ val destroying_now : t -> int list
 val adopt_destroying : t -> tids:int list -> int list
 (** Surrender and clear the destroy-registry entries of the given
     (crashed) threads. Each entry is one distinct committed-but-unfinished
-    drop; duplicates are multiple pending drops and are all returned. *)
+    drop; duplicates are multiple pending drops and are all returned.
+    Entries come newest first per thread, the last-listed thread's
+    first; ids without a thread slot are skipped. *)
 
-val begin_publish : ?weight:int -> t -> int -> unit
+val begin_publish : t -> weight:int -> int -> unit
 (** Record a speculative count increment the current thread has made ahead
     of a publishing CAS (store/cas/dcas raise the new pointer's count
-    first). [weight] (default 1) is the size of the increment — wait-free
-    mode publishes whole weight batches — and is what a recovery pass
-    must compensate. No-op on null. *)
+    first). [weight] is the size of the increment — 1, or a whole weight
+    batch in wait-free mode — and is what a recovery pass must
+    compensate. No-op on null. *)
 
 val end_publish : t -> int -> unit
 (** The publication resolved — the CAS landed, or the compensating destroy
-    is about to be registered; drop one occurrence. No-op on null. *)
+    is about to be registered; drop the newest occurrence. No-op on
+    null. *)
 
 val publishing_now : t -> int list
 (** All pending publications, across threads (auditing aid). *)
 
 val adopt_publications : t -> tids:int list -> (int * int) list
 (** Surrender and clear the pending publications of the given (crashed)
-    threads, one [(addr, weight)] entry per uncompensated increment. *)
+    threads, one [(addr, weight)] entry per uncompensated increment, in
+    {!adopt_destroying}'s order. *)
 
 type local_frame
 

@@ -9,27 +9,40 @@ type local = Heap.ptr ref
    frames would change what the tracing collectors and invariant checkers
    see) exists for the fault auditor: when a simulated thread crashes, its
    registered locals are the "lost references" that account for any
-   objects it leaks. *)
-type ctx = {
-  ctx_env : Env.t;
-  locals : local list ref;
-  frame : Env.local_frame;
-}
+   objects it leaks. A context's locals are an array stack, newest on
+   top: declaring and retiring one allocates nothing but the local.
+   Structures often retire an older local before a newer one, so a
+   retire leaves [vacant] in place instead of shifting the newer locals
+   down (each shift would be a write barrier), and vacant entries leave
+   from the top. *)
+type locals = { mutable items : local array; mutable len : int }
+
+type ctx = { ctx_env : Env.t; locals : locals; frame : Env.local_frame }
+
+(* Marks retired and unused entries. Never handed out or written
+   through. *)
+let vacant : local = ref Heap.null
+
+(* The locals' pointers, newest first; [take] also nulls each local. *)
+let pointers ls ~take =
+  let acc = ref [] in
+  for i = 0 to ls.len - 1 do
+    let l = ls.items.(i) in
+    if l != vacant then begin
+      acc := !l :: !acc;
+      if take then l := Heap.null
+    end
+  done;
+  !acc
 
 let make_ctx env =
-  let locals = ref [] in
+  let locals = { items = [||]; len = 0 } in
+  (* [take] surrenders the locals to an adopter: read and clear in one
+     atomic step so the references change owner exactly once. *)
   let frame =
     Env.register_locals env
-      ~view:(fun () -> List.map ( ! ) !locals)
-      ~take:(fun () ->
-        (* Surrender the locals to an adopter: read and clear in one
-           atomic step so the references change owner exactly once. *)
-        List.map
-          (fun l ->
-            let v = !l in
-            l := Heap.null;
-            v)
-          !locals)
+      ~view:(fun () -> pointers locals ~take:false)
+      ~take:(fun () -> pointers locals ~take:true)
   in
   { ctx_env = env; locals; frame }
 
@@ -44,16 +57,49 @@ let flush ctx = ignore (Lfrc.flush ctx.ctx_env)
 
 let env ctx = ctx.ctx_env
 
+(* A full stack first drops its vacant entries, keeping the order, and
+   doubles only if that leaves it more than half full. *)
+let make_room ls =
+  let live = ref 0 in
+  for i = 0 to ls.len - 1 do
+    let l = ls.items.(i) in
+    if l != vacant then begin
+      ls.items.(!live) <- l;
+      incr live
+    end
+  done;
+  Array.fill ls.items !live (ls.len - !live) vacant;
+  ls.len <- !live;
+  if 2 * ls.len >= Array.length ls.items then begin
+    let bigger = Array.make (max 8 (2 * Array.length ls.items)) vacant in
+    Array.blit ls.items 0 bigger 0 ls.len;
+    ls.items <- bigger
+  end
+
 let declare ctx =
   let l = ref Heap.null in
-  ctx.locals := l :: !(ctx.locals);
+  let ls = ctx.locals in
+  if ls.len = Array.length ls.items then make_room ls;
+  ls.items.(ls.len) <- l;
+  ls.len <- ls.len + 1;
   l
 
-(* Unlink [local] by physical equality — each local is listed once —
-   copying only the newer locals in front of it. *)
-let rec unlink local = function
-  | [] -> []
-  | l :: rest -> if l == local then rest else l :: unlink local rest
+let rec find_local ls local i =
+  if i < 0 || ls.items.(i) == local then i else find_local ls local (i - 1)
+
+let rec pop_vacant ls =
+  if ls.len > 0 && ls.items.(ls.len - 1) == vacant then begin
+    ls.len <- ls.len - 1;
+    pop_vacant ls
+  end
+
+(* Unlink [local] by physical equality — each local is listed once. *)
+let unlink ls local =
+  let i = find_local ls local (ls.len - 1) in
+  if i >= 0 then begin
+    ls.items.(i) <- vacant;
+    pop_vacant ls
+  end
 
 let retire ctx local =
   (* Take the reference out of the frame first: clearing the local is
@@ -63,7 +109,7 @@ let retire ctx local =
      there would make an adopter drop it a second time. *)
   let p = !local in
   local := Heap.null;
-  ctx.locals := unlink local !(ctx.locals);
+  unlink ctx.locals local;
   Lfrc.destroy ctx.ctx_env p
 
 let get local = !local

@@ -1,7 +1,8 @@
 (** Deferred-rc coalescing ({!Env.Deferred_rc}): count adjustments park
     in per-thread buffers, netted in place, and a flush applies each
-    address's net delta with one CAS. Zero-detect happens only in the
-    flush. DESIGN.md §12 carries the invariant argument. *)
+    address's net delta with one CAS, larger nets first and ties in
+    ascending address order. Zero-detect happens only in the flush.
+    DESIGN.md §12 carries the invariant argument. *)
 
 type t
 

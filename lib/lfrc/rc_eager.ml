@@ -46,7 +46,7 @@ let loaded () env ~src:_ a ~old_rc =
    record land together. *)
 let publish () env p =
   ignore (add_to_rc env p 1);
-  E.begin_publish env p
+  E.begin_publish env ~weight:1 p
 
 let acquire_copy () env p =
   if p <> Heap.null then publish () env p;

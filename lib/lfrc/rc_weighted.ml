@@ -5,13 +5,14 @@
    weight in [slots], keyed by cell id (absent = 1); entries are removed in
    the same atomic step that nulls or overwrites the slot, so recycled
    cell ids never inherit stale weight. Each thread's locals pool theirs
-   in its pouch [pools]: addr -> (w, n), n covered refs sharing w pooled
-   weight, w >= n — the side-table stand-in for the weight bits a real
-   implementation packs into each local pointer word (untracked refs carry
-   implicit weight 1). Count adjustments are single [Dcas.fetch_add]s — no
-   retry loop anywhere on the rc path — and most copies/destroys move
-   weight between carriers without touching the count at all. The
-   Figure-2 DCAS survives only as [load]'s fallback on an exhausted slot.
+   in its pouch [pools]: addr -> (w, n), packed in one int, n covered
+   refs sharing w pooled weight, w >= n — the side-table stand-in for the
+   weight bits a real implementation packs into each local pointer word
+   (untracked refs carry implicit weight 1). Count adjustments are
+   single [Dcas.fetch_add]s — no retry loop anywhere on the rc path — and
+   most copies/destroys move weight between carriers without touching
+   the count at all. The Figure-2 DCAS survives only as [load]'s
+   fallback on an exhausted slot.
    The weight invariant, fallback conditions and crash-recovery adoption
    are argued in DESIGN.md §17.
 
@@ -38,10 +39,24 @@ let k_weight_absorb = Metrics.key "lfrc.weight_absorb"
 let k_weight_release = Metrics.key "lfrc.weight_release"
 let k_adopt_weight = Metrics.key "lfrc.adopt_weight"
 
+module Int_table = Lfrc_util.Int_table
+
+(* A pouch entry packs (w, n) into one int, n in the low [n_bits] and w
+   above, so adding two packed entries adds both fields (n never carries
+   into w). Every live entry has n >= 1, so no live entry packs to 0, the
+   table's "absent". The split bounds one thread's pouch entry to fewer
+   than 2^24 covered references and 2^38 units of weight. *)
+let n_bits = 24
+let pack w n = (w lsl n_bits) lor n
+let pouch_w p = p asr n_bits
+let pouch_n p = p land ((1 lsl n_bits) - 1)
+
 type t = {
   weight : int;  (* the batch minted per refill or publication *)
-  pools : (int, (int, int * int) Hashtbl.t) Hashtbl.t;
-  slots : (int, int) Hashtbl.t;
+  pools : Int_table.t E.Per_thread.t;  (* per thread: addr -> packed (w, n) *)
+  (* cell id -> carried weight - 1, so an untracked slot (weight 1) is
+     absent *)
+  slots : Int_table.t;
   lock : Mutex.t;
 }
 
@@ -50,174 +65,132 @@ type state = t
 let create ~weight =
   {
     weight = max 2 weight;
-    pools = Hashtbl.create 8;
-    slots = Hashtbl.create 64;
+    pools = E.Per_thread.create (fun () -> Int_table.create 16);
+    slots = Int_table.create 0;
     lock = Mutex.create ();
   }
 
 let weight t = t.weight
 
-let pool_of t tid =
-  match Hashtbl.find_opt t.pools tid with
-  | Some p -> p
-  | None ->
-      let p = Hashtbl.create 16 in
-      Hashtbl.add t.pools tid p;
-      p
-
 let pool_add t ~addr ~w ~n =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let pool = pool_of t tid in
-  (match Hashtbl.find_opt pool addr with
-  | Some (w0, n0) -> Hashtbl.replace pool addr (w0 + w, n0 + n)
-  | None -> Hashtbl.add pool addr (w, n));
+  Int_table.add (E.Per_thread.get t.pools slot) addr (pack w n);
   Mutex.unlock t.lock
 
 let pool_try_share t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let ok =
-    match Hashtbl.find_opt (pool_of t tid) addr with
-    | Some (w, n) when w > n ->
-        Hashtbl.replace (pool_of t tid) addr (w, n + 1);
-        true
-    | _ -> false
-  in
+  let pool = E.Per_thread.get t.pools slot in
+  let p = Int_table.find pool addr in
+  let ok = pouch_w p > pouch_n p in
+  if ok then Int_table.add pool addr 1;
   Mutex.unlock t.lock;
   ok
 
 let pool_try_drop_shared t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let ok =
-    match Hashtbl.find_opt (pool_of t tid) addr with
-    | Some (w, n) when n > 1 ->
-        Hashtbl.replace (pool_of t tid) addr (w, n - 1);
-        true
-    | _ -> false
-  in
+  let pool = E.Per_thread.get t.pools slot in
+  let ok = pouch_n (Int_table.find pool addr) > 1 in
+  if ok then Int_table.add pool addr (-1);
   Mutex.unlock t.lock;
   ok
 
 let pool_weight t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let w =
-    match Hashtbl.find_opt (pool_of t tid) addr with
-    | Some (w, _) -> w
-    | None -> 1
-  in
+  let p = Int_table.find (E.Per_thread.get t.pools slot) addr in
   Mutex.unlock t.lock;
-  w
+  if p = 0 then 1 else pouch_w p
 
 let pool_remove t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  Hashtbl.remove (pool_of t tid) addr;
+  ignore (Int_table.take (E.Per_thread.get t.pools slot) addr);
   Mutex.unlock t.lock
 
 let pool_give t ~addr ~w =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let ok =
-    match Hashtbl.find_opt (pool_of t tid) addr with
-    | Some (w0, n0) ->
-        Hashtbl.replace (pool_of t tid) addr (w0 + w, n0);
-        true
-    | None -> false
-  in
+  let pool = E.Per_thread.get t.pools slot in
+  let ok = Int_table.mem pool addr in
+  if ok then Int_table.add pool addr (pack w 0);
   Mutex.unlock t.lock;
   ok
 
 let pool_take_for_transfer t ~addr =
-  let tid = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let pool = pool_of t tid in
+  let pool = E.Per_thread.get t.pools slot in
+  let p = Int_table.find pool addr in
   let w =
-    match Hashtbl.find_opt pool addr with
-    | Some (w, 1) ->
-        Hashtbl.remove pool addr;
-        w
-    | Some (w, n) ->
-        (* Other covered refs keep their pooled weight; the transferred
-           reference leaves with the minimum (w >= n keeps every
-           remaining ref covered). *)
-        Hashtbl.replace pool addr (w - 1, n - 1);
-        1
-    | None -> 1
+    if p = 0 then 1
+    else if pouch_n p = 1 then begin
+      ignore (Int_table.take pool addr);
+      pouch_w p
+    end
+    else begin
+      (* Other covered refs keep their pooled weight; the transferred
+         reference leaves with the minimum (w >= n keeps every remaining
+         ref covered). *)
+      Int_table.add pool addr (-(pack 1 1));
+      1
+    end
   in
   Mutex.unlock t.lock;
   w
 
 let slot_take t ~cell =
-  let id = Cell.id cell in
   Mutex.lock t.lock;
-  let w =
-    match Hashtbl.find_opt t.slots id with
-    | Some w ->
-        Hashtbl.remove t.slots id;
-        w
-    | None -> 1
-  in
+  let w = 1 + Int_table.take t.slots (Cell.id cell) in
   Mutex.unlock t.lock;
   w
 
 let slot_set t ~cell ~w =
-  let id = Cell.id cell in
   Mutex.lock t.lock;
-  if w = 1 then Hashtbl.remove t.slots id else Hashtbl.replace t.slots id w;
+  Int_table.set t.slots (Cell.id cell) (w - 1);
   Mutex.unlock t.lock
 
 let slot_give t ~cell ~w =
-  let id = Cell.id cell in
   Mutex.lock t.lock;
-  let w0 = match Hashtbl.find_opt t.slots id with Some w0 -> w0 | None -> 1 in
-  Hashtbl.replace t.slots id (w0 + w);
+  Int_table.add t.slots (Cell.id cell) w;
   Mutex.unlock t.lock
 
 let slot_try_borrow t ~cell =
   let id = Cell.id cell in
   Mutex.lock t.lock;
-  let ok =
-    match Hashtbl.find_opt t.slots id with
-    | Some w when w >= 2 ->
-        if w - 1 = 1 then Hashtbl.remove t.slots id
-        else Hashtbl.replace t.slots id (w - 1);
-        true
-    | _ -> false
-  in
+  let ok = Int_table.find t.slots id >= 1 in
+  if ok then Int_table.add t.slots id (-1);
   Mutex.unlock t.lock;
   ok
 
 let pooled t =
   Mutex.lock t.lock;
   let addrs =
-    Hashtbl.fold
-      (fun _tid pool acc -> Hashtbl.fold (fun addr _ acc -> addr :: acc) pool acc)
-      t.pools []
+    Array.fold_left
+      (fun acc pool -> Int_table.keys pool @ acc)
+      [] (E.Per_thread.made t.pools)
   in
   Mutex.unlock t.lock;
   addrs
 
 let adopt_pools t ~tids =
   let me = Lfrc_sched.Sched.tid () in
+  let slot = E.Per_thread.slot () in
   Mutex.lock t.lock;
-  let mine = pool_of t me in
+  let mine = E.Per_thread.get t.pools slot in
   let merged = ref 0 in
   List.iter
     (fun tid ->
       if tid <> me then
-        match Hashtbl.find_opt t.pools tid with
+        match E.Per_thread.of_tid t.pools tid with
         | Some pool ->
-            Hashtbl.iter
-              (fun addr (w, n) ->
-                incr merged;
-                match Hashtbl.find_opt mine addr with
-                | Some (w0, n0) -> Hashtbl.replace mine addr (w0 + w, n0 + n)
-                | None -> Hashtbl.add mine addr (w, n))
-              pool;
-            Hashtbl.remove t.pools tid
+            for i = 0 to Int_table.length pool - 1 do
+              Int_table.add mine (Int_table.key pool i) (Int_table.value pool i)
+            done;
+            merged := !merged + Int_table.length pool;
+            Int_table.clear pool
         | None -> ())
     tids;
   Mutex.unlock t.lock;
@@ -268,7 +241,7 @@ let loaded t env ~src a ~old_rc =
 let publish t env p =
   let prev = Dcas.fetch_add (E.dcas env) (bind_rc env p) t.weight in
   (* Atomic with the add: the speculative batch is never unanchored. *)
-  E.begin_publish ~weight:t.weight env p;
+  E.begin_publish env ~weight:t.weight p;
   Metrics.incr (E.metrics env) k_weight_pub;
   Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:prev ~delta:t.weight ()
 

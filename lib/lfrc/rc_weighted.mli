@@ -17,10 +17,11 @@ include Env_base.DELIVERY with type env = Env_base.t and type state = t
 (** {2 Weight tables}
 
     Each thread's {e pouch} maps addr -> (pooled weight [w], covered refs
-    [n]), invariant [w >= n >= 1]; a reference with no entry carries
-    implicit weight 1. Slots map a heap pointer cell to the weight it
-    carries (absent = 1). Every operation is mutex-only — atomic under
-    the simulator. *)
+    [n]), invariant [w >= n >= 1], packed in one int: one entry covers
+    fewer than 2^24 references and holds less than 2^38 weight. A
+    reference with no entry carries implicit weight 1. Slots map a heap
+    pointer cell to the weight it carries (absent = 1). Every operation
+    is mutex-only — atomic under the simulator. *)
 
 val pool_add : t -> addr:int -> w:int -> n:int -> unit
 (** Merge [w] weight covering [n] more references into the calling

@@ -61,6 +61,97 @@ let test_flush_on_zero () =
   checkb "buffers empty after flush" true (Env.in_transit env = []);
   Lfrc_simmem.Report.assert_no_leaks heap
 
+(* --- flush order: the schedule of every deferred run depends on it ---
+
+   A flush lands larger nets first, so a count dips toward zero only once
+   its pending increments are in, and breaks ties in ascending address
+   order, whatever order the deltas were parked in. A [Dcas] observer
+   records the landed CASes; the order must be exactly that, one CAS per
+   address with a nonzero net. *)
+
+module D = Lfrc_core.Rc_deferred
+
+(* [n] objects with count 10 each, so no net below -9 frees one. *)
+let order_fixture name n =
+  let heap = Heap.create ~name () in
+  let env = Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step heap in
+  let objs = Array.init n (fun _ -> Lfrc.alloc env layout) in
+  Array.iter (fun p -> Lfrc_simmem.Cell.set (Heap.rc_cell heap p) 10) objs;
+  (env, heap, objs)
+
+(* Flush [d] and return the landed CASes as (net, address), in order. *)
+let flush_log d env heap objs =
+  let addr_of_cell = Hashtbl.create 64 in
+  Array.iter
+    (fun p ->
+      Hashtbl.add addr_of_cell (Lfrc_simmem.Cell.id (Heap.rc_cell heap p)) p)
+    objs;
+  let landed = ref [] in
+  let ignore2 _ _ = () in
+  Lfrc_atomics.Dcas.set_observer (Env.dcas env)
+    (Some
+       {
+         Lfrc_atomics.Dcas.on_read = ignore2;
+         on_write = ignore2;
+         on_rmw = ignore;
+         on_cas =
+           (fun c ~old_v ~new_v ~ok ->
+             if ok then
+               landed :=
+                 ( new_v - old_v,
+                   Hashtbl.find addr_of_cell (Lfrc_simmem.Cell.id c) )
+                 :: !landed);
+         on_dcas = (fun _ _ ~old0:_ ~old1:_ ~new0:_ ~new1:_ ~ok:_ -> ());
+         on_spurious_cas = ignore;
+         on_spurious_dcas = ignore;
+       });
+  checki "nothing dies" 0 (D.flush d env);
+  checkb "nothing left parked" true (D.anchors d = []);
+  List.rev !landed
+
+let test_flush_order () =
+  let env, heap, objs = order_fixture "deferred-order" 6 in
+  let addr i = objs.(i - 1) in
+  let d = D.create ~epoch:1_000_000 in
+  List.iter
+    (fun (i, delta) -> ignore (D.park d ~addr:(addr i) ~delta))
+    [ (5, 1); (2, 1); (6, -1); (1, -1); (5, 1); (4, 1); (1, -1); (3, -1);
+      (1, -1); (3, 1); (3, -1); (2, 1); (2, -1) ];
+  Alcotest.(check (list (pair int int)))
+    "larger nets first, then ascending address"
+    [ (2, addr 5); (1, addr 2); (1, addr 4); (-1, addr 3); (-1, addr 6);
+      (-3, addr 1) ]
+    (flush_log d env heap objs);
+  List.iter
+    (fun (i, rc) ->
+      checki "count moved by its net" rc
+        (Lfrc_simmem.Cell.get (Heap.rc_cell heap (addr i))))
+    [ (1, 7); (2, 11); (3, 9); (4, 11); (5, 12); (6, 9) ]
+
+(* A round larger than the sort's gap table: 4,000 addresses, nets from
+   -3 to +3, parked in a scrambled order. *)
+let test_flush_order_large_round () =
+  let n = 4000 in
+  let env, heap, objs = order_fixture "deferred-order-large" n in
+  let net i = (i * 5 mod 7) - 3 in
+  let d = D.create ~epoch:1_000_000 in
+  for k = 0 to n - 1 do
+    let i = k * 1103 mod n in
+    for _ = 1 to abs (net i) do
+      ignore (D.park d ~addr:objs.(i) ~delta:(compare (net i) 0))
+    done
+  done;
+  let order = flush_log d env heap objs in
+  checki "one CAS per nonzero net"
+    (List.length (List.filter (fun i -> net i <> 0) (List.init n Fun.id)))
+    (List.length order);
+  checkb "larger nets first, then ascending address" true
+    (order
+    = List.sort
+        (fun (v1, a1) (v2, a2) ->
+          if v1 <> v2 then compare v2 v1 else compare a1 a2)
+        order)
+
 (* --- transitive frees: a flush that zeroes a parent parks the
    children's decrements and keeps flushing until everything settles --- *)
 
@@ -270,6 +361,9 @@ let () =
           Alcotest.test_case "cascading frees" `Quick test_flush_frees_chain;
           Alcotest.test_case "epoch overflow forces flush" `Quick
             test_epoch_overflow_forces_flush;
+          Alcotest.test_case "flush order" `Quick test_flush_order;
+          Alcotest.test_case "flush order, large round" `Quick
+            test_flush_order_large_round;
         ] );
       ( "chaos",
         [

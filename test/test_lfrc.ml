@@ -15,11 +15,11 @@ let checkb = Alcotest.(check bool)
 
 let node = Layout.make ~name:"node" ~n_ptrs:2 ~n_vals:1
 
-let fresh ?policy ?metrics ?profile ?blame name =
+let fresh ?policy ?rc_mode ?metrics ?profile ?blame name =
   let heap = Heap.create ~name () in
   let env =
-    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?policy ?metrics
-      ?profile ?blame heap
+    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?policy ?rc_mode
+      ?metrics ?profile ?blame heap
   in
   (env, heap)
 
@@ -501,21 +501,24 @@ let prop_chain_destroy_total =
 
 (* --- Allocation budgets --- *)
 
-(* Minor words per call of [op], over 10,000 calls; fails past [limit]. *)
+(* Minor words per call of [op], over 10,000 calls after one untimed
+   call (which may create the calling thread's tables); fails past
+   [limit]. *)
 let budget name limit op =
   let n = 10_000 in
+  op ();
   let before = Gc.minor_words () in
   for _ = 1 to n do
     op ()
   done;
   let words = (Gc.minor_words () -. before) /. Float.of_int n in
   if words > limit then
-    Alcotest.failf "%s: %.2f words per op (budget %.0f)" name words limit
+    Alcotest.failf "%s: %.4f words per op (budget %.0f)" name words limit
 
-(* Eager load, store and cas, outside the simulator, each within its
-   budget of minor words per call. *)
-let op_budgets ?metrics ?profile ?blame (load, store, cas) =
-  let env, heap = fresh ?metrics ?profile ?blame "budget" in
+(* Load, store and cas, outside the simulator, each within its budget of
+   minor words per call. *)
+let op_budgets ?rc_mode ?metrics ?profile ?blame (load, store, cas) =
+  let env, heap = fresh ?rc_mode ?metrics ?profile ?blame "budget" in
   let cell = Heap.root heap () in
   Lfrc.store_alloc env ~dst:cell (Lfrc.alloc env node);
   let local = ref Heap.null in
@@ -526,17 +529,46 @@ let op_budgets ?metrics ?profile ?blame (load, store, cas) =
       ignore (Lfrc.cas env cell ~old_ptr:!local ~new_ptr:!local));
   (env, local)
 
-(* Outside the simulator, with observability off, an eager Figure-2
-   operation builds no closure and no box: what is left is the registry
-   entries the crash auditor needs. *)
-let test_obs_off_op_budgets () =
-  let env, local = op_budgets (9., 15., 15.) in
+(* The four obs-off rows in one count-delivery mode: load, store, cas,
+   and copy + destroy of a second local. *)
+let mode_budgets ?rc_mode words =
+  let env, local = op_budgets ?rc_mode (words, words, words) in
   let tmp = ref Heap.null in
-  budget "copy+destroy" 15. (fun () ->
+  budget "copy+destroy" words (fun () ->
       Lfrc.copy env ~dest:tmp !local;
       Lfrc.destroy env !tmp;
       tmp := Heap.null);
+  (env, local)
+
+(* Outside the simulator, with observability off, an eager Figure-2
+   operation allocates nothing: no closure, no box, and no registry
+   cell, since the crash registries are int stacks grown once. *)
+let test_obs_off_op_budgets () =
+  let env, local = mode_budgets 0. in
   checki "counts unchanged" 2 (rc env !local)
+
+(* Deferred rc parks into a per-thread table grown once; the budget
+   also covers the flush every 64 parks, amortized. *)
+let test_deferred_op_budgets () =
+  let env, local =
+    mode_budgets ~rc_mode:(Env.Deferred_rc { epoch = 64 }) 4.
+  in
+  Env.settle env;
+  checki "counts settle" 2 (rc env !local)
+
+(* Wait-free counts move weight between per-thread tables grown once
+   and issue single fetch-adds: nothing allocates. *)
+let test_wait_free_op_budgets () =
+  ignore (mode_budgets ~rc_mode:(Env.Wait_free { weight = 64 }) 0.)
+
+(* A context's locals are an array stack: declare + retire allocates
+   only the local's own ref. *)
+let test_locals_budget () =
+  let env, _ = fresh "budget-locals" in
+  let ctx = Lfrc_core.Lfrc_ops.make_ctx env in
+  budget "declare+retire" 2. (fun () ->
+      Lfrc_core.Lfrc_ops.retire ctx (Lfrc_core.Lfrc_ops.declare ctx));
+  Lfrc_core.Lfrc_ops.dispose_ctx ctx
 
 (* With metrics on, an op's counters are atomic slots: it adds to the
    obs-off cost only its boxed retry-burst sample. *)
@@ -627,6 +659,12 @@ let () =
         [
           Alcotest.test_case "obs-off op budgets" `Quick
             test_obs_off_op_budgets;
+          Alcotest.test_case "deferred op budgets" `Quick
+            test_deferred_op_budgets;
+          Alcotest.test_case "wait-free op budgets" `Quick
+            test_wait_free_op_budgets;
+          Alcotest.test_case "locals declare+retire budget" `Quick
+            test_locals_budget;
           Alcotest.test_case "metrics op budgets" `Quick
             test_metrics_op_budgets;
           Alcotest.test_case "obs bundle op budgets" `Quick

@@ -193,6 +193,79 @@ let test_multi_crash_recovers () =
       checki "recovery saw both owners" 2 (List.length rep.Recovery.crashed)
   | None -> Alcotest.fail "no recovery report"
 
+(* --- the crash registries hand entries back in a fixed order ---
+
+   Each thread's destroy and publication entries are a stack: an end
+   removes the newest matching entry, and adoption returns entries newest
+   first, the last-listed thread first — the order recovery's
+   compensating destroys run in, so it is part of every crashed
+   schedule. *)
+
+let test_registry_order () =
+  let heap = Heap.create ~name:"registry-order" () in
+  let env = Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step heap in
+  let t1 = ref (-1) and t2 = ref (-1) in
+  ignore
+    (Sched.run Strategy.Round_robin (fun () ->
+         t1 :=
+           Sched.spawn (fun () ->
+               List.iter (Env.begin_destroy env) [ 5; 7; 5; 9 ];
+               Env.end_destroy env 5;
+               Env.begin_publish env ~weight:1 10;
+               Env.begin_publish env ~weight:64 11;
+               Env.begin_publish env ~weight:1 10;
+               Env.end_publish env 10);
+         t2 :=
+           Sched.spawn (fun () ->
+               Env.begin_destroy env 3;
+               Env.begin_destroy env 4;
+               Env.begin_publish env ~weight:2 12);
+         Sched.join [ !t1; !t2 ]));
+  let ints = Alcotest.(list int) in
+  Alcotest.check ints "destroys in flight" [ 4; 3; 9; 7; 5 ]
+    (Env.destroying_now env);
+  Alcotest.check ints "publications in flight" [ 12; 11; 10 ]
+    (Env.publishing_now env);
+  (* Ids without a slot are skipped. *)
+  Alcotest.check ints "adopted destroys" [ 4; 3; 9; 7; 5 ]
+    (Env.adopt_destroying env ~tids:[ !t1; 99; !t2; -7 ]);
+  Alcotest.check
+    Alcotest.(list (pair int int))
+    "adopted publications"
+    [ (12, 2); (11, 64); (10, 1) ]
+    (Env.adopt_publications env ~tids:[ !t1; !t2 ]);
+  Alcotest.check ints "adoption clears" []
+    (Env.adopt_destroying env ~tids:[ !t1; !t2 ]
+    @ List.map fst (Env.adopt_publications env ~tids:[ !t1; !t2 ]))
+
+(* A context's registered locals surrender newest first, whichever order
+   they were retired in: recovery adopts them in that order. *)
+let test_locals_order () =
+  let module O = Lfrc_core.Lfrc_ops in
+  let env =
+    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
+      (Heap.create ~name:"locals-order" ())
+  in
+  let ctx = O.make_ctx env in
+  let ls = List.init 12 (fun _ -> O.declare ctx) in
+  let node = Lfrc_simmem.Layout.make ~name:"local" ~n_ptrs:1 ~n_vals:0 in
+  List.iter (O.alloc ctx node) ls;
+  let ptrs = List.map O.get ls in
+  let retired i = i mod 3 = 1 in
+  List.iteri (fun i l -> if retired i then O.retire ctx l) ls;
+  (* Enough further locals to make the stack drop its holes and grow. *)
+  let extra = List.init 20 (fun _ -> O.declare ctx) in
+  List.iter (O.retire ctx) (List.rev extra);
+  let kept = List.filteri (fun i _ -> not (retired i)) ptrs in
+  (match Env.adopt_locals env ~tids:[ 0 ] with
+  | [ (0, refs) ] ->
+      Alcotest.(check (list int)) "newest first" (List.rev kept) refs
+  | _ -> Alcotest.fail "one frame expected");
+  List.iteri
+    (fun i l -> if not (retired i) then checki "surrendered" 0 (O.get l))
+    ls;
+  List.iter (Lfrc_core.Lfrc.destroy env) kept
+
 (* --- a crashed flusher's staged deltas are re-parked, not lost --- *)
 
 let test_crashed_flusher_restaged () =
@@ -340,6 +413,10 @@ let () =
         ] );
       ( "machinery",
         [
+          Alcotest.test_case "registries adopt newest first" `Quick
+            test_registry_order;
+          Alcotest.test_case "locals adopt newest first" `Quick
+            test_locals_order;
           Alcotest.test_case "crashed flusher restaged" `Quick
             test_crashed_flusher_restaged;
           Alcotest.test_case "crashed epoch pin evicted" `Quick
