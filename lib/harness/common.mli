@@ -93,10 +93,11 @@ val value_stream : seed:int -> thread:int -> int -> int
 
 (** {2 Structure workloads}
 
-    Multi-threaded mixed-op drivers over the three LFRC structures,
-    shared by E11's chaos matrix and the CLI's [stats]/[trace] commands.
-    Each must run inside {!Lfrc_sched.Sched.run}; pushes are the fallible
-    [try_*] forms with [`Out_of_memory] treated as a skipped op. *)
+    Multi-threaded mixed-op drivers over four LFRC structures, shared by
+    E11's chaos matrix and the CLI's workload commands. Each must run
+    inside {!Lfrc_sched.Sched.run} ({!run_workload} does that); pushes
+    are the fallible [try_*] forms with [`Out_of_memory] treated as a
+    skipped op. *)
 
 val generic_deque_workload :
   (module Lfrc_structures.Deque_intf.DEQUE) ->
@@ -126,3 +127,19 @@ val workloads :
   list
 (** The workloads keyed by structure name (["treiber"], ["msqueue"],
     ["snark-fixed"], ["sundell"]). *)
+
+val run_workload :
+  ?rc_mode:Lfrc_core.Env.rc_mode ->
+  ?metrics:Lfrc_obs.Metrics.t ->
+  ?tracer:Lfrc_obs.Tracer.t ->
+  ?profile:Lfrc_obs.Profile.t ->
+  ?blame:Lfrc_obs.Blame.t ->
+  workers:int ->
+  ops_per_worker:int ->
+  seed:int ->
+  (workers:int -> ops_per_worker:int -> seed:int -> Lfrc_core.Env.t -> unit) ->
+  unit
+(** Run one of {!workloads} on a fresh heap over [Atomic_step], under
+    the [Random seed] schedule: the run behind the CLI's [stats],
+    [trace], [profile] and [blame] commands. The optional layers and
+    [rc_mode] default as in {!Lfrc_core.Env.create}. *)

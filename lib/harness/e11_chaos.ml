@@ -182,7 +182,7 @@ let run (cfg : Scenario.config) =
             (fun seed ->
               let r =
                 run_one ~workers ~ops_per_worker
-                  ~rc_mode:(Scenario.rc_mode_of cfg)
+                  ~rc_mode:cfg.Scenario.rc_mode
                   ~metrics ~profile ~blame ~structure ~fault ~seed ()
               in
               injected := !injected + r.Chaos.injected;
@@ -207,7 +207,7 @@ let run (cfg : Scenario.config) =
               | Chaos.Completed { crashed = _ :: _; _ } ->
                   let rr =
                     run_one ~workers ~ops_per_worker
-                      ~rc_mode:(Scenario.rc_mode_of cfg)
+                      ~rc_mode:cfg.Scenario.rc_mode
                       ~recover:true ~metrics ~profile ~blame ~structure ~fault
                       ~seed ()
                   in

@@ -82,13 +82,13 @@ let leg ~iters ~raw env =
 let run (cfg : Scenario.config) =
   let iters = cfg.Scenario.iters in
   let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
-  let cfg_mode = Scenario.rc_mode_of cfg in
   (* The leg matching the configured mode feeds the shared metrics
      registry; the other two use private throwaway registries so the
      run's aggregate stays pure to the configured mode. *)
   let run_leg rc_mode name =
     let m =
-      if rc_mode = cfg_mode then metrics else Lfrc_obs.Metrics.create ()
+      if rc_mode = cfg.Scenario.rc_mode then metrics
+      else Lfrc_obs.Metrics.create ()
     in
     let env =
       Common.fresh_env ~dcas_impl:Dcas.Atomic_step ~rc_mode ~metrics:m ~tracer

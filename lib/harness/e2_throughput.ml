@@ -78,7 +78,7 @@ let run (cfg : Scenario.config) =
         (fun threads ->
           let steps, fail, gcs =
             run_one impl ~gc
-              ~rc_mode:(Scenario.rc_mode_of cfg)
+              ~rc_mode:cfg.Scenario.rc_mode
               ~threads ~ops_per_thread ~seed:cfg.Scenario.seed ~metrics ~tracer
               ~profile ~blame
           in
@@ -92,7 +92,7 @@ let run (cfg : Scenario.config) =
      count under deferred-rc and wait-free (the base rows above are the
      eager leg when the config is default). These rows use a private
      throwaway metrics registry so the shared aggregate — which
-     bench/main's deferred-rc and wait-free headlines compare across
+     test_harness's deferred-rc and wait-free headlines compare across
      whole-config runs — stays pure to the configured mode. *)
   let top_threads =
     List.fold_left max 1 (thread_counts cfg.Scenario.threads)

@@ -88,8 +88,6 @@ let run_and_print ?(config = Scenario.default_config) ?(csv = false) e =
   print_result ~id:e.id ~csv r;
   print_newline ()
 
-let run_all ?config () = List.iter (fun e -> run_and_print ?config e) all
-
 let run_ids ?config ?csv ids =
   let selected =
     List.filter_map

@@ -1,5 +1,6 @@
 (** The experiment registry: every table in EXPERIMENTS.md is regenerated
-    by one entry here. Used by [bin/lfrc_cli.exe] and [bench/main.exe].
+    by one entry here, through [lfrc_cli experiments]; [test/golden] pins
+    the counters of every entry but E6 and E10 at a small config.
 
     Every experiment runs under a shared {!Scenario.config}; alongside its
     table it returns the {!Lfrc_obs.Metrics} snapshot gathered from the
@@ -17,13 +18,8 @@ val all : experiment list
 val find : string -> experiment option
 (** Case-insensitive lookup by id. *)
 
-val run_and_print : ?config:Scenario.config -> ?csv:bool -> experiment -> unit
-(** Run one experiment and print its table (aligned, or CSV), followed by
-    the metrics JSON block when the snapshot is non-empty. [config]
-    defaults to {!Scenario.default_config}. *)
-
-val run_all : ?config:Scenario.config -> unit -> unit
-
 val run_ids : ?config:Scenario.config -> ?csv:bool -> string list -> bool
-(** Resolve each id with {!find} (reporting unknown ids on stderr), run
-    and print the rest; [false] when any id was unknown. *)
+(** Resolve each id with {!find} (reporting unknown ids on stderr), then
+    run the rest and print each table (aligned, or CSV), followed by the
+    metrics JSON block when the snapshot is non-empty; [false] when any
+    id was unknown. [config] defaults to {!Scenario.default_config}. *)

@@ -37,37 +37,29 @@ type config = {
           invalidated it ({!Lfrc_obs.Blame}); blame-aware experiments
           (E2, E5, E11) then carry an interference report (CLI
           [--blame]) *)
-  deferred_rc : bool;
-      (** run LFRC environments in deferred-rc coalescing mode
-          ({!Lfrc_core.Env.Deferred_rc} with [epoch = deferred_rc_epoch]):
-          count adjustments park in per-thread buffers and flush as
-          netted CASes (CLI [--deferred-rc]) *)
-  wait_free_rc : bool;
-      (** run LFRC environments in wait-free weighted-rc mode
-          ({!Lfrc_core.Env.Wait_free} with [weight = wait_free_weight]):
-          count adjustments are single fetch-adds over split weights
-          (CLI [--wait-free-rc]); wins over [deferred_rc] when both are
-          set *)
+  rc_mode : Lfrc_core.Env.rc_mode;
+      (** the count-delivery mode the experiments' LFRC environments
+          run in (E1's legs and E2's ablation rows cover all three
+          anyway); the CLI's [--deferred-rc] selects [Deferred_rc
+          {epoch = deferred_rc_epoch}] and [--wait-free-rc] [Wait_free
+          {weight = wait_free_weight}] *)
 }
 
 val deferred_rc_epoch : int
-(** The parked-adjustment budget every harness user applies when
-    [deferred_rc] is on (64). *)
+(** The parked-adjustment budget every harness user applies in
+    deferred-rc mode (64). *)
 
 val wait_free_weight : int
-(** The weight batch every harness user mints per fetch-add when
-    [wait_free_rc] is on (64). *)
+(** The weight batch every harness user mints per fetch-add in
+    wait-free mode (64). *)
 
-val rc_mode_of : config -> Lfrc_core.Env.rc_mode
-(** The environment mode the flags select: [Wait_free
-    {weight = wait_free_weight}] when [wait_free_rc] is set (it wins
-    over [deferred_rc]), else [Deferred_rc {epoch = deferred_rc_epoch}]
-    when [deferred_rc] is set, else [Eager]. *)
+val rc_mode_label : Lfrc_core.Env.rc_mode -> string
+(** The mode as a trace's [rc_mode] metadata names it: ["eager"],
+    ["deferred-rc(E)"] or ["wait-free(W)"], with the epoch or weight. *)
 
 val default_config : config
 (** threads 8, 1500 ops/thread, 200k iters, seed 11, no fault override,
-    metrics on, tracing off, profiling off, blame off, eager
-    (non-deferred, non-wait-free) rc. *)
+    metrics on, tracing off, profiling off, blame off, eager rc. *)
 
 type op = Push_left of int | Push_right of int | Pop_left | Pop_right
 

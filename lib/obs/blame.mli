@@ -72,7 +72,7 @@ val pending : t -> int
 (** Open frames + open chains across all threads (0 after clean runs and
     after {!adopt}). *)
 
-(** {2 Aggregate access (tests, bench JSON)} *)
+(** {2 Aggregate access (tests, the CLI's reports and JSON)} *)
 
 type row = {
   b_victim : string;

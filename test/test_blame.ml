@@ -1,8 +1,9 @@
 (* Tests for contention blame attribution: exact victim->culprit charging
    under the deterministic scheduler, determinism of the aggregates,
    interaction with deferred-rc coalescing and crash adoption, the
-   metrics counter-identity guarantee, and the bench --compare gating
-   policy (including the report-only grace for new histogram keys). *)
+   metrics counter-identity guarantee, and coverage of the CLI's
+   workloads: every workload in every rc mode names pairs, and on the
+   snark-fixed deque the named pairs explain rc contention. *)
 
 module Sched = Lfrc_sched.Sched
 module Strategy = Lfrc_sched.Strategy
@@ -15,25 +16,19 @@ module Tracer = Lfrc_obs.Tracer
 module Profile = Lfrc_obs.Profile
 module Blame = Lfrc_obs.Blame
 module Obs = Lfrc_obs.Obs
-module Json = Lfrc_util.Json
-module Bc = Lfrc_harness.Bench_compare
+module Common = Lfrc_harness.Common
+module Scenario = Lfrc_harness.Scenario
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
-let treiber = List.assoc "treiber" Lfrc_harness.Common.workloads
+let treiber = List.assoc "treiber" Common.workloads
 
 (* One contended stack run with blame attached; fresh heap and env. *)
-let run_treiber ?(blame = Blame.disabled) ?(metrics = Metrics.disabled)
-    ?rc_mode ?(workers = 4) ?(ops = 200) ~seed () =
-  let heap = Heap.create ~name:"blame-test" () in
-  let env =
-    Env.create ~dcas_impl:Dcas.Atomic_step ?rc_mode ~metrics ~blame heap
-  in
-  ignore
-    (Sched.run ~max_steps:100_000_000 (Strategy.Random seed) (fun () ->
-         treiber ~workers ~ops_per_worker:ops ~seed env));
-  env
+let run_treiber ?blame ?metrics ?rc_mode ?(workers = 4) ?(ops = 200) ~seed
+    () =
+  Common.run_workload ?rc_mode ?metrics ?blame ~workers ~ops_per_worker:ops
+    ~seed treiber
 
 (* --- exact attribution --- *)
 
@@ -112,7 +107,7 @@ let test_stamp_allocates_nothing () =
 let test_deterministic_aggregates () =
   let one () =
     let blame = Blame.create () in
-    ignore (run_treiber ~blame ~seed:5 ());
+    run_treiber ~blame ~seed:5 ();
     (Blame.to_json blame, Blame.matrix blame)
   in
   let j1, m1 = one () and j2, m2 = one () in
@@ -129,7 +124,7 @@ let dcas_failures metrics =
 
 let test_totals_match_dcas_counters () =
   let blame = Blame.create () and metrics = Metrics.create () in
-  ignore (run_treiber ~blame ~metrics ~seed:3 ());
+  run_treiber ~blame ~metrics ~seed:3 ();
   checki "every failed compare charged exactly once" (dcas_failures metrics)
     (Blame.total_wasted blame);
   checkb "rc charges are a subset" true
@@ -150,10 +145,9 @@ let test_deferred_park_not_blamed () =
      CAS actually loses, never at park time. *)
   let blame = Blame.create () in
   let metrics = Metrics.create () in
-  ignore
-    (run_treiber ~blame ~metrics
-       ~rc_mode:(Env.Deferred_rc { epoch = 1_000_000 })
-       ~workers:1 ~seed:2 ());
+  run_treiber ~blame ~metrics
+    ~rc_mode:(Env.Deferred_rc { epoch = 1_000_000 })
+    ~workers:1 ~seed:2 ();
   let s = Metrics.snapshot metrics in
   checkb "deltas parked" true
     (Metrics.counter_value s "lfrc.defer_inc"
@@ -164,11 +158,9 @@ let test_deferred_park_not_blamed () =
 
 let test_deferred_contended_still_ties_out () =
   let blame = Blame.create () and metrics = Metrics.create () in
-  ignore
-    (run_treiber ~blame ~metrics
-       ~rc_mode:
-         (Env.Deferred_rc { epoch = Lfrc_harness.Scenario.deferred_rc_epoch })
-       ~seed:3 ());
+  run_treiber ~blame ~metrics
+    ~rc_mode:(Env.Deferred_rc { epoch = Scenario.deferred_rc_epoch })
+    ~seed:3 ();
   checki "deferred mode: charges still one per failed compare"
     (dcas_failures metrics) (Blame.total_wasted blame)
 
@@ -208,7 +200,7 @@ let test_counter_identity () =
   let snap_with blame_on =
     let metrics = Metrics.create () in
     let blame = if blame_on then Blame.create () else Blame.disabled in
-    ignore (run_treiber ~blame ~metrics ~seed:9 ());
+    run_treiber ~blame ~metrics ~seed:9 ();
     Metrics.to_json (Metrics.snapshot metrics)
   in
   checks "metrics snapshot byte-identical with blame on or off"
@@ -231,130 +223,51 @@ let test_obs_master_switch () =
   checkb "blame opt-in honored" true (Blame.enabled on.Obs.blame);
   checkb "trace stays opt-in" false (Tracer.enabled on.Obs.tracer)
 
-(* --- bench --compare gating policy --- *)
+(* --- the CLI's workloads: every one names pairs in every mode --- *)
 
-let doc s =
-  match Json.parse s with Ok d -> d | Error e -> Alcotest.fail e
+let modes =
+  [
+    ("eager", Env.Eager);
+    ("deferred-rc", Env.Deferred_rc { epoch = Scenario.deferred_rc_epoch });
+    ("wait-free", Env.Wait_free { weight = Scenario.wait_free_weight });
+  ]
 
-let baseline_doc =
-  doc
-    {|{"workloads":[
-        {"structure":"treiber","ops_per_sec":1000.0,
-         "metrics":{"counters":{"dcas.cas_attempts":100},
-                    "histograms":{"op.latency":{"n":50,"mean":1.0,"p99":3.0}}}}]}|}
+(* At 4 workers x 2,000 ops, seed 11, the pair counts (eager, deferred,
+   wait-free) are treiber 16/10/1, msqueue 9/8/1, snark-fixed 45/20/11
+   and sundell 25/11/6. *)
+let test_every_workload_names_pairs () =
+  List.iter
+    (fun (name, workload) ->
+      List.iter
+        (fun (mode, rc_mode) ->
+          let blame = Blame.create () in
+          Common.run_workload ~rc_mode ~blame ~workers:4 ~ops_per_worker:2_000
+            ~seed:11 workload;
+          checkb
+            (Printf.sprintf "%s %s: at least one pair" name mode)
+            true
+            (Blame.rows blame <> []))
+        modes)
+    Common.workloads
 
-let test_compare_new_histogram_report_only () =
-  (* A current run that adds a histogram key (a new instrument) must be
-     reported but not gated — the grace PR 7 gave new workloads and
-     counters, extended to histograms. *)
-  let current =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":990.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100},
-                      "histograms":{"op.latency":{"n":50,"mean":1.1,"p99":3.1},
-                                    "rc.retry_burst":{"n":17,"mean":2.0}}}}]}|}
-  in
-  let v = Bc.diff ~threshold:30.0 ~current ~baseline:baseline_doc in
-  checkb "still passes" true (Bc.ok v);
-  checki "new histogram listed" 1 (List.length v.Bc.hist_new);
-  let wl, key = List.hd v.Bc.hist_new in
-  checks "workload" "treiber" wl;
-  checks "key" "rc.retry_burst" key;
-  checki "no histogram drift" 0 (List.length v.Bc.hist_drift);
-  (* ...and the rendered report names it. *)
-  let r =
-    Bc.render ~threshold:30.0 ~current_file:"cur" ~baseline_file:"base" v
-  in
-  checkb "render mentions the new histogram" true
-    (let a = "rc.retry_burst" in
-     let la = String.length a and ls = String.length r in
-     let rec go i = i + la <= ls && (String.sub r i la = a || go (i + 1)) in
-     go 0)
-
-let test_compare_histogram_n_drift_gates () =
-  (* A matched histogram whose observation count moved >= 5% is behavior
-     drift (the count is deterministic) and must gate. *)
-  let current =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":1000.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100},
-                      "histograms":{"op.latency":{"n":70,"mean":1.0,"p99":3.0}}}}]}|}
-  in
-  let v = Bc.diff ~threshold:30.0 ~current ~baseline:baseline_doc in
-  checkb "gates" false (Bc.ok v);
-  checki "one histogram drift" 1 (List.length v.Bc.hist_drift);
-  let d = List.hd v.Bc.hist_drift in
-  checks "key" "op.latency" d.Bc.key;
-  checkb "pct is +40%" true (Float.abs (d.Bc.pct -. 40.0) < 0.01)
-
-let test_compare_counter_and_ops_policy () =
-  let current =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":600.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100,"lfrc.blame":7},
-                      "histograms":{"op.latency":{"n":50,"mean":1.0,"p99":3.0}}}},
-          {"structure":"msqueue","ops_per_sec":500.0,
-           "metrics":{"counters":{"dcas.cas_attempts":10}}}]}|}
-  in
-  let v = Bc.diff ~threshold:30.0 ~current ~baseline:baseline_doc in
-  checkb "ops/sec -40% gates at 30%" false (Bc.ok v);
-  checki "one regression" 1 (List.length v.Bc.regressions);
-  checki "new counter is report-only" 1 (List.length v.Bc.counter_new);
-  checki "no counter drift" 0 (List.length v.Bc.counter_drift);
-  checkb "new workload is report-only" true
-    (List.exists (fun (r : Bc.row) -> r.Bc.name = "msqueue" && r.Bc.is_new)
-       v.Bc.rows);
-  (* The same diff at a 50% threshold passes. *)
-  let v50 = Bc.diff ~threshold:50.0 ~current ~baseline:baseline_doc in
-  checkb "wider threshold passes" true (Bc.ok v50);
-  (* --explain on the regressed diff names the drifted pair source. *)
-  let e = Bc.explain ~current ~baseline:baseline_doc v in
-  checkb "explain names the regressed workload" true
-    (let a = "treiber" in
-     let la = String.length a and ls = String.length e in
-     let rec go i = i + la <= ls && (String.sub e i la = a || go (i + 1)) in
-     go 0)
-
-let test_compare_vanished_counter_is_zero () =
-  (* Registries only serialize non-zero series, so a mode that newly
-     reports lfrc.rc_retry = 0 simply omits the key. The diff must read
-     the omission as 0 on a matched key — a -100% drift on the baseline
-     value — not as a missing instrument. *)
-  let baseline =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":1000.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100,"lfrc.rc_retry":40}}}]}|}
-  in
-  let current =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":1000.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100}}}]}|}
-  in
-  let v = Bc.diff ~threshold:30.0 ~current ~baseline in
-  checkb "vanished counter gates as drift" false (Bc.ok v);
-  checki "exactly one counter drift" 1 (List.length v.Bc.counter_drift);
-  let d = List.hd v.Bc.counter_drift in
-  checks "key" "lfrc.rc_retry" d.Bc.key;
-  checkb "current side compares as 0" true (d.Bc.cur = 0.);
-  checkb "pct is -100%" true (Float.abs (d.Bc.pct +. 100.0) < 0.01);
-  (* The matched, unchanged counter stays quiet, and nothing lands in the
-     report-only new-counter bucket. *)
-  checki "no new counters" 0 (List.length v.Bc.counter_new);
-  (* Symmetric case: identical docs with an explicit zero on both sides
-     stay green. *)
-  let both_zero =
-    doc
-      {|{"workloads":[
-          {"structure":"treiber","ops_per_sec":1000.0,
-           "metrics":{"counters":{"dcas.cas_attempts":100,"lfrc.rc_retry":0}}}]}|}
-  in
-  let v0 = Bc.diff ~threshold:30.0 ~current ~baseline:both_zero in
-  checkb "zero baseline never gates" true (Bc.ok v0)
+(* On the snark-fixed deque at 4 x 2,000, seed 1 (the CLI's blame
+   --json run), the pairs charged on rc cells must account for at least
+   half of lfrc.rc_retry: the attribution explains rc contention (27,137
+   named against 16,638 retries when this test was written). *)
+let test_pairs_explain_rc_retries () =
+  let blame = Blame.create () and metrics = Metrics.create () in
+  Common.run_workload ~metrics ~blame ~workers:4 ~ops_per_worker:2_000 ~seed:1
+    (List.assoc "snark-fixed" Common.workloads);
+  let rows = Blame.rows blame in
+  let rc_named = List.fold_left (fun n r -> n + r.Blame.b_rc) 0 rows in
+  let retry = Metrics.count metrics (Metrics.key "lfrc.rc_retry") in
+  checkb "pairs named" true (rows <> []);
+  checki "nothing pending" 0 (Blame.pending blame);
+  checkb "the run retried rc updates" true (retry > 0);
+  checkb
+    (Printf.sprintf "rc-named waste %d >= half of rc_retry %d" rc_named retry)
+    true
+    (2 * rc_named >= retry)
 
 (* --- tracer metadata: saved traces are self-describing --- *)
 
@@ -418,16 +331,12 @@ let () =
             test_counter_identity;
           Alcotest.test_case "obs master switch" `Quick test_obs_master_switch;
         ] );
-      ( "bench-compare",
+      ( "workloads",
         [
-          Alcotest.test_case "new histogram is report-only" `Quick
-            test_compare_new_histogram_report_only;
-          Alcotest.test_case "histogram n drift gates" `Quick
-            test_compare_histogram_n_drift_gates;
-          Alcotest.test_case "counter/ops policy" `Quick
-            test_compare_counter_and_ops_policy;
-          Alcotest.test_case "vanished counter compares as 0" `Quick
-            test_compare_vanished_counter_is_zero;
+          Alcotest.test_case "every workload and mode names pairs" `Quick
+            test_every_workload_names_pairs;
+          Alcotest.test_case "pairs explain rc retries" `Quick
+            test_pairs_explain_rc_retries;
         ] );
       ( "tracer-meta",
         [

@@ -339,6 +339,29 @@ let test_figure2_replay_deferred () =
   checkb "deferred mode parked deltas" true !saw_defer;
   checkb "a flush applied netted deltas" true !saw_flush
 
+(* --- coalescing on the CLI's stats run (treiber, 4 x 500, seed 7):
+   rc-CAS traffic collapses against eager, and the heap sees exactly the
+   same allocations and frees --- *)
+
+let test_stats_run_coalesces () =
+  let run rc_mode =
+    let metrics = Metrics.create () in
+    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~workers:4
+      ~ops_per_worker:500 ~seed:7
+      (List.assoc "treiber" Lfrc_harness.Common.workloads);
+    Metrics.snapshot metrics
+  in
+  let e = run Env.Eager
+  and d = run (Env.Deferred_rc { epoch = Scenario.deferred_rc_epoch }) in
+  let c = Metrics.counter_value in
+  let ce = c e "dcas.cas_attempts" and cd = c d "dcas.cas_attempts" in
+  checkb
+    (Printf.sprintf "cas attempts %d < 0.8 x eager %d" cd ce)
+    true
+    (10 * cd < 8 * ce);
+  checki "heap allocs as eager" (c e "heap.allocs") (c d "heap.allocs");
+  checki "heap frees as eager" (c e "heap.frees") (c d "heap.frees")
+
 (* --- the eager paths are untouched: in eager mode the deferred
    counters stay at zero and destroy frees immediately --- *)
 
@@ -369,6 +392,11 @@ let () =
         [
           Alcotest.test_case "audit clean under crash" `Quick
             test_chaos_audit_clean_in_deferred_mode;
+        ] );
+      ( "workload",
+        [
+          Alcotest.test_case "stats run coalesces" `Quick
+            test_stats_run_coalesces;
         ] );
       ( "figure2",
         [

@@ -159,6 +159,41 @@ let test_counts_independent_of_metrics () =
         (id ^ " cells") (rows id true) (rows id false))
     [ "E2"; "E5" ]
 
+(* The rc-mode headlines on E2's deques at 8 threads x 200 ops:
+   deferred-rc cuts the CAS attempts by at least 20% against eager, and
+   wait-free counts never retry, go through fetch-adds, and issue fewer
+   CAS attempts than deferred-rc (339,604 / 122,166 / 98,749 attempts
+   when this test was written). *)
+let test_e2_rc_mode_headlines () =
+  let e2 rc_mode =
+    match Experiments.find "E2" with
+    | None -> Alcotest.fail "E2 missing"
+    | Some e ->
+        (e.Experiments.run
+           { Scenario.default_config with ops_per_thread = 200; rc_mode })
+          .Lfrc_harness.Common.metrics
+  in
+  let c = Lfrc_obs.Metrics.counter_value in
+  let eager = e2 Lfrc_core.Env.Eager
+  and deferred =
+    e2 (Lfrc_core.Env.Deferred_rc { epoch = Scenario.deferred_rc_epoch })
+  and wait_free =
+    e2 (Lfrc_core.Env.Wait_free { weight = Scenario.wait_free_weight })
+  in
+  let attempts s = c s "dcas.cas_attempts" in
+  checkb
+    (Printf.sprintf "deferred %d <= 0.8 x eager %d" (attempts deferred)
+       (attempts eager))
+    true
+    (5 * attempts deferred <= 4 * attempts eager);
+  checki "wait-free rc_retry" 0 (c wait_free "lfrc.rc_retry");
+  checkb "wait-free fetch-adds" true (c wait_free "dcas.rmw" > 0);
+  checkb
+    (Printf.sprintf "wait-free %d < deferred %d" (attempts wait_free)
+       (attempts deferred))
+    true
+    (attempts wait_free < attempts deferred)
+
 (* Every experiment threads the config's profiler through its
    environments, E11's chaos cells included: its contention table has
    rows. *)
@@ -199,5 +234,7 @@ let () =
           Alcotest.test_case "E2/E5 counts without metrics" `Quick
             test_counts_independent_of_metrics;
           Alcotest.test_case "E11 profiles" `Quick test_e11_profiles;
+          Alcotest.test_case "E2 rc-mode headlines" `Quick
+            test_e2_rc_mode_headlines;
         ] );
     ]

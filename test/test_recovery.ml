@@ -144,6 +144,39 @@ let test_matrix_leak_free_all_modes () =
         faults)
     E11.structures
 
+(* --- the adoption pass does adopt: over every structure, crash and
+   multi-crash, seeds 1-3 and all three rc modes, recovered runs adopt
+   counted references, epoch guards and in-flight weight --- *)
+
+let test_recovery_adopts_in_every_mode () =
+  let metrics = Metrics.create () in
+  List.iter
+    (fun structure ->
+      List.iter
+        (fun fault ->
+          if List.mem (E11.fault_name fault) [ "crash"; "multi-crash" ] then
+            List.iter
+              (fun rc_mode ->
+                List.iter
+                  (fun seed ->
+                    ignore
+                      (E11.run_one ~rc_mode ~recover:true ~metrics ~structure
+                         ~fault ~seed ()))
+                  [ 1; 2; 3 ])
+              [
+                Env.Eager;
+                Env.Deferred_rc
+                  { epoch = Lfrc_harness.Scenario.deferred_rc_epoch };
+                Env.Wait_free
+                  { weight = Lfrc_harness.Scenario.wait_free_weight };
+              ])
+        E11.fault_kinds)
+    E11.structures;
+  List.iter
+    (fun key ->
+      checkb (key ^ " > 0") true (Metrics.count metrics (Metrics.key key) > 0))
+    [ "lfrc.adopt_rc"; "lfrc.adopt_guard"; "lfrc.adopt_weight" ]
+
 (* --- multi-crash plans: expressible, replayable, recoverable --- *)
 
 let test_multi_crash_spec_roundtrip () =
@@ -403,6 +436,8 @@ let () =
             test_treiber_deferred_sweep_leak_free;
           Alcotest.test_case "E11 matrix all rc modes" `Quick
             test_matrix_leak_free_all_modes;
+          Alcotest.test_case "adoption counters fire in every mode" `Quick
+            test_recovery_adopts_in_every_mode;
         ] );
       ( "multi-crash",
         [
