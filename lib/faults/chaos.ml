@@ -59,12 +59,12 @@ let run ?(max_steps = 2_000_000) ?(policy = Env.Iterative) ?rc_mode
   let audit, audit_advisory, recovery =
     match status with
     | Completed { crashed; _ } ->
-        (* Crashed threads' pending blame state (open op frames, open
-           retry chains) is adopted into the aggregates, mirroring the
-           recovery pass's orphan adoption — blamed work is never leaked
-           with its thread. *)
-        if crashed <> [] then
-          ignore (Lfrc_obs.Blame.adopt (Env.blame env) ~crashed);
+        (* Crashed threads' open op spans are taken from the
+           environment, and they and the threads' open retry chains are
+           adopted into blame's aggregates, mirroring the recovery pass's
+           orphan adoption — blamed work is never leaked with its
+           thread. *)
+        if crashed <> [] then ignore (Env.adopt_spans env ~crashed);
         let recovery =
           if recover && crashed <> [] then Some (Recovery.run env ~crashed)
           else None

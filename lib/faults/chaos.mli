@@ -74,9 +74,9 @@ val run :
     [profile] and [blame] (default disabled) are threaded into the run's
     environment; joining [lineage] against the audit's [leaked_ids] names
     the operation that dropped each leaked object's last reference. When
-    a completed run crashed threads, their pending blame state is adopted
-    ({!Lfrc_obs.Blame.adopt}) before recovery runs, so no blamed work is
-    leaked with its thread. *)
+    a completed run crashed threads, their open op spans and pending
+    blame state are adopted ({!Lfrc_core.Env.adopt_spans}) before
+    recovery runs, so no blamed work is leaked with its thread. *)
 
 val ok : report -> bool
 (** Completed and the (authoritative, non-advisory) audit found

@@ -92,9 +92,14 @@ val create :
     them. Sharing one registry across several environments aggregates
     their series.
 
+    Those four layers, and the sanitizer, read their op context from
+    the environment's one stack of open op spans ({!span_begin}), which
+    {!Lfrc} feeds only when tracer, lineage, profiler or blame is on.
+
     [sanitize] (default {!Lfrc_sanitize.Shadow.disabled}, one branch per
     access) wires the LFRC-San shadow-memory sanitizer: it is bound to
-    this heap and observability ({!Lfrc_sanitize.Shadow.attach}), fed
+    this heap, observability and {!span_site}
+    ({!Lfrc_sanitize.Shadow.attach}), fed
     every substrate step by the same {!observe_dcas} observer, fed
     alloc/free events through the heap observer, and notified by
     {!Lfrc}'s zero-detect paths when a thread takes ownership of a dead
@@ -118,21 +123,22 @@ val observe_dcas :
   Lfrc_atomics.Dcas.t ->
   unit
 (** Install on a DCAS substrate the observer that fans every step out to
-    the given layers (each defaults to its disabled form); {!create} calls
-    it for its own substrate, and callers driving a bare substrate call it
-    directly. With every layer off it installs nothing. Per step, in this
-    order:
+    the given layers (each defaults to its disabled form). {!create}
+    installs the same fan-out, over its span stack, on its own
+    substrate; a bare substrate has no spans, so its stamps and charges
+    are all ["(unattributed)"]. With every layer off it installs
+    nothing. Per step, in this order:
     - the sanitizer's access hook;
-    - blame: a winning write, CAS, DCAS or fetch-add stamps its cell(s);
-      a failed CAS or DCAS is charged to the stamped culprit — on a DCAS,
-      the first word whose compare fails, found by a raw peek that does
-      not yield;
+    - blame: a winning write, CAS, DCAS or fetch-add stamps its cell(s)
+      with the innermost span's site; a failed CAS or DCAS is charged to
+      the stamped culprit — on a DCAS, the first word whose compare
+      fails, found by a raw peek that does not yield;
     - the [dcas.*] counters: [reads], [writes], [rmw], [cas_attempts] /
       [cas_failures], [dcas_attempts] / [dcas_failures], and on a
       [Software_mcas] substrate [mcas.attempt] with [mcas.success] or
       [mcas.fail] per DCAS;
     - a failed attempt emits a tracer [Retry] event and charges the
-      profiler's innermost frame ({!Lfrc_obs.Profile.dcas_retry}).
+      innermost span, or the profiler's ["(unattributed)"] site.
 
     An injected failure counts [dcas.spurious_cas] or
     [dcas.spurious_dcas], emits a [Fault] event and is then accounted as
@@ -156,21 +162,45 @@ val tracer : t -> Lfrc_obs.Tracer.t
 val lineage : t -> Lfrc_obs.Lineage.t
 (** The per-object lifecycle recorder ({!Lfrc_obs.Lineage}); the heap
     observer feeds it alloc/free events and {!Lfrc} feeds it count
-    transitions, retires and deferrals. *)
+    transitions, retires and deferrals, each under the innermost span. *)
 
 val profile : t -> Lfrc_obs.Profile.t
-(** The call-site contention profiler ({!Lfrc_obs.Profile}); {!Lfrc}'s
-    spans open/close frames on it and the DCAS substrate charges failed
-    attempts to the innermost frame. *)
+(** The call-site contention profiler ({!Lfrc_obs.Profile}); each
+    closing span is aggregated into it. *)
 
 val blame : t -> Lfrc_obs.Blame.t
-(** The contention-causality registry ({!Lfrc_obs.Blame}); {!Lfrc}'s
-    spans open/close blame frames on it and bind rc cells to their
-    owners, the DCAS substrate stamps winners and charges losers. *)
+(** The contention-causality registry ({!Lfrc_obs.Blame}); the DCAS
+    substrate stamps winners and charges losers under the innermost
+    span's site, and {!Lfrc} binds rc cells to their owners. *)
 
 val sanitizer : t -> Lfrc_sanitize.Shadow.t
 (** The LFRC-San shadow-memory sanitizer this environment was created
     with; the disabled singleton unless [~sanitize] was passed. *)
+
+(** {2 Op spans}
+
+    Which LFRC operation each thread is inside, kept once: a stack of
+    open spans per thread slot. The spans die with the environment, so
+    a registry shared with a later one never sees them. *)
+
+val span_begin : t -> Lfrc_obs.Metrics.key -> unit
+(** Open a span of the op named by the key on the calling thread: the
+    tracer gets [Begin], and the span, now innermost, is charged the
+    retries and failed attempts that follow. *)
+
+val span_end : t -> Lfrc_obs.Metrics.key -> unit
+(** Close the calling thread's innermost span: blame closes the retry
+    chain it opened, the profiler aggregates it, the tracer gets [End].
+    A pair allocates only the profiler's three histogram samples. *)
+
+val span_site : t -> string
+(** The calling thread's innermost span: ["(unattributed)"] with none
+    open, ["?"] when no span layer is on. *)
+
+val adopt_spans : t -> crashed:int list -> int * int
+(** Surrender the crashed threads' open spans and fold them, and their
+    open retry chains, into blame ({!Lfrc_obs.Blame.adopt}); returns its
+    [(frames, chains)], [(0, 0)] when repeated. *)
 
 val set_incremental : t -> collector:Lfrc_simmem.Gc_incr.t -> budget:int -> unit
 (** Attach an incremental collector for GC-dependent mode: {!Gc_ops} will

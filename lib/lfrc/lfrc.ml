@@ -4,7 +4,6 @@ module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
 module Lineage = Lfrc_obs.Lineage
-module Profile = Lfrc_obs.Profile
 module Blame = Lfrc_obs.Blame
 module Shadow = Lfrc_sanitize.Shadow
 
@@ -22,9 +21,9 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
 
 (* Observability shims. Every public operation counts itself under an
    [lfrc.*] series and, when tracing/profiling/lineage/blame is on, runs
-   its body inside a span that closes even on the exceptional (OOM)
-   paths. The span key doubles as the counter, the profiler call site
-   and the lineage originating-op context, so a count transition or a
+   its body inside a span ({!Env_base.span_begin}) that closes even on
+   the exceptional (OOM) paths. The span key doubles as the counter and
+   the call site every layer attributes to, so a count transition or a
    failed DCAS underneath always knows which operation it belongs to.
    With every span layer off an operation applies its body directly —
    one branch, no closure — the policy {!Env.create} documents. Retry
@@ -57,32 +56,19 @@ let k_store_retries = Metrics.key "lfrc.store.retries"
 (* Count one operation; answer whether it runs in a span. *)
 let spanned env key =
   Metrics.incr (Env.metrics env) key;
-  Tracer.enabled (Env.tracer env)
-  || Profile.enabled (Env.profile env)
-  || Lineage.enabled (Env.lineage env)
-  || Blame.enabled (Env.blame env)
+  Env_base.spans_on env
 
-let end_span env name =
-  Blame.op_end (Env.blame env);
-  Lineage.op_end (Env.lineage env);
-  Profile.op_end (Env.profile env);
-  Tracer.emit (Env.tracer env) End name
-
-(* The span closes on return and on exception alike, in the same order,
-   and an exception is re-raised with its backtrace. *)
+(* The span closes on return and on exception alike, and an exception is
+   re-raised with its backtrace. *)
 let in_span env key f =
-  let name = Metrics.key_name key in
-  Tracer.emit (Env.tracer env) Begin name;
-  Profile.op_begin (Env.profile env) key;
-  Lineage.op_begin (Env.lineage env) name;
-  Blame.op_begin (Env.blame env) key;
+  Env_base.span_begin env key;
   match f () with
   | v ->
-      end_span env name;
+      Env_base.span_end env key;
       v
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      end_span env name;
+      Env_base.span_end env key;
       Printexc.raise_with_backtrace e bt
 
 (* --- count delivery ---
@@ -254,7 +240,7 @@ let teardown env p =
    LFRC operation frees a bounded number ([pump]), so no single operation
    pays for a long chain (paper §7, incremental collection). *)
 let defer_dead env p =
-  Lineage.record (Env.lineage env) ~addr:p Lineage.Defer;
+  Env_base.record_lineage env ~addr:p Lineage.Defer;
   Env.defer env p
 
 let pump_deferred env ~budget =

@@ -385,7 +385,7 @@ let flush t env =
    trigger. *)
 let park_counted t env p delta =
   Metrics.incr (E.metrics env) (if delta > 0 then k_defer_inc else k_defer_dec);
-  Lineage.record (E.lineage env) ~addr:p
+  E.record_lineage env ~addr:p
     (if delta > 0 then Lineage.Defer_inc else Lineage.Defer_dec);
   park t ~addr:p ~delta
 

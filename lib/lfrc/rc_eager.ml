@@ -6,7 +6,6 @@
 module Heap = Lfrc_simmem.Heap
 module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
-module Lineage = Lfrc_obs.Lineage
 module E = Env_base
 
 type env = E.t
@@ -22,7 +21,7 @@ let rec add_retry env d rc p v ~slow burst =
     (* Contended transitions record their retry burst; the quiet common
        case stays out of the histogram. *)
     if burst > 0 then E.observe_burst env E.k_rc_retry burst;
-    Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:oldrc ~delta:v ();
+    E.record_lineage_rc env ~addr:p ~old_rc:oldrc ~delta:v;
     oldrc
   end
   else begin
@@ -40,7 +39,7 @@ let borrow () _ ~src:_ _ = false
 let load_mint () = 1
 
 let loaded () env ~src:_ a ~old_rc =
-  Lineage.record_rc (E.lineage env) ~addr:a ~old_rc ~delta:1 ()
+  E.record_lineage_rc env ~addr:a ~old_rc ~delta:1
 
 (* No yield after add_to_rc's winning CAS: the +1 and its publication
    record land together. *)

@@ -219,7 +219,7 @@ let borrow t env ~src a =
   else begin
     pool_add t ~addr:a ~w:1 ~n:1;
     Metrics.incr (E.metrics env) k_weight_borrow;
-    Lineage.record (E.lineage env) ~addr:a Lineage.Wborrow;
+    E.record_lineage env ~addr:a Lineage.Wborrow;
     true
   end
 
@@ -233,7 +233,7 @@ let loaded t env ~src a ~old_rc =
   slot_give t ~cell:src ~w:t.weight;
   pool_add t ~addr:a ~w:1 ~n:1;
   Metrics.incr (E.metrics env) k_weight_exhaust;
-  Lineage.record_rc (E.lineage env) ~addr:a ~old_rc ~delta:(t.weight + 1) ()
+  E.record_lineage_rc env ~addr:a ~old_rc ~delta:(t.weight + 1)
 
 (* Mint a whole batch with one fetch-add; the registry entry carries the
    batch size so a crash before the CAS resolves is compensated
@@ -243,7 +243,7 @@ let publish t env p =
   (* Atomic with the add: the speculative batch is never unanchored. *)
   E.begin_publish env ~weight:t.weight p;
   Metrics.incr (E.metrics env) k_weight_pub;
-  Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:prev ~delta:t.weight ()
+  E.record_lineage_rc env ~addr:p ~old_rc:prev ~delta:t.weight
 
 (* Cover the new reference from the thread's pooled weight when the pouch
    has spare units (no shared-memory traffic at all); refill the pouch
@@ -253,14 +253,14 @@ let acquire_copy t env w =
   if w <> Heap.null then begin
     if pool_try_share t ~addr:w then begin
       Metrics.incr (E.metrics env) k_weight_share;
-      Lineage.record (E.lineage env) ~addr:w Lineage.Wshare
+      E.record_lineage env ~addr:w Lineage.Wshare
     end
     else begin
       let prev = Dcas.fetch_add (E.dcas env) (bind_rc env w) t.weight in
       (* Atomic with the add: pouch the batch before any yield. *)
       pool_add t ~addr:w ~w:t.weight ~n:1;
       Metrics.incr (E.metrics env) k_weight_refill;
-      Lineage.record_rc (E.lineage env) ~addr:w ~old_rc:prev ~delta:t.weight ()
+      E.record_lineage_rc env ~addr:w ~old_rc:prev ~delta:t.weight
     end
   end;
   false
@@ -316,7 +316,7 @@ let release t env p =
        the pouch is intact). *)
     pool_remove t ~addr:p;
     Metrics.incr (E.metrics env) k_weight_release;
-    Lineage.record_rc (E.lineage env) ~addr:p ~old_rc:prev ~delta:(-w) ();
+    E.record_lineage_rc env ~addr:p ~old_rc:prev ~delta:(-w);
     let died = prev = w in
     if died then Lfrc_sanitize.Shadow.note_dying (E.sanitizer env) p
     else E.end_destroy env p;

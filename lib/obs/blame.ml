@@ -13,12 +13,11 @@ module Json = Lfrc_util.Json
    (no yield point in between) and the simulator runs one thread at a
    time.
 
-   Sites are maintained by this module's own per-thread stack (fed by
-   the same [Lfrc.span] shim that feeds the profiler), so blame works
-   with the profiler off. Aggregation happens at charge time — nothing
-   is kept per-thread except the open-op stack and the current retry
-   chain, which is why a crashed thread's pending state is exactly
-   those two things ({!adopt} folds them in instead of dropping them).
+   The site of a stamp or charge is the caller's: its environment's
+   innermost open span. Aggregation happens at charge time — nothing is
+   kept per-thread but the current retry chain, so a crashed thread's
+   pending state is that chain and the spans its environment surrenders
+   ({!adopt} folds both in instead of dropping them).
 
    Off path: like every observability layer here, [Disabled] makes each
    hook a single branch. *)
@@ -71,16 +70,13 @@ type chain_stat = {
   mutable cs_steps_total : int;  (* first-to-last failure, summed *)
 }
 
-(* One thread's slot: its stack of open op sites, [sites.(0 .. depth - 1)]
-   innermost last, and its open retry chain. A retry chain is consecutive
+(* One thread's slot: its open retry chain. A retry chain is consecutive
    charged failures on one thread with no intervening successful write by
    that thread: the critical path of one operation attempt. It closes on
    the thread's next successful write (the op finally landed) or on the
    owning span's end (the op gave up), and a crashed owner's open chain
    is adopted. [ch_len = 0] is the sentinel for "no open chain". *)
 type thread = {
-  mutable depth : int;
-  mutable sites : site array;
   mutable ch_site : site;
   mutable ch_first : int;
   mutable ch_last : int;
@@ -93,7 +89,7 @@ type reg = {
   stamps : stamp Itbl.t;  (* cell id -> last successful writer *)
   owners : int Itbl.t;  (* cell id -> owning object (rc cells) *)
   pairs : pair Itbl.t;  (* pair_id victim culprit *)
-  threads : thread array;  (* thread slot -> open sites and chain *)
+  threads : thread array;  (* thread slot -> open retry chain *)
   chain_stats : chain_stat Itbl.t;  (* victim site -> stats *)
   mutable flows : int;
   mutable attributed : int;
@@ -125,8 +121,6 @@ let create ?(tracer = Tracer.disabled) () =
       threads =
         Array.init Limits.thread_slots (fun _ ->
             {
-              depth = 0;
-              sites = [||];
               ch_site = unattributed_site;
               ch_first = 0;
               ch_last = 0;
@@ -160,29 +154,7 @@ let new_run = function
       Mutex.lock r.lock;
       Itbl.reset r.stamps;
       Itbl.reset r.owners;
-      Array.iter
-        (fun th ->
-          th.depth <- 0;
-          th.ch_len <- 0)
-        r.threads;
-      Mutex.unlock r.lock
-
-let current_site th =
-  if th.depth = 0 then unattributed_site else th.sites.(th.depth - 1)
-
-let op_begin t site =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let th = thread_of r (Sched.tid ()) in
-      Mutex.lock r.lock;
-      if th.depth = Array.length th.sites then begin
-        let bigger = Array.make (max 4 (2 * th.depth)) unattributed_site in
-        Array.blit th.sites 0 bigger 0 th.depth;
-        th.sites <- bigger
-      end;
-      th.sites.(th.depth) <- site;
-      th.depth <- th.depth + 1;
+      Array.iter (fun th -> th.ch_len <- 0) r.threads;
       Mutex.unlock r.lock
 
 let chain_stat_of r (site : site) =
@@ -215,21 +187,18 @@ let close_chain_locked r th ~adopted =
   cs.cs_steps_total <- cs.cs_steps_total + max 0 (th.ch_last - th.ch_first);
   th.ch_len <- 0
 
-let op_end t =
+let op_end t site =
   match t with
   | Disabled -> ()
   | On r ->
       let th = thread_of r (Sched.tid ()) in
       Mutex.lock r.lock;
-      if th.depth > 0 then begin
-        th.depth <- th.depth - 1;
-        (* An op that ends while its retry chain is still open gave up
-           without a winning write (a failed Lfrc.cas, an empty pop): the
-           chain is complete, close it. A chain opened by a *different*
-           (enclosing) site stays open. *)
-        if th.ch_len > 0 && th.ch_site = th.sites.(th.depth) then
-          close_chain_locked r th ~adopted:false
-      end;
+      (* An op that ends while its retry chain is still open gave up
+         without a winning write (a failed Lfrc.cas, an empty pop): the
+         chain is complete, close it. A chain opened by a *different*
+         (enclosing) site stays open. *)
+      if th.ch_len > 0 && th.ch_site = site then
+        close_chain_locked r th ~adopted:false;
       Mutex.unlock r.lock
 
 let bind_owner t ~cell ~addr =
@@ -240,14 +209,13 @@ let bind_owner t ~cell ~addr =
       Itbl.replace r.owners cell addr;
       Mutex.unlock r.lock
 
-let stamp t kind cell =
+let stamp t ~site kind cell =
   match t with
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
       let th = thread_of r tid in
       Mutex.lock r.lock;
-      let site = current_site th in
       (match Itbl.find r.stamps cell with
       | st ->
           st.s_tid <- tid;
@@ -307,14 +275,13 @@ let extend_chain_locked th ~victim ~step =
     th.ch_len <- 1
   end
 
-let charge t kind cell =
+let charge t ~site:victim kind cell =
   match t with
   | Disabled -> ()
   | On r -> (
       let tid = Sched.tid () and step = Sched.steps_so_far () in
       let th = thread_of r tid in
       Mutex.lock r.lock;
-      let victim = current_site th in
       extend_chain_locked th ~victim ~step;
       let owner = Itbl.find_opt r.owners cell in
       match Itbl.find r.stamps cell with
@@ -344,45 +311,43 @@ let charge t kind cell =
 (* A spurious (injected) failure compared nothing: no write invalidated
    the attempt, the fault plan did. Charged to a reserved culprit so
    wasted-attempt totals still add up under chaos runs. *)
-let charge_spurious t kind =
+let charge_spurious t ~site:victim kind =
   match t with
   | Disabled -> ()
   | On r ->
       let step = Sched.steps_so_far () in
       let th = thread_of r (Sched.tid ()) in
       Mutex.lock r.lock;
-      let victim = current_site th in
       extend_chain_locked th ~victim ~step;
       r.spurious <- r.spurious + 1;
       charge_locked r ~victim ~culprit:injected_site ~kind ~steps:0
         ~owner:None;
       Mutex.unlock r.lock
 
-(* Fold crashed threads' pending state — open op frames and open retry
-   chains — into the aggregates instead of leaving it dangling: the
-   blame analogue of the recovery pass's orphan adoption. Idempotent per
-   thread (adopted state is removed). Returns (frames, chains) counts. *)
-let adopt t ~crashed =
+(* Fold crashed threads' pending state — the [frames] open op spans
+   their environment surrendered, and their open retry chains — into the
+   aggregates instead of leaving it dangling: the blame analogue of the
+   recovery pass's orphan adoption. Idempotent per thread (adopted state
+   is removed). Returns (frames, chains) counts. *)
+let adopt t ~crashed ~frames =
   match t with
   | Disabled -> (0, 0)
   | On r ->
       Mutex.lock r.lock;
-      let frames = ref 0 and chains = ref 0 in
+      let chains = ref 0 in
       List.iter
         (fun tid ->
           if Limits.has_slot tid then begin
             let th = thread_of r tid in
-            frames := !frames + th.depth;
-            th.depth <- 0;
             if th.ch_len > 0 then begin
               incr chains;
               close_chain_locked r th ~adopted:true
             end
           end)
         crashed;
-      r.adopted_frames <- r.adopted_frames + !frames;
+      r.adopted_frames <- r.adopted_frames + frames;
       Mutex.unlock r.lock;
-      (!frames, !chains)
+      (frames, !chains)
 
 let pending t =
   match t with
@@ -391,7 +356,7 @@ let pending t =
       Mutex.lock r.lock;
       let n =
         Array.fold_left
-          (fun acc th -> acc + th.depth + if th.ch_len > 0 then 1 else 0)
+          (fun acc th -> if th.ch_len > 0 then acc + 1 else acc)
           0 r.threads
       in
       Mutex.unlock r.lock;

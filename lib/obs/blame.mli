@@ -2,7 +2,9 @@
     write that invalidated it.
 
     Each successful shared-memory write stamps its cell with the writer's
-    (thread, call site, op kind, scheduler step). A failed compare then
+    (thread, call site, op kind, scheduler step), the site being the
+    innermost span of its environment's ({!Lfrc_core.Env.span_site}).
+    A failed compare then
     charges one wasted attempt to the (victim site, culprit site) pair —
     under the deterministic scheduler this attribution is exact, because
     the stamp is updated in the same atomic step as the write and threads
@@ -34,43 +36,42 @@ val enabled : t -> bool
 val new_run : t -> unit
 (** Start a new run: clear per-cell stamps and owner bindings (cell ids
     restart per heap, so stale stamps must not cross environments) and
-    per-thread state. Aggregated pairs/chains/totals survive. Called by
-    [Env.create] when a blame registry is attached. *)
+    the per-thread retry chains. Aggregated pairs/chains/totals survive.
+    Called by [Env.create] when a blame registry is attached. *)
 
-val op_begin : t -> Metrics.key -> unit
-(** Push a call site, named by its span key, on the calling thread's
-    blame stack; the innermost open site is the victim/culprit site for
-    charges/stamps. Each thread's stack and open retry chain sit in its
-    own slot, and a stamp is updated in place, so the hooks allocate
+val op_end : t -> Metrics.key -> unit
+(** The calling thread's span of the named site closed: closes its
+    retry chain if that site opened it (the op gave up without a winning
+    write). Each thread's open retry chain sits in its own slot, and a
+    stamp is updated in place, so the hooks allocate
     nothing once a cell has been stamped. *)
-
-val op_end : t -> unit
-(** Pop the innermost label; closes the thread's retry chain if that op
-    opened it (the op gave up without a winning write). *)
 
 val bind_owner : t -> cell:int -> addr:int -> unit
 (** Mark [cell] as belonging to object [addr] (used for rc cells), so
     charges on it count as rc contention and name the object. *)
 
-val stamp : t -> op_kind -> int -> unit
-(** Record a successful write to cell id [int] by the calling thread;
-    also closes the thread's open retry chain (its op went through). *)
+val stamp : t -> site:Metrics.key -> op_kind -> int -> unit
+(** Record a successful write to cell id [int] by the calling thread
+    inside [site]; also closes the thread's open retry chain (its op went
+    through). *)
 
-val charge : t -> op_kind -> int -> unit
-(** Record a failed CAS/DCAS whose compare lost to the last write on the
-    given cell id; [op_kind] is only used when the cell has no stamp. *)
+val charge : t -> site:Metrics.key -> op_kind -> int -> unit
+(** Record a failed CAS/DCAS inside [site] (the victim) whose compare
+    lost to the last write on the given cell id; [op_kind] is only used
+    when the cell has no stamp. *)
 
-val charge_spurious : t -> op_kind -> unit
-(** Record an injected (fault-plan) failure: no real write won, charged
-    to the reserved ["(fault-injection)"] culprit. *)
+val charge_spurious : t -> site:Metrics.key -> op_kind -> unit
+(** Record an injected (fault-plan) failure inside [site]: no real write
+    won, charged to the reserved ["(fault-injection)"] culprit. *)
 
-val adopt : t -> crashed:int list -> int * int
-(** Fold crashed threads' pending state (open op frames, open retry
-    chains) into the aggregates. Returns [(frames, chains)] adopted. *)
+val adopt : t -> crashed:int list -> frames:int -> int * int
+(** Fold crashed threads' pending state — the [frames] open spans their
+    environment surrendered, their open retry chains — into the
+    aggregates. Returns [(frames, chains)] adopted. *)
 
 val pending : t -> int
-(** Open frames + open chains across all threads (0 after clean runs and
-    after {!adopt}). *)
+(** Open retry chains across all threads (0 after clean runs and after
+    {!adopt}). *)
 
 (** {2 Aggregate access (tests, the CLI's reports and JSON)} *)
 

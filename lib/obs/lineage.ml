@@ -33,7 +33,6 @@ type reg = {
   lock : Mutex.t;
   ring : int;  (* per-object ring capacity *)
   objects : (int, entry) Hashtbl.t;
-  op_stacks : (int, string list ref) Hashtbl.t;  (* tid -> op-name stack *)
   mutable recorded : int;
   mutable dropped : int;  (* global drop accounting across all rings *)
 }
@@ -57,7 +56,6 @@ let create ?(ring = default_ring) () =
         lock = Mutex.create ();
         ring;
         objects = Hashtbl.create 64;
-        op_stacks = Hashtbl.create 8;
         recorded = 0;
         dropped = 0;
       }
@@ -66,39 +64,8 @@ let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
+(* For the cold query paths; [record] locks without a closure. *)
 let locked r f = Mutex.protect r.lock f
-
-(* --- originating-op context ---
-
-   {!Lfrc_core.Lfrc}'s span shim pushes the operation name for the current
-   simulated thread on entry and pops it on exit, so every event recorded
-   while the operation runs is attributed to it (a destroy embedded in a
-   load attributes to the destroy span, which nests inside the load). *)
-
-let op_begin t name =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.op_stacks tid with
-          | Some s -> s := name :: !s
-          | None -> Hashtbl.add r.op_stacks tid (ref [ name ]))
-
-let op_end t =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let tid = Sched.tid () in
-      locked r (fun () ->
-          match Hashtbl.find_opt r.op_stacks tid with
-          | Some ({ contents = _ :: rest } as s) -> s := rest
-          | _ -> ())
-
-let current_op_unlocked r tid =
-  match Hashtbl.find_opt r.op_stacks tid with
-  | Some { contents = op :: _ } -> op
-  | _ -> no_op
 
 (* --- recording --- *)
 
@@ -125,31 +92,31 @@ let push r e ev =
   e.total <- e.total + 1;
   r.recorded <- r.recorded + 1
 
-let record t ?op ~addr kind =
+(* The originating op comes from the caller: the environment names the
+   innermost open op span on the calling thread. *)
+let record t ?(op = no_op) ~addr kind =
   match t with
   | Disabled -> ()
   | On r ->
       let step = Sched.steps_so_far () and tid = Sched.tid () in
-      locked r (fun () ->
-          let op =
-            match op with Some op -> op | None -> current_op_unlocked r tid
-          in
-          let e = entry_of r addr in
-          (match kind with
-          | Alloc _ ->
-              e.allocs <- e.allocs + 1;
-              e.last_rc <- 1
-          | Rc { old_rc; delta } -> e.last_rc <- old_rc + delta
-          | Free _ -> e.frees <- e.frees + 1
-          (* Parked deltas do not move the heap count; the paired Rc event
-             emitted when a flush applies them does. Likewise an adoption
-             only re-homes a reference — the adopter's own destroy/flush
-             records any count movement — and a weight borrow/share moves
-             weight between carriers without touching the total. *)
-          | Retire | Defer | Defer_inc | Defer_dec | Flush _ | Adopt _
-          | Wborrow | Wshare ->
-              ());
-          push r e { step; tid; kind; op })
+      Mutex.lock r.lock;
+      let e = entry_of r addr in
+      (match kind with
+      | Alloc _ ->
+          e.allocs <- e.allocs + 1;
+          e.last_rc <- 1
+      | Rc { old_rc; delta } -> e.last_rc <- old_rc + delta
+      | Free _ -> e.frees <- e.frees + 1
+      (* Parked deltas do not move the heap count; the paired Rc event
+         emitted when a flush applies them does. Likewise an adoption
+         only re-homes a reference — the adopter's own destroy/flush
+         records any count movement — and a weight borrow/share moves
+         weight between carriers without touching the total. *)
+      | Retire | Defer | Defer_inc | Defer_dec | Flush _ | Adopt _ | Wborrow
+      | Wshare ->
+          ());
+      push r e { step; tid; kind; op };
+      Mutex.unlock r.lock
 
 (* Matched first, so a disabled registry builds no event on the count
    path. *)

@@ -47,7 +47,7 @@ type kind =
 
 type event = { step : int; tid : int; kind : kind; op : string }
 (** [op] is the innermost instrumented operation running on [tid] when
-    the event was recorded ({!op_begin} context), or ["?"] outside one. *)
+    the event was recorded, or ["?"] outside one. *)
 
 type t
 
@@ -60,20 +60,15 @@ val disabled : t
 
 val enabled : t -> bool
 
-(** {1 Originating-op context}
+(** {1 Recording}
 
-    {!Lfrc_core.Lfrc}'s span instrumentation pushes the operation name
-    for the current simulated thread on entry and pops on exit; events
-    recorded in between attribute to the innermost operation. *)
-
-val op_begin : t -> string -> unit
-val op_end : t -> unit
-
-(** {1 Recording} *)
+    The caller names the originating op: the environment passes its
+    innermost span ({!Lfrc_core.Env.span_begin}), or ["?"] with none
+    open; [recover] and [lfrc.flush] name theirs outright. *)
 
 val record : t -> ?op:string -> addr:int -> kind -> unit
 (** Record one event for [addr], stamped with the current scheduler step
-    and thread id. [?op] overrides the op-context attribution. *)
+    and thread id; [op] (default ["?"]) names the originating op. *)
 
 val record_rc : t -> ?op:string -> addr:int -> old_rc:int -> delta:int -> unit -> unit
 (** [record t ~addr (Rc { old_rc; delta })]. *)

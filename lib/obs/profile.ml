@@ -1,20 +1,18 @@
-module Sched = Lfrc_sched.Sched
-module Limits = Lfrc_sched.Limits
 module Json = Lfrc_util.Json
 
 (* A "site" is the instrumentation label of an operation span —
-   "lfrc.load", "ebr.pop", … — named by its {!Metrics.key} and
-   registered on first use. Attribution is a per-simulated-thread stack
-   of open frames: a retry or DCAS failure charges the innermost open
-   frame on the thread it happened on, so a destroy embedded in a load
-   charges the destroy, not the load.
+   "lfrc.load", "lfrc.destroy", … — named by its {!Metrics.key} and
+   registered on first use. The environment keeps the open spans and
+   charges each retry or failed DCAS to the innermost one on the thread
+   it happened on, so a destroy embedded in a load charges the destroy,
+   not the load; this module aggregates each span as it closes. A charge
+   made with no span open goes to the "(unattributed)" site, which has
+   no calls.
 
-   The hooks allocate nothing of their own; only the samples [op_end]
-   hands to {!Metrics.observe} are boxed. Sites sit in an array indexed
-   by span key and carry their three histogram keys, built once when the
-   site is created. Each thread owns a slot
-   ({!Lfrc_sched.Limits.slot_of_tid}) holding a stack of frame records
-   that are reused from call to call. *)
+   Sites sit in an array indexed by span key and carry their three
+   histogram keys, built once when the site is created, so aggregation
+   allocates nothing of its own: only the samples [op_end] hands to
+   {!Metrics.observe} are boxed. *)
 
 type site = {
   label : string;
@@ -28,22 +26,10 @@ type site = {
   mutable steps_max : int;
 }
 
-type frame = {
-  mutable f_site : site;
-  mutable start_step : int;
-  mutable f_retries : int;
-  mutable f_dcas : int;
-}
-
-(* One thread's open frames: [frames.(0 .. depth - 1)], innermost last. *)
-type stack = { mutable depth : int; mutable frames : frame array }
-
 type reg = {
   lock : Mutex.t;
   metrics : Metrics.t;
   mutable sites : site array;  (* span key -> site, [no_site] if unseen *)
-  stacks : stack array;  (* thread slot -> open frames *)
-  unattributed : site;  (* failures with no open frame on their thread *)
 }
 
 (* Single-branch off switch, same as the disabled Metrics singleton. *)
@@ -64,22 +50,14 @@ let new_site label =
 
 let no_site = new_site "(none)"
 
+let k_unattributed = Metrics.key "(unattributed)"
+
 let create ?(metrics = Metrics.disabled) () =
-  On
-    {
-      lock = Mutex.create ();
-      metrics;
-      sites = [||];
-      stacks =
-        Array.init Limits.thread_slots (fun _ -> { depth = 0; frames = [||] });
-      unattributed = new_site "(unattributed)";
-    }
+  On { lock = Mutex.create (); metrics; sites = [||] }
 
 let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
-
-let stack_of r = r.stacks.(Limits.slot_of_tid (Sched.tid ()))
 
 (* Called under the lock. *)
 let site_of r (key : Metrics.key) =
@@ -97,98 +75,36 @@ let site_of r (key : Metrics.key) =
     s
   end
 
-(* Called under the lock: the stack's next free frame, grown on demand. *)
-let push_frame st =
-  if st.depth = Array.length st.frames then begin
-    let n = max 4 (2 * st.depth) in
-    st.frames <-
-      Array.init n (fun i ->
-          if i < st.depth then st.frames.(i)
-          else { f_site = no_site; start_step = 0; f_retries = 0; f_dcas = 0 })
-  end;
-  let f = st.frames.(st.depth) in
-  st.depth <- st.depth + 1;
-  f
-
-let op_begin t key =
+let op_end t key ~steps ~retries ~dcas =
   match t with
   | Disabled -> ()
   | On r ->
-      let start_step = Sched.steps_so_far () and st = stack_of r in
       Mutex.lock r.lock;
-      let f = push_frame st in
-      f.f_site <- site_of r key;
-      f.start_step <- start_step;
-      f.f_retries <- 0;
-      f.f_dcas <- 0;
-      Mutex.unlock r.lock
-
-let op_end t =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let now = Sched.steps_so_far () and st = stack_of r in
-      Mutex.lock r.lock;
-      if st.depth = 0 then Mutex.unlock r.lock
-      else begin
-        st.depth <- st.depth - 1;
-        let f = st.frames.(st.depth) in
-        let site = f.f_site and retries = f.f_retries and dcas = f.f_dcas in
-        let steps = max 0 (now - f.start_step) in
-        site.calls <- site.calls + 1;
-        site.retries <- site.retries + retries;
-        site.dcas_retries <- site.dcas_retries + dcas;
-        site.steps_total <- site.steps_total + steps;
-        if steps > site.steps_max then site.steps_max <- steps;
-        Mutex.unlock r.lock;
-        (* Observed for every completed call — zeros included — so the
-           histograms are populated deterministically, not only under
-           contention. Metrics has its own lock; observe outside ours. *)
-        if Metrics.enabled r.metrics then begin
-          Metrics.observe r.metrics site.k_retries (float_of_int retries);
-          Metrics.observe r.metrics site.k_steps (float_of_int steps);
-          Metrics.observe r.metrics site.k_dcas (float_of_int dcas)
-        end
+      let site = site_of r key in
+      site.calls <- site.calls + 1;
+      site.retries <- site.retries + retries;
+      site.dcas_retries <- site.dcas_retries + dcas;
+      site.steps_total <- site.steps_total + steps;
+      if steps > site.steps_max then site.steps_max <- steps;
+      Mutex.unlock r.lock;
+      (* Observed for every completed call — zeros included — so the
+         histograms are populated deterministically, not only under
+         contention. Metrics has its own lock; observe outside ours. *)
+      if Metrics.enabled r.metrics then begin
+        Metrics.observe r.metrics site.k_retries (float_of_int retries);
+        Metrics.observe r.metrics site.k_steps (float_of_int steps);
+        Metrics.observe r.metrics site.k_dcas (float_of_int dcas)
       end
 
-let op_retry t =
+let unattributed t ~retry =
   match t with
   | Disabled -> ()
   | On r ->
-      let st = stack_of r in
       Mutex.lock r.lock;
-      (if st.depth = 0 then
-         r.unattributed.retries <- r.unattributed.retries + 1
-       else
-         let f = st.frames.(st.depth - 1) in
-         f.f_retries <- f.f_retries + 1);
+      let s = site_of r k_unattributed in
+      if retry then s.retries <- s.retries + 1
+      else s.dcas_retries <- s.dcas_retries + 1;
       Mutex.unlock r.lock
-
-let dcas_retry t =
-  match t with
-  | Disabled -> ()
-  | On r ->
-      let st = stack_of r in
-      Mutex.lock r.lock;
-      (if st.depth = 0 then
-         r.unattributed.dcas_retries <- r.unattributed.dcas_retries + 1
-       else
-         let f = st.frames.(st.depth - 1) in
-         f.f_dcas <- f.f_dcas + 1);
-      Mutex.unlock r.lock
-
-let current_site t =
-  match t with
-  | Disabled -> "?"
-  | On r ->
-      let st = stack_of r in
-      Mutex.lock r.lock;
-      let label =
-        if st.depth = 0 then r.unattributed.label
-        else st.frames.(st.depth - 1).f_site.label
-      in
-      Mutex.unlock r.lock;
-      label
 
 (* --- reporting --- *)
 
@@ -222,11 +138,6 @@ let rows t =
         Array.fold_left
           (fun acc s -> if s == no_site then acc else row_of s :: acc)
           [] r.sites
-      in
-      let all =
-        if r.unattributed.retries > 0 || r.unattributed.dcas_retries > 0 then
-          row_of r.unattributed :: all
-        else all
       in
       Mutex.unlock r.lock;
       (* Most wasted attempts first: the contention hot list. *)

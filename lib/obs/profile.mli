@@ -1,14 +1,16 @@
 (** Call-site contention and latency profiling.
 
-    Every instrumented operation span ("site": "lfrc.load", "ebr.pop",
-    …) opens a frame on its simulated thread's stack; CAS/DCAS failures
-    and operation-loop retries that happen underneath charge the
-    innermost open frame. Closing the frame accumulates into a per-site
-    registry — calls, retries, failed DCAS attempts, scheduler steps
-    spent — and observes the per-call burst into the {!Metrics}
-    histograms ([<site>.retries], [<site>.steps],
+    Every instrumented operation span ("site": "lfrc.load",
+    "lfrc.destroy", …) is a frame on its environment's span stack
+    ({!Lfrc_core.Env.span_begin}), charged the CAS/DCAS failures and
+    operation-loop retries that happen while it is innermost. Closing
+    it hands it to {!op_end}, which accumulates into a per-site registry
+    — calls, retries, failed DCAS attempts, scheduler steps spent — and
+    observes the per-call burst into the {!Metrics} histograms
+    ([<site>.retries], [<site>.steps],
     [dcas.retries.<site>]), zeros included, so the histograms are
-    populated deterministically rather than only under contention.
+    populated deterministically rather than only under contention. The
+    profiler keeps no per-thread state.
 
     Latency is measured in {!Lfrc_sched.Sched.steps_so_far} deltas — the
     deterministic interleaving clock — so a profile replays identically
@@ -30,31 +32,18 @@ val disabled : t
 
 val enabled : t -> bool
 
-(** {1 Attribution} *)
+(** {1 Aggregation} *)
 
-val op_begin : t -> Metrics.key -> unit
-(** Open a frame for the site named by the key on the current simulated
-    thread. A site's histogram keys are built once, when the profiler
-    first sees it; a span pair allocates only the three samples it
-    observes. *)
+val op_end : t -> Metrics.key -> steps:int -> retries:int -> dcas:int -> unit
+(** Aggregate one closed span of the named site, which took [steps]
+    scheduler steps and was charged [retries] loop re-runs and [dcas]
+    failed attempts, and observe the three into the histograms. A site's
+    histogram keys are built once, when the profiler first sees it; a
+    call allocates only the three samples it observes. *)
 
-val op_end : t -> unit
-(** Close the innermost frame: accumulate into the site registry and
-    observe the call's retry/steps bursts into the metrics histograms. *)
-
-val op_retry : t -> unit
-(** The innermost open operation's loop re-ran (a {!Lfrc_core.Lfrc}
-    retry). Charged to ["(unattributed)"] when no frame is open. *)
-
-val dcas_retry : t -> unit
-(** A CAS/DCAS attempt failed underneath the innermost open operation
-    (called by the DCAS substrate's observer,
-    {!Lfrc_core.Env.observe_dcas}). *)
-
-val current_site : t -> string
-(** The innermost open frame's site label on the current simulated
-    thread — the attribution key the sanitizer stamps on findings.
-    ["(unattributed)"] when no frame is open, ["?"] when disabled. *)
+val unattributed : t -> retry:bool -> unit
+(** A loop re-ran ([retry]) or a CAS/DCAS attempt failed with no span
+    open: charged to the ["(unattributed)"] site, which has no calls. *)
 
 (** {1 Reporting} *)
 

@@ -3,7 +3,6 @@ module Heap = Lfrc_simmem.Heap
 module Sched = Lfrc_sched.Sched
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
-module Profile = Lfrc_obs.Profile
 
 (* The scheduler caps simulations at 62 threads; fixed-width vector
    clocks keep every join/copy allocation-free. *)
@@ -88,7 +87,7 @@ type state = {
   mutable heap : Heap.t option;
   mutable metrics : Metrics.t;
   mutable tracer : Tracer.t;
-  mutable profile : Profile.t;
+  mutable site : unit -> string;  (* the accessing thread's op site *)
   mutable checks : int;
   mutable races : int;
   mutable uaf : int;
@@ -115,7 +114,7 @@ let create () =
       heap = None;
       metrics = Metrics.disabled;
       tracer = Tracer.disabled;
-      profile = Profile.disabled;
+      site = (fun () -> "?");
       checks = 0;
       races = 0;
       uaf = 0;
@@ -127,14 +126,14 @@ let create () =
       aba_sites = Hashtbl.create 16;
     }
 
-let attach t ~heap ~metrics ~tracer ~profile =
+let attach t ~heap ~metrics ~tracer ~site =
   match t with
   | Disabled -> ()
   | On st ->
       st.heap <- Some heap;
       st.metrics <- metrics;
       st.tracer <- tracer;
-      st.profile <- profile
+      st.site <- site
 
 (* --- vector clocks --- *)
 
@@ -245,7 +244,7 @@ let access_now st =
   {
     a_tid = tid;
     a_thread = Sched.name_of tid;
-    a_site = Profile.current_site st.profile;
+    a_site = st.site ();
     a_step = Sched.steps_so_far ();
   }
 

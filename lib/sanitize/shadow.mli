@@ -7,7 +7,7 @@
     counters for ABA occurrences — and checks each access {e at the moment
     it happens}, under the deterministic scheduler. Findings are collected
     (never raised), deduplicated by (class, cell, racing sites), and carry
-    enough context (thread names, scheduler steps, profiler call sites) to
+    enough context (thread names, scheduler steps, op call sites) to
     serve as replayable witnesses.
 
     Classification per cell, bound from heap allocation events:
@@ -41,7 +41,7 @@ val kind_name : kind -> string
 type access = {
   a_tid : int;
   a_thread : string;  (** scheduler thread name at the access *)
-  a_site : string;  (** innermost profiler frame, or ["?"] unprofiled *)
+  a_site : string;  (** innermost op span ({!attach}'s [site]) *)
   a_step : int;  (** [Sched.steps_so_far] at the access *)
 }
 
@@ -82,12 +82,13 @@ val attach :
   heap:Heap.t ->
   metrics:Lfrc_obs.Metrics.t ->
   tracer:Lfrc_obs.Tracer.t ->
-  profile:Lfrc_obs.Profile.t ->
+  site:(unit -> string) ->
   unit
 (** Bind the heap (for generation queries and cell classification) and the
     observability sinks: every finding class lands in [san.*] counters and
-    emits an [Instant] tracer event; ABA occurrences are attributed to the
-    profiler's innermost call-site label. *)
+    emits an [Instant] tracer event. [site] names the calling thread's
+    innermost op span ({!Lfrc_core.Env.span_site}), for findings and ABA
+    occurrences. *)
 
 (** {2 Lifecycle hooks} (wired by [Env.create ~sanitize]) *)
 
@@ -134,6 +135,6 @@ val findings : t -> finding list
 val totals : t -> totals
 
 val aba_by_site : t -> (string * int) list
-(** ABA occurrences per profiler call-site label, most first. *)
+(** ABA occurrences per op call-site label, most first. *)
 
 val pp_finding : Format.formatter -> finding -> unit

@@ -32,29 +32,38 @@ let run_treiber ?blame ?metrics ?rc_mode ?(workers = 4) ?(ops = 200) ~seed
 
 (* --- exact attribution --- *)
 
+(* A fresh heap and an environment over it with [blame] attached, and a
+   root cell on that heap; sites are opened through the environment's
+   span entry points. *)
+let blame_env name blame =
+  let heap = Heap.create ~name () in
+  let env = Env.create ~dcas_impl:Dcas.Atomic_step ~blame heap in
+  (env, Env.dcas env, Heap.root heap ~name:"X" ())
+
+(* Run [f] inside a span of the site named [site]. *)
+let in_site env site f =
+  let key = Metrics.key site in
+  Env.span_begin env key;
+  f ();
+  Env.span_end env key
+
 (* Two threads, explicitly sequenced via join: the winner writes 42 under
    one site label, then the victim CASes against a stale expected value.
    Exactly one pair must exist and it must name both sites. *)
 let test_known_winner_blamed () =
-  let heap = Heap.create ~name:"blame-fixture" () in
-  let cell = Heap.root heap ~name:"X" () in
-  let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Env.observe_dcas ~blame d;
+  let env, d, cell = blame_env "blame-fixture" blame in
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
          let winner =
            Sched.spawn (fun () ->
-               Blame.op_begin blame (Metrics.key "winner.write");
-               Dcas.write d cell 42;
-               Blame.op_end blame)
+               in_site env "winner.write" (fun () -> Dcas.write d cell 42))
          in
          Sched.join [ winner ];
          let victim =
            Sched.spawn (fun () ->
-               Blame.op_begin blame (Metrics.key "victim.cas");
-               checkb "stale cas fails" false (Dcas.cas d cell 0 7);
-               Blame.op_end blame)
+               in_site env "victim.cas" (fun () ->
+                   checkb "stale cas fails" false (Dcas.cas d cell 0 7)))
          in
          Sched.join [ victim ]));
   match Blame.rows blame with
@@ -72,33 +81,32 @@ let test_known_winner_blamed () =
 
 (* A successful CAS must stamp, not charge. *)
 let test_winning_cas_not_charged () =
-  let heap = Heap.create ~name:"blame-win" () in
-  let cell = Heap.root heap ~name:"X" () in
-  let d = Dcas.create Dcas.Atomic_step in
   let blame = Blame.create () in
-  Env.observe_dcas ~blame d;
+  let env, d, cell = blame_env "blame-win" blame in
   ignore
     (Sched.run ~max_steps:10_000 (Strategy.Random 1) (fun () ->
-         Blame.op_begin blame (Metrics.key "solo.cas");
-         checkb "cas wins" true (Dcas.cas d cell 0 1);
-         checkb "cas wins again" true (Dcas.cas d cell 1 2);
-         Blame.op_end blame));
+         in_site env "solo.cas" (fun () ->
+             checkb "cas wins" true (Dcas.cas d cell 0 1);
+             checkb "cas wins again" true (Dcas.cas d cell 1 2))));
   checki "no wasted attempts" 0 (Blame.total_wasted blame);
   checki "no pairs" 0 (List.length (Blame.rows blame))
 
 (* A stamp is updated in place: re-stamping a cell, inside an open span,
-   allocates nothing. *)
+   allocates nothing — the substrate's write, the environment's site
+   lookup and the stamp together. *)
 let test_stamp_allocates_nothing () =
   let blame = Blame.create () in
-  Blame.op_begin blame (Metrics.key "stamp.site");
-  Blame.stamp blame Blame.Cas 7;
+  let env, d, cell = blame_env "blame-stamp" blame in
+  let key = Metrics.key "stamp.site" in
+  Env.span_begin env key;
+  Dcas.write d cell 7;
   let n = 10_000 in
   let before = Gc.minor_words () in
   for _ = 1 to n do
-    Blame.stamp blame Blame.Cas 7
+    Dcas.write d cell 7
   done;
   let per_op = (Gc.minor_words () -. before) /. Float.of_int n in
-  Blame.op_end blame;
+  Env.span_end env key;
   Alcotest.(check (float 0.)) "stamp words/op" 0. per_op;
   checki "nothing pending" 0 (Blame.pending blame)
 
@@ -170,7 +178,7 @@ let test_chaos_adopts_pending () =
   let module Chaos = Lfrc_faults.Chaos in
   let module Fault_plan = Lfrc_faults.Fault_plan in
   let blame = Blame.create () in
-  let crashed_runs = ref 0 in
+  let crashed_runs = ref 0 and last_env = ref None in
   for seed = 1 to 5 do
     let spec = { Fault_plan.default with seed; crashes = [ (1, 10) ] } in
     let r =
@@ -181,7 +189,9 @@ let test_chaos_adopts_pending () =
           | exception Heap.Simulated_oom -> ())
     in
     (match r.Chaos.status with
-    | Chaos.Completed { crashed; _ } when crashed <> [] -> incr crashed_runs
+    | Chaos.Completed { crashed; _ } when crashed <> [] ->
+        incr crashed_runs;
+        last_env := Some r.Chaos.env
     | _ -> ());
     checki
       (Printf.sprintf "seed %d: nothing pending after the run" seed)
@@ -190,9 +200,13 @@ let test_chaos_adopts_pending () =
   checkb "some runs crashed a thread" true (!crashed_runs > 0);
   let frames, chains = Blame.adopted blame in
   checkb "crashed threads' open state was adopted" true (frames + chains > 0);
-  (* Adoption is idempotent: the threads' state is gone afterwards. *)
-  checki "re-adopt finds no frames" 0 (fst (Blame.adopt blame ~crashed:[ 1 ]));
-  checki "re-adopt finds no chains" 0 (snd (Blame.adopt blame ~crashed:[ 1 ]))
+  (* Adoption is idempotent: the threads' spans and chains are gone
+     afterwards. *)
+  let env = Option.get !last_env in
+  checki "re-adopt finds no frames" 0
+    (fst (Env.adopt_spans env ~crashed:[ 1 ]));
+  checki "re-adopt finds no chains" 0
+    (snd (Env.adopt_spans env ~crashed:[ 1 ]))
 
 (* --- counter identity: blame writes nothing to Metrics --- *)
 

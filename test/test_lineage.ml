@@ -248,23 +248,39 @@ let test_disabled_is_noop () =
   checkb "disabled" false (Lineage.enabled l);
   Lineage.record l ~addr:1 (Lineage.Alloc { gen = 1 });
   Lineage.record_rc l ~addr:1 ~old_rc:1 ~delta:(-1) ();
-  Lineage.op_begin l "x";
-  Lineage.op_end l;
   checki "records nothing" 0 (Lineage.recorded l);
   checkb "tracks nothing" true (Lineage.tracked l = []);
   (* create with a non-positive ring is the disabled singleton. *)
   checkb "ring<=0 disables" false (Lineage.enabled (Lineage.create ~ring:0 ()))
 
+(* The environment names each event's op: its innermost open span, or
+   "?" with none open. The count moves come from [Lfrc.add_to_rc], which
+   opens no span of its own. *)
 let test_op_context_attribution () =
   let l = Lineage.create () in
-  Lineage.op_begin l "outer";
-  Lineage.op_begin l "inner";
-  Lineage.record_rc l ~addr:3 ~old_rc:1 ~delta:1 ();
-  Lineage.op_end l;
-  Lineage.record_rc l ~addr:3 ~old_rc:2 ~delta:(-1) ();
-  Lineage.op_end l;
-  Lineage.record_rc l ~addr:3 ~old_rc:1 ~delta:(-1) ();
-  match Lineage.events l ~addr:3 with
+  let heap = Heap.create ~name:"lineage-op-context" () in
+  let env =
+    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ~lineage:l heap
+  in
+  let p =
+    Heap.alloc heap (Lfrc_simmem.Layout.make ~name:"n" ~n_ptrs:0 ~n_vals:0)
+  in
+  let outer = Lfrc_obs.Metrics.key "outer"
+  and inner = Lfrc_obs.Metrics.key "inner" in
+  Env.span_begin env outer;
+  Env.span_begin env inner;
+  ignore (Lfrc_core.Lfrc.add_to_rc env p 1);
+  Env.span_end env inner;
+  ignore (Lfrc_core.Lfrc.add_to_rc env p (-1));
+  Env.span_end env outer;
+  ignore (Lfrc_core.Lfrc.add_to_rc env p (-1));
+  let rc_events =
+    List.filter
+      (fun (e : Lineage.event) ->
+        match e.Lineage.kind with Lineage.Rc _ -> true | _ -> false)
+      (Lineage.events l ~addr:p)
+  in
+  match rc_events with
   | [ a; b; c ] ->
       Alcotest.(check string) "innermost wins" "inner" a.Lineage.op;
       Alcotest.(check string) "pops back to outer" "outer" b.Lineage.op;
