@@ -145,7 +145,12 @@ let experiments_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (E1..E11); all when omitted.")
   in
   let csv =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit comma-separated values instead of aligned tables.")
+    Arg.(
+      value & flag
+      & info [ "csv" ]
+          ~doc:
+            "Emit each table as comma-separated values and nothing else: \
+             no notes and no metrics, contention or blame block.")
   in
   let run config csv ids =
     let ids =

@@ -67,28 +67,24 @@ let find id =
   let id = String.uppercase_ascii id in
   List.find_opt (fun e -> e.id = id) all
 
-let print_result ~id ~csv (r : Common.result) =
-  if csv then print_string (Lfrc_util.Table.csv r.Common.table)
-  else Lfrc_util.Table.print r.Common.table;
-  if not csv then
-    List.iter (fun n -> Printf.printf "\n%s\n" n) r.Common.notes;
-  if not (Lfrc_obs.Metrics.is_empty r.Common.metrics) then
-    Printf.printf "\n[%s metrics]\n%s\n" id
-      (Lfrc_obs.Metrics.to_json r.Common.metrics);
-  if Lfrc_obs.Profile.enabled r.Common.profile then
-    Printf.printf "\n[%s contention]\n%s" id
-      (Lfrc_obs.Profile.table r.Common.profile);
-  if Lfrc_obs.Blame.enabled r.Common.blame then
-    Printf.printf "\n[%s blame]\n%s" id (Lfrc_obs.Blame.report r.Common.blame)
+let render ~id ~csv (r : Common.result) =
+  if csv then Lfrc_util.Table.csv r.Common.table
+  else
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf (Lfrc_util.Table.render r.Common.table);
+    List.iter (fun n -> Printf.bprintf buf "\n%s\n" n) r.Common.notes;
+    if not (Lfrc_obs.Metrics.is_empty r.Common.metrics) then
+      Printf.bprintf buf "\n[%s metrics]\n%s\n" id
+        (Lfrc_obs.Metrics.to_json r.Common.metrics);
+    if Lfrc_obs.Profile.enabled r.Common.profile then
+      Printf.bprintf buf "\n[%s contention]\n%s" id
+        (Lfrc_obs.Profile.table r.Common.profile);
+    if Lfrc_obs.Blame.enabled r.Common.blame then
+      Printf.bprintf buf "\n[%s blame]\n%s" id
+        (Lfrc_obs.Blame.report r.Common.blame);
+    Buffer.contents buf
 
-let run_and_print ?(config = Scenario.default_config) ?(csv = false) e =
-  if csv then Printf.printf "# %s: %s\n" e.id e.title
-  else Printf.printf "\n[%s] %s\n%!" e.id e.title;
-  let r = e.run config in
-  print_result ~id:e.id ~csv r;
-  print_newline ()
-
-let run_ids ?config ?csv ids =
+let run_ids ?(config = Scenario.default_config) ?(csv = false) ids =
   let selected =
     List.filter_map
       (fun id ->
@@ -99,5 +95,11 @@ let run_ids ?config ?csv ids =
             None)
       ids
   in
-  List.iter (fun e -> run_and_print ?config ?csv e) selected;
+  List.iter
+    (fun e ->
+      if csv then Printf.printf "# %s: %s\n" e.id e.title
+      else Printf.printf "\n[%s] %s\n%!" e.id e.title;
+      print_string (render ~id:e.id ~csv (e.run config));
+      print_newline ())
+    selected;
   List.length selected = List.length ids

@@ -4,8 +4,7 @@
 
     Every experiment runs under a shared {!Scenario.config}; alongside its
     table it returns the {!Lfrc_obs.Metrics} snapshot gathered from the
-    environments it created, and the printers emit that snapshot as a
-    [\[Ek metrics\]] JSON block after the table. *)
+    environments it created, which {!render} prints after the table. *)
 
 type experiment = {
   id : string;  (** "E1" .. "E11" *)
@@ -18,8 +17,14 @@ val all : experiment list
 val find : string -> experiment option
 (** Case-insensitive lookup by id. *)
 
+val render : id:string -> csv:bool -> Common.result -> string
+(** Experiment [id]'s result as {!run_ids} prints it: the table's CSV
+    and nothing else, or the aligned table, its notes, and the
+    [\[Ek metrics\]] JSON, [\[Ek contention\]] and [\[Ek blame\]]
+    blocks of the layers that are on. *)
+
 val run_ids : ?config:Scenario.config -> ?csv:bool -> string list -> bool
 (** Resolve each id with {!find} (reporting unknown ids on stderr), then
-    run the rest and print each table (aligned, or CSV), followed by the
-    metrics JSON block when the snapshot is non-empty; [false] when any
-    id was unknown. [config] defaults to {!Scenario.default_config}. *)
+    run the rest, printing each one's title line and {!render}ing;
+    [false] when any id was unknown. [config] defaults to
+    {!Scenario.default_config}. *)

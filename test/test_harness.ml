@@ -194,6 +194,43 @@ let test_e2_rc_mode_headlines () =
     true
     (attempts wait_free < attempts deferred)
 
+(* Under --csv an experiment prints its table's CSV and nothing else:
+   with metrics, profile and blame on, E2's CSV rendering has no
+   "[E2 ...]" block header and no JSON line, while the aligned rendering
+   keeps all three blocks. *)
+let test_csv_prints_only_csv () =
+  match Experiments.find "E2" with
+  | None -> Alcotest.fail "E2 missing"
+  | Some e ->
+      let r =
+        e.Experiments.run
+          {
+            Scenario.default_config with
+            threads = 2;
+            ops_per_thread = 30;
+            iters = 100;
+            metrics = true;
+            profile = true;
+            blame = true;
+          }
+      in
+      let lines csv =
+        String.split_on_char '\n' (Experiments.render ~id:"E2" ~csv r)
+      in
+      List.iter
+        (fun line ->
+          checkb
+            (Printf.sprintf "csv line %S is table data" line)
+            false
+            (String.starts_with ~prefix:"[" line
+            || String.starts_with ~prefix:"{" line))
+        (lines true);
+      List.iter
+        (fun block ->
+          checkb (block ^ " block in the aligned rendering") true
+            (List.mem block (lines false)))
+        [ "[E2 metrics]"; "[E2 contention]"; "[E2 blame]" ]
+
 (* Every experiment threads the config's profiler through its
    environments, E11's chaos cells included: its contention table has
    rows. *)
@@ -234,6 +271,8 @@ let () =
           Alcotest.test_case "E2/E5 counts without metrics" `Quick
             test_counts_independent_of_metrics;
           Alcotest.test_case "E11 profiles" `Quick test_e11_profiles;
+          Alcotest.test_case "csv prints only csv" `Quick
+            test_csv_prints_only_csv;
           Alcotest.test_case "E2 rc-mode headlines" `Quick
             test_e2_rc_mode_headlines;
         ] );
