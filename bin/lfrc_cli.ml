@@ -201,7 +201,8 @@ let stats_cmd =
     in
     Printf.printf "# %s%s: %d threads x %d ops, seed %d%s\n%s\n" name tier
       workers ops seed (rc_mode_suffix rc_mode)
-      (Lfrc_obs.Metrics.to_json (Lfrc_obs.Metrics.snapshot metrics))
+      (Json.to_string
+         (Lfrc_obs.Metrics.to_json (Lfrc_obs.Metrics.snapshot metrics)))
   in
   Cmd.v
     (Cmd.info "stats"
@@ -263,7 +264,7 @@ let trace_cmd =
       ~ops_per_worker:ops ~seed workload;
     let rendered =
       match format with
-      | `Chrome -> Lfrc_obs.Tracer.to_chrome_json tracer
+      | `Chrome -> Json.to_string (Lfrc_obs.Tracer.to_chrome_json tracer)
       | `Text -> Lfrc_obs.Tracer.to_timeline tracer
     in
     match output with
@@ -309,10 +310,16 @@ let profile_cmd =
     Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~profile ~workers
       ~ops_per_worker:ops ~seed workload;
     if json then
-      Printf.printf "{\"workload\":\"%s\",\"profile\":%s,\"metrics\":%s}\n"
-        name
-        (Lfrc_obs.Profile.to_json profile)
-        (Lfrc_obs.Metrics.to_json (Lfrc_obs.Metrics.snapshot metrics))
+      print_endline
+        (Json.to_string
+           (Json.Object
+              [
+                ("workload", Json.String name);
+                ("profile", Lfrc_obs.Profile.to_json profile);
+                ( "metrics",
+                  Lfrc_obs.Metrics.to_json (Lfrc_obs.Metrics.snapshot metrics)
+                );
+              ]))
     else begin
       Printf.printf "# %s: %d threads x %d ops, seed %d\n" name workers ops
         seed;
@@ -362,7 +369,7 @@ let blame_cmd =
     let blame = Lfrc_obs.Blame.create () in
     Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~blame ~workers
       ~ops_per_worker:ops ~seed workload;
-    if json then print_endline (Lfrc_obs.Blame.to_json blame)
+    if json then print_endline (Json.to_string (Lfrc_obs.Blame.to_json blame))
     else if matrix then print_string (Lfrc_obs.Blame.matrix blame)
     else begin
       Printf.printf "# %s: %d threads x %d ops, seed %d%s\n" name workers ops
@@ -522,7 +529,7 @@ let forensics_cmd =
           (fun file ->
             Out_channel.with_open_text file (fun oc ->
                 Out_channel.output_string oc
-                  (Lfrc_obs.Lineage.to_chrome_json lineage));
+                  (Json.to_string (Lfrc_obs.Lineage.to_chrome_json lineage)));
             Printf.printf "lifecycle trace -> %s\n" file)
           chrome;
         `Ok ()
@@ -725,7 +732,7 @@ let analyze_cmd =
     match report with
     | Error msg -> `Error (false, msg)
     | Ok report ->
-        if json then print_endline (Report.to_json report)
+        if json then print_endline (Json.to_string (Report.to_json report))
         else print_string (Report.to_string report);
         if Report.errors report > 0 then exit 1 else `Ok ()
   in
@@ -782,35 +789,35 @@ let sanitize_cmd =
       value & opt int 40
       & info [ "ops" ] ~docv:"N" ~doc:"Operations per worker per run.")
   in
-  let json_outcome b (o : San.outcome) =
+  let json_outcome (o : San.outcome) =
     let t = o.San.o_totals in
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"structure\":\"%s\",\"schedules\":[%s],\"checks\":%d,\
-          \"races\":%d,\"uaf\":%d,\"uar\":%d,\"aba\":%d,\
-          \"aba_harmful\":%d,\"findings\":["
-         (Json.escape o.San.o_structure)
-         (String.concat ","
-            (List.map
-               (fun s -> Printf.sprintf "\"%s\"" (Json.escape s))
-               o.San.o_schedules))
-         t.Shadow.checks t.Shadow.races t.Shadow.uaf t.Shadow.uar
-         t.Shadow.aba t.Shadow.aba_harmful);
-    List.iteri
-      (fun i (w : San.witness) ->
-        if i > 0 then Buffer.add_char b ',';
-        let f = w.San.w_finding in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"kind\":\"%s\",\"slot\":\"%s\",\"addr\":%d,\"gen\":%d,\
-              \"count\":%d,\"replay\":\"%s\",\"message\":\"%s\",\
-              \"lineage\":\"%s\"}"
-             (Shadow.kind_name f.Shadow.f_kind)
-             (Json.escape f.Shadow.f_slot) f.Shadow.f_addr f.Shadow.f_gen
-             f.Shadow.f_count (Json.escape w.San.w_schedule)
-             (Json.escape f.Shadow.f_message) (Json.escape w.San.w_lineage)))
-      o.San.o_witnesses;
-    Buffer.add_string b "]}"
+    let witness (w : San.witness) =
+      let f = w.San.w_finding in
+      Json.Object
+        [
+          ("kind", Json.String (Shadow.kind_name f.Shadow.f_kind));
+          ("slot", Json.String f.Shadow.f_slot);
+          ("addr", Json.Int f.Shadow.f_addr);
+          ("gen", Json.Int f.Shadow.f_gen);
+          ("count", Json.Int f.Shadow.f_count);
+          ("replay", Json.String w.San.w_schedule);
+          ("message", Json.String f.Shadow.f_message);
+          ("lineage", Json.String w.San.w_lineage);
+        ]
+    in
+    Json.Object
+      [
+        ("structure", Json.String o.San.o_structure);
+        ( "schedules",
+          Json.Array (List.map (fun s -> Json.String s) o.San.o_schedules) );
+        ("checks", Json.Int t.Shadow.checks);
+        ("races", Json.Int t.Shadow.races);
+        ("uaf", Json.Int t.Shadow.uaf);
+        ("uar", Json.Int t.Shadow.uar);
+        ("aba", Json.Int t.Shadow.aba);
+        ("aba_harmful", Json.Int t.Shadow.aba_harmful);
+        ("findings", Json.Array (List.map witness o.San.o_witnesses));
+      ]
   in
   let print_outcome (o : San.outcome) =
     let t = o.San.o_totals in
@@ -870,17 +877,14 @@ let sanitize_cmd =
     match results with
     | exception Failure msg -> `Error (false, msg)
     | results ->
-        if json then begin
-          let b = Buffer.create 4096 in
-          Buffer.add_string b "{\"report\":\"lfrc-sanitize\",\"runs\":[";
-          List.iteri
-            (fun i o ->
-              if i > 0 then Buffer.add_char b ',';
-              json_outcome b o)
-            results;
-          Buffer.add_string b "]}";
-          print_endline (Buffer.contents b)
-        end
+        if json then
+          print_endline
+            (Json.to_string
+               (Json.Object
+                  [
+                    ("report", Json.String "lfrc-sanitize");
+                    ("runs", Json.Array (List.map json_outcome results));
+                  ]))
         else List.iter print_outcome results;
         if fixtures then begin
           let missed =

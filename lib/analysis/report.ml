@@ -181,55 +181,42 @@ let summary_line (t : t) =
 let to_string (t : t) =
   Format.asprintf "%a%s\n" pp t (summary_line t)
 
-(* {2 JSON} — printed by hand over the shared {!Json.escape}, like every
-   JSON writer in the repo (there is no JSON library dependency). *)
+(* {2 JSON} *)
 
-let json_finding b (f : finding) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"class\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\
-        \"paths_hit\":%d,\"witness_decisions\":\"%s\",\"witness\":["
-       (Absint.cls_name f.cls)
-       (severity_name f.severity)
-       (Json.escape f.message) f.paths_hit
-       (Json.escape f.witness_decisions));
-  List.iteri
-    (fun i line ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape line)))
-    f.witness;
-  Buffer.add_string b "]}"
+let json_finding (f : finding) =
+  Json.Object
+    [
+      ("class", Json.String (Absint.cls_name f.cls));
+      ("severity", Json.String (severity_name f.severity));
+      ("message", Json.String f.message);
+      ("paths_hit", Json.Int f.paths_hit);
+      ("witness_decisions", Json.String f.witness_decisions);
+      ("witness", Json.Array (List.map (fun l -> Json.String l) f.witness));
+    ]
 
-let json_action b (a : action_report) =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"action\":\"%s\",\"paths\":%d,\"completed\":%d,\
-        \"infeasible\":%d,\"cut\":%d,\"truncated\":%b,\"findings\":["
-       (Json.escape a.action) a.paths a.completed a.infeasible a.cut
-       a.truncated);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char b ',';
-      json_finding b f)
-    a.findings;
-  Buffer.add_string b "]}"
+let json_action (a : action_report) =
+  Json.Object
+    [
+      ("action", Json.String a.action);
+      ("paths", Json.Int a.paths);
+      ("completed", Json.Int a.completed);
+      ("infeasible", Json.Int a.infeasible);
+      ("cut", Json.Int a.cut);
+      ("truncated", Json.Bool a.truncated);
+      ("findings", Json.Array (List.map json_finding a.findings));
+    ]
 
 let to_json (t : t) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"report\":\"lfrc-analyze\",\"structures\":[";
-  List.iteri
-    (fun i (s : structure_report) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"structure\":\"%s\",\"actions\":["
-           (Json.escape s.structure));
-      List.iteri
-        (fun j a ->
-          if j > 0 then Buffer.add_char b ',';
-          json_action b a)
-        s.actions;
-      Buffer.add_string b "]}")
-    t.structures;
-  Buffer.add_string b
-    (Printf.sprintf "],\"errors\":%d}" (errors t));
-  Buffer.contents b
+  let structure (s : structure_report) =
+    Json.Object
+      [
+        ("structure", Json.String s.structure);
+        ("actions", Json.Array (List.map json_action s.actions));
+      ]
+  in
+  Json.Object
+    [
+      ("report", Json.String "lfrc-analyze");
+      ("structures", Json.Array (List.map structure t.structures));
+      ("errors", Json.Int (errors t));
+    ]

@@ -75,7 +75,8 @@ let render ~id ~csv (r : Common.result) =
     List.iter (fun n -> Printf.bprintf buf "\n%s\n" n) r.Common.notes;
     if not (Lfrc_obs.Metrics.is_empty r.Common.metrics) then
       Printf.bprintf buf "\n[%s metrics]\n%s\n" id
-        (Lfrc_obs.Metrics.to_json r.Common.metrics);
+        (Lfrc_util.Json.to_string
+           (Lfrc_obs.Metrics.to_json r.Common.metrics));
     if Lfrc_obs.Profile.enabled r.Common.profile then
       Printf.bprintf buf "\n[%s contention]\n%s" id
         (Lfrc_obs.Profile.table r.Common.profile);

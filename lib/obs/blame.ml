@@ -601,60 +601,59 @@ let report ?(top = 10) ?namer ?lineage t =
   Buffer.contents buf
 
 let to_json ?namer ?lineage t =
-  let buf = Buffer.create 2048 in
   let attributed, unstamped, spurious, flows, ad_frames, ad_chains =
     counters t
   in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"totals\":{\"wasted\":%d,\"attributed\":%d,\"unstamped\":%d,\
-        \"injected\":%d,\"rc_wasted\":%d,\"flows\":%d,\
-        \"adopted_frames\":%d,\"adopted_chains\":%d,\"pending\":%d},\
-        \"pairs\":["
-       (total_wasted t) attributed unstamped spurious (rc_wasted t) flows
-       ad_frames ad_chains (pending t));
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"victim\":\"%s\",\"culprit\":\"%s\",\"wasted\":%d,\
-            \"steps\":%d,\"rc\":%d,\"kinds\":{"
-           (Json.escape r.b_victim) (Json.escape r.b_culprit) r.b_wasted
-           r.b_steps r.b_rc);
-      List.iteri
-        (fun j (k, n) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "\"%s\":%d" k n))
-        r.b_kinds;
-      Buffer.add_string buf "},\"objects\":[";
-      List.iteri
-        (fun j (addr, n) ->
-          if j < 3 then begin
-            if j > 0 then Buffer.add_char buf ',';
-            let family, last = describe_addr ?namer ?lineage addr in
-            Buffer.add_string buf
-              (Printf.sprintf "{\"addr\":%d,\"wasted\":%d%s%s}" addr n
-                 (match family with
-                 | Some f -> Printf.sprintf ",\"family\":\"%s\"" (Json.escape f)
-                 | None -> "")
-                 (match last with
-                 | Some l -> Printf.sprintf ",\"last\":\"%s\"" (Json.escape l)
-                 | None -> ""))
-          end)
-        r.b_addrs;
-      Buffer.add_string buf "]}")
-    (rows t);
-  Buffer.add_string buf "],\"chains\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"site\":\"%s\",\"chains\":%d,\"retries\":%d,\"len_max\":%d,\
-            \"steps\":%d,\"adopted\":%d}"
-           (Json.escape c.c_site) c.c_chains c.c_len_total c.c_len_max
-           c.c_steps_total c.c_adopted))
-    (chain_rows t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let ints fields = List.map (fun (k, n) -> (k, Json.Int n)) fields in
+  let obj (addr, n) =
+    let family, last = describe_addr ?namer ?lineage addr in
+    let opt k = Option.fold ~none:[] ~some:(fun s -> [ (k, Json.String s) ]) in
+    Json.Object
+      ([ ("addr", Json.Int addr); ("wasted", Json.Int n) ]
+      @ opt "family" family @ opt "last" last)
+  in
+  let pair r =
+    Json.Object
+      [
+        ("victim", Json.String r.b_victim);
+        ("culprit", Json.String r.b_culprit);
+        ("wasted", Json.Int r.b_wasted);
+        ("steps", Json.Int r.b_steps);
+        ("rc", Json.Int r.b_rc);
+        ("kinds", Json.Object (ints r.b_kinds));
+        ( "objects",
+          Json.Array (List.map obj (List.filteri (fun j _ -> j < 3) r.b_addrs))
+        );
+      ]
+  in
+  let chain c =
+    Json.Object
+      (("site", Json.String c.c_site)
+      :: ints
+           [
+             ("chains", c.c_chains);
+             ("retries", c.c_len_total);
+             ("len_max", c.c_len_max);
+             ("steps", c.c_steps_total);
+             ("adopted", c.c_adopted);
+           ])
+  in
+  Json.Object
+    [
+      ( "totals",
+        Json.Object
+          (ints
+             [
+               ("wasted", total_wasted t);
+               ("attributed", attributed);
+               ("unstamped", unstamped);
+               ("injected", spurious);
+               ("rc_wasted", rc_wasted t);
+               ("flows", flows);
+               ("adopted_frames", ad_frames);
+               ("adopted_chains", ad_chains);
+               ("pending", pending t);
+             ]) );
+      ("pairs", Json.Array (List.map pair (rows t)));
+      ("chains", Json.Array (List.map chain (chain_rows t)));
+    ]

@@ -124,7 +124,10 @@ val report :
     layout family; [lineage] names the last recorded event per object. *)
 
 val to_json :
-  ?namer:(int -> string option) -> ?lineage:Lineage.t -> t -> string
+  ?namer:(int -> string option) ->
+  ?lineage:Lineage.t ->
+  t ->
+  Lfrc_util.Json.t
 (** Machine-readable dump: totals, sorted pairs (with per-pair op kinds
     and top objects), and per-site chain stats. Byte-deterministic for a
     given run. *)

@@ -118,7 +118,7 @@ val timeline : t -> addr:int -> string
     marker when the ring wrapped, then one line per retained event
     ([step  tid  kind  op]). *)
 
-val to_chrome_json : ?addr:int -> t -> string
+val to_chrome_json : ?addr:int -> t -> Lfrc_util.Json.t
 (** Chrome trace-event export via {!Tracer.chrome_json_of_events}, one
     track per object ([tid] := address): alloc/free pair into a lifetime
     span, count transitions and retire/defer render as instants. Omitting

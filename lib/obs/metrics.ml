@@ -281,69 +281,38 @@ let merge a b =
         a.samples b.samples;
   }
 
-let json_obj buf fields =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, emit) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (Json.escape k));
-      emit buf)
-    fields;
-  Buffer.add_char buf '}'
-
 let json_float x =
-  if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.6g" x
+  Json.Num
+    (if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
+     else Printf.sprintf "%.6g" x)
 
 let to_json s =
-  let buf = Buffer.create 512 in
-  json_obj buf
+  let series f xs = Json.Object (List.map (fun (k, v) -> (k, f v)) xs) in
+  Json.Object
     [
-      ( "counters",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, v) ->
-                 (k, fun buf -> Buffer.add_string buf (string_of_int v)))
-               s.counters) );
+      ("counters", series (fun v -> Json.Int v) s.counters);
       ( "gauges",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, (last, max)) ->
-                 ( k,
-                   fun buf ->
-                     json_obj buf
-                       [
-                         ( "last",
-                           fun buf ->
-                             Buffer.add_string buf (string_of_int last) );
-                         ( "max",
-                           fun buf -> Buffer.add_string buf (string_of_int max)
-                         );
-                       ] ))
-               s.gauges) );
+        series
+          (fun (last, max) ->
+            Json.Object [ ("last", Json.Int last); ("max", Json.Int max) ])
+          s.gauges );
       ( "histograms",
-        fun buf ->
-          json_obj buf
-            (List.map
-               (fun (k, xs) ->
-                 ( k,
-                   fun buf ->
-                     if Array.length xs = 0 then Buffer.add_string buf "{}"
-                     else begin
-                       let s = Stats.summarize xs in
-                       Buffer.add_string buf
-                         (Printf.sprintf
-                            "{\"n\":%d,\"mean\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\"max\":%s}"
-                            s.Stats.n (json_float s.Stats.mean)
-                            (json_float s.Stats.p50) (json_float s.Stats.p90)
-                            (json_float s.Stats.p99) (json_float s.Stats.max))
-                     end ))
-               s.samples) );
-    ];
-  Buffer.contents buf
+        series
+          (fun xs ->
+            if Array.length xs = 0 then Json.Object []
+            else
+              let h = Stats.summarize xs in
+              Json.Object
+                [
+                  ("n", Json.Int h.Stats.n);
+                  ("mean", json_float h.Stats.mean);
+                  ("p50", json_float h.Stats.p50);
+                  ("p90", json_float h.Stats.p90);
+                  ("p99", json_float h.Stats.p99);
+                  ("max", json_float h.Stats.max);
+                ])
+          s.samples );
+    ]
 
 let pp ppf s =
   let first = ref true in

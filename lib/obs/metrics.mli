@@ -106,10 +106,12 @@ val merge : snapshot -> snapshot -> snapshot
     snapshots taken from registries that could not be shared (e.g.
     separate chaos cells). *)
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Lfrc_util.Json.t
 (** A JSON object [{"counters": {...}, "gauges": {name: {"last","max"}},
     "histograms": {name: {"n","mean","p50","p90","p99","max"}}}].
-    Histograms are summarized with {!Lfrc_util.Stats}. *)
+    Histograms are summarized with {!Lfrc_util.Stats}; a histogram number
+    prints as an integer ([%.0f]) when it is one below 1e15, else
+    [%.6g]. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Compact human-readable rendering (one series per line). *)

@@ -167,22 +167,20 @@ let table t =
       Buffer.contents buf
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"sites\":[";
-  List.iteri
-    (fun i row ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"site\":\"%s\",\"calls\":%d,\"retries\":%d,\"dcas_retries\":%d,\
-            \"wasted\":%d,\"steps_total\":%d,\"steps_max\":%d,\
-            \"steps_per_op\":%.4f}"
-           (Json.escape row.r_site) row.r_calls row.r_retries
-           row.r_dcas_retries row.r_wasted row.r_steps_total row.r_steps_max
-           (mean_steps row)))
-    (rows t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let site row =
+    Json.Object
+      [
+        ("site", Json.String row.r_site);
+        ("calls", Json.Int row.r_calls);
+        ("retries", Json.Int row.r_retries);
+        ("dcas_retries", Json.Int row.r_dcas_retries);
+        ("wasted", Json.Int row.r_wasted);
+        ("steps_total", Json.Int row.r_steps_total);
+        ("steps_max", Json.Int row.r_steps_max);
+        ("steps_per_op", Json.Num (Printf.sprintf "%.4f" (mean_steps row)));
+      ]
+  in
+  Json.Object [ ("sites", Json.Array (List.map site (rows t))) ]
 
 let total_wasted t =
   List.fold_left (fun acc r -> acc + r.r_wasted) 0 (rows t)

@@ -65,9 +65,9 @@ val table : t -> string
 (** The contention table as aligned text: site, calls, retries, dcas,
     wasted, mean steps/op, max steps. *)
 
-val to_json : t -> string
+val to_json : t -> Lfrc_util.Json.t
 (** [{"sites":[...]}] with one record per {!row}, same order as
-    {!rows}. *)
+    {!rows}; [steps_per_op] prints with four decimals. *)
 
 val total_wasted : t -> int
 (** Sum of wasted attempts across all sites. *)

@@ -95,47 +95,40 @@ let kind_name = function
    The pairing works over any event list (not just this ring's) so the
    lineage forensics can reuse it for per-object timelines. *)
 let chrome_json_of_events ?(meta = []) evs =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",";
-  (* Run metadata up front so a saved trace is self-describing: seed,
-     rc mode, fault plan, obs flags — everything needed to replay it. *)
-  Buffer.add_string buf "\"metadata\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
-    meta;
-  Buffer.add_string buf "},\"traceEvents\":[";
-  let first = ref true in
-  let record fields =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%s" k v))
-      fields;
-    Buffer.add_char buf '}'
-  in
-  let quoted s = Printf.sprintf "\"%s\"" (Json.escape s) in
+  let records = ref [] in
+  let record fields = records := Json.Object fields :: !records in
   let common ev =
     [
-      ("pid", "1");
-      ("tid", string_of_int ev.tid);
-      ("args", Printf.sprintf "{\"arg\":%d}" ev.arg);
+      ("pid", Json.Int 1);
+      ("tid", Json.Int ev.tid);
+      ("args", Json.Object [ ("arg", Json.Int ev.arg) ]);
     ]
   in
   let instant ev cat =
     record
       ([
-         ("name", quoted ev.name);
-         ("cat", quoted cat);
-         ("ph", "\"i\"");
-         ("s", "\"t\"");
-         ("ts", string_of_int ev.step);
+         ("name", Json.String ev.name);
+         ("cat", Json.String cat);
+         ("ph", Json.String "i");
+         ("s", Json.String "t");
+         ("ts", Json.Int ev.step);
        ]
       @ common ev)
+  in
+  let flow ev ph bp =
+    record
+      ([
+         ("name", Json.String ev.name);
+         ("cat", Json.String "flow");
+         ("ph", Json.String ph);
+       ]
+      @ bp
+      @ [
+          ("id", Json.Int ev.arg);
+          ("ts", Json.Int ev.step);
+          ("pid", Json.Int 1);
+          ("tid", Json.Int ev.tid);
+        ])
   in
   let stacks : (int, (string * int * int) list ref) Hashtbl.t =
     Hashtbl.create 8
@@ -167,11 +160,11 @@ let chrome_json_of_events ?(meta = []) evs =
                 s := rest;
                 record
                   ([
-                     ("name", quoted name);
-                     ("cat", quoted "op");
-                     ("ph", "\"X\"");
-                     ("ts", string_of_int t0);
-                     ("dur", string_of_int (max 0 (ev.step - t0)));
+                     ("name", Json.String name);
+                     ("cat", Json.String "op");
+                     ("ph", Json.String "X");
+                     ("ts", Json.Int t0);
+                     ("dur", Json.Int (max 0 (ev.step - t0)));
                    ]
                   @ common { ev with arg })
             | orphan :: rest ->
@@ -195,35 +188,22 @@ let chrome_json_of_events ?(meta = []) evs =
           (* Chrome flow-event arrows: "s" (start) at the winning write,
              "f" (finish, binding to the enclosing slice) at the doomed
              attempt; [arg] carries the flow id that pairs them. *)
-          record
-            [
-              ("name", quoted ev.name);
-              ("cat", quoted "flow");
-              ("ph", "\"s\"");
-              ("id", string_of_int ev.arg);
-              ("ts", string_of_int ev.step);
-              ("pid", "1");
-              ("tid", string_of_int ev.tid);
-            ]
-      | Flow_in ->
-          record
-            [
-              ("name", quoted ev.name);
-              ("cat", quoted "flow");
-              ("ph", "\"f\"");
-              ("bp", "\"e\"");
-              ("id", string_of_int ev.arg);
-              ("ts", string_of_int ev.step);
-              ("pid", "1");
-              ("tid", string_of_int ev.tid);
-            ])
+          flow ev "s" []
+      | Flow_in -> flow ev "f" [ ("bp", Json.String "e") ])
     evs;
   (* Spans still open when the trace was cut: render as points too. *)
   Hashtbl.iter
     (fun tid s -> List.iter (orphan_begin tid) !s)
     stacks;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  (* Run metadata up front so a saved trace is self-describing: seed,
+     rc mode, fault plan, obs flags — everything needed to replay it. *)
+  Json.Object
+    [
+      ("displayTimeUnit", Json.String "ms");
+      ( "metadata",
+        Json.Object (List.map (fun (k, v) -> (k, Json.String v)) meta) );
+      ("traceEvents", Json.Array (List.rev !records));
+    ]
 
 let to_chrome_json t = chrome_json_of_events ~meta:(meta t) (events t)
 

@@ -67,7 +67,8 @@ val clear : t -> unit
 
 val kind_name : kind -> string
 
-val chrome_json_of_events : ?meta:(string * string) list -> event list -> string
+val chrome_json_of_events :
+  ?meta:(string * string) list -> event list -> Lfrc_util.Json.t
 (** The Chrome trace-event format over an arbitrary event list:
     [{"traceEvents": [...]}] with Begin/End pairs re-paired into ["X"]
     (complete-span) records and everything else as ["i"] (instant)
@@ -79,7 +80,7 @@ val chrome_json_of_events : ?meta:(string * string) list -> event list -> string
     [chrome://tracing] and Perfetto. The lineage forensics reuse this
     pairing for per-object timelines. *)
 
-val to_chrome_json : t -> string
+val to_chrome_json : t -> Lfrc_util.Json.t
 (** [chrome_json_of_events] over this tracer's retained events. *)
 
 val timeline_of_events :

@@ -16,6 +16,7 @@ module Tracer = Lfrc_obs.Tracer
 module Profile = Lfrc_obs.Profile
 module Blame = Lfrc_obs.Blame
 module Obs = Lfrc_obs.Obs
+module Json = Lfrc_util.Json
 module Common = Lfrc_harness.Common
 module Scenario = Lfrc_harness.Scenario
 
@@ -116,7 +117,7 @@ let test_deterministic_aggregates () =
   let one () =
     let blame = Blame.create () in
     run_treiber ~blame ~seed:5 ();
-    (Blame.to_json blame, Blame.matrix blame)
+    (Json.to_string (Blame.to_json blame), Blame.matrix blame)
   in
   let j1, m1 = one () and j2, m2 = one () in
   checks "to_json byte-identical across runs" j1 j2;
@@ -215,7 +216,7 @@ let test_counter_identity () =
     let metrics = Metrics.create () in
     let blame = if blame_on then Blame.create () else Blame.disabled in
     run_treiber ~blame ~metrics ~seed:9 ();
-    Metrics.to_json (Metrics.snapshot metrics)
+    Json.to_string (Metrics.to_json (Metrics.snapshot metrics))
   in
   checks "metrics snapshot byte-identical with blame on or off"
     (snap_with false) (snap_with true)
@@ -296,7 +297,7 @@ let test_tracer_meta_in_exports () =
     let rec go i = i + la <= ls && (String.sub s i la = affix || go (i + 1)) in
     go 0
   in
-  let chrome = Tracer.to_chrome_json t in
+  let chrome = Json.to_string (Tracer.to_chrome_json t) in
   checkb "chrome header carries metadata object" true
     (has {|"metadata"|} chrome);
   checkb "chrome header carries the seed" true (has {|"seed":"7"|} chrome);

@@ -4,6 +4,7 @@
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
 module Stats = Lfrc_util.Stats
+module Json = Lfrc_util.Json
 module Heap = Lfrc_simmem.Heap
 module Layout = Lfrc_simmem.Layout
 module Env = Lfrc_core.Env
@@ -91,7 +92,7 @@ let test_metrics_json_shape () =
   Metrics.incr m (Metrics.key "dcas.reads");
   Metrics.set_gauge m (Metrics.key "heap.live") 3;
   Metrics.observe m (Metrics.key "pause") 2.5;
-  let j = Metrics.to_json (Metrics.snapshot m) in
+  let j = Json.to_string (Metrics.to_json (Metrics.snapshot m)) in
   List.iter
     (fun frag ->
       checkb (frag ^ " present") true
@@ -273,7 +274,7 @@ let test_chrome_json_well_formed () =
   Tracer.emit t Tracer.Retry "dcas.dcas_attempts";
   Tracer.emit t Tracer.End "lfrc.load";
   Tracer.emit t ~arg:42 Tracer.Free "free";
-  let j = Tracer.to_chrome_json t in
+  let j = Json.to_string (Tracer.to_chrome_json t) in
   let count affix =
     let n = ref 0 in
     let la = String.length affix in
@@ -314,7 +315,7 @@ let test_orphaned_begin_degrades () =
   Tracer.emit t Tracer.Begin "A";
   Tracer.emit t Tracer.Begin "B";
   Tracer.emit t Tracer.End "A";
-  let j = Tracer.to_chrome_json t in
+  let j = Json.to_string (Tracer.to_chrome_json t) in
   let count affix =
     let n = ref 0 in
     let la = String.length affix in
