@@ -71,8 +71,9 @@ val set_injector : t -> injector option -> unit
     is one step however many times {!Mcas} retried inside it. With no
     observer (the default) a step pays one branch and allocates nothing;
     with one, the operands are passed as arguments, never boxed into an
-    event. {!Lfrc_core.Env.observe_dcas} builds the observer that fans
-    each step out to metrics, tracer, profiler, blame and sanitizer. *)
+    event. {!Lfrc_core.Env.create} installs on its substrate the one
+    observer that fans each step out to metrics, tracer, profiler, blame
+    and sanitizer. *)
 
 type observer = {
   on_read : Lfrc_simmem.Cell.t -> int -> unit;

@@ -37,8 +37,8 @@ val dcas :
   bool
 (** Two-word specialization of {!mcas}. MCAS keeps no counters: a
     [Software_mcas] {!Dcas.dcas} step is counted by the substrate's
-    observer, which {!Lfrc_core.Env.observe_dcas} turns into
-    [mcas.attempt] and [mcas.success] / [mcas.fail]. *)
+    observer, which {!Lfrc_core.Env.create} installs and which turns it
+    into [mcas.attempt] and [mcas.success] / [mcas.fail]. *)
 
 val read : Lfrc_simmem.Cell.t -> int
 (** Read a cell that may be targeted by in-flight MCAS operations, helping

@@ -19,9 +19,25 @@ module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module Table = Lfrc_util.Table
 
+(* The substrate rows run each substrate on an environment of its own:
+   [Env.create] wires it to the experiment's layers, and its span stack
+   names the row that paid for a failed attempt. *)
+let substrate_env impl ~metrics ~tracer ~profile ~blame =
+  Lfrc_core.Env.create ~dcas_impl:impl ~metrics ~tracer ~profile ~blame
+    (Heap.create ~name:"e5-substrate" ())
+
+(* One span per op a row drives, named after the row, so an attempt that
+   fails outside LFRC's own spans (a raw DCAS-increment, the locked
+   deque's spin lock) is charged to the row. *)
+let in_row_span env row f =
+  Lfrc_core.Env.span_begin env row;
+  f ();
+  Lfrc_core.Env.span_end env row
+
 let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
-  let d = Dcas.create impl in
-  Lfrc_core.Env.observe_dcas ~metrics ~tracer ~profile ~blame d;
+  let d =
+    Lfrc_core.Env.dcas (substrate_env impl ~metrics ~tracer ~profile ~blame)
+  in
   let c0 = Cell.make 1 and c1 = Cell.make 2 in
   let ns =
     Common.time_per_op_ns ~iters (fun () ->
@@ -31,9 +47,10 @@ let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
 
 let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
     ~profile ~blame =
-  let d = Dcas.create impl in
   let metrics = Common.counting metrics in
-  Lfrc_core.Env.observe_dcas ~metrics ~tracer ~profile ~blame d;
+  let env = substrate_env impl ~metrics ~tracer ~profile ~blame in
+  let d = Lfrc_core.Env.dcas env in
+  let row = Lfrc_obs.Metrics.key (Dcas.impl_name d) in
   let attempts = Common.count_since metrics Common.k_dcas_attempts
   and failures = Common.count_since metrics Common.k_dcas_failures in
   let body () =
@@ -52,7 +69,7 @@ let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
                          ~new1:(v1 + 1))
                   then attempt ()
                 in
-                attempt ()
+                in_row_span env row attempt
               done))
     in
     Sched.join tids;
@@ -138,6 +155,7 @@ let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
      last reference it ever lost. *)
   let lineage = Lfrc_obs.Lineage.create ~ring:64 () in
   let sanitize = Lfrc_sanitize.Shadow.create () in
+  let row = Lfrc_obs.Metrics.key label in
   let body () =
     let heap = Heap.create ~name:"e5-deque" () in
     let env =
@@ -151,11 +169,12 @@ let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
               let h = D.register t in
               let rng = Lfrc_util.Rng.create ((seed * 131) + w) in
               for i = 1 to per_thread do
-                match Lfrc_util.Rng.int rng 4 with
-                | 0 -> ignore (D.try_push_left h ((w * 1000) + i))
-                | 1 -> ignore (D.try_push_right h ((w * 1000) + i))
-                | 2 -> ignore (D.pop_left h)
-                | _ -> ignore (D.pop_right h)
+                in_row_span env row (fun () ->
+                    match Lfrc_util.Rng.int rng 4 with
+                    | 0 -> ignore (D.try_push_left h ((w * 1000) + i))
+                    | 1 -> ignore (D.try_push_right h ((w * 1000) + i))
+                    | 2 -> ignore (D.pop_left h)
+                    | _ -> ignore (D.pop_right h))
               done;
               D.unregister h))
     in

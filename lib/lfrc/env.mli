@@ -86,8 +86,8 @@ val create :
     observability implementations, chosen here once so every instrumented
     hot path below pays a single branch when observability is off.
     Passing enabled instances wires the whole environment: the DCAS
-    substrate (through the one observer {!observe_dcas} installs), the
-    heap's alloc/free observer ({!Lfrc_simmem.Heap.set_observer}), the
+    substrate (through the one observer described below), the heap's
+    alloc/free observer ({!Lfrc_simmem.Heap.set_observer}), the
     deferred-destroy queue, and {!Lfrc}'s operations all report into
     them. Sharing one registry across several environments aggregates
     their series.
@@ -99,35 +99,16 @@ val create :
     [sanitize] (default {!Lfrc_sanitize.Shadow.disabled}, one branch per
     access) wires the LFRC-San shadow-memory sanitizer: it is bound to
     this heap, observability and {!span_site}
-    ({!Lfrc_sanitize.Shadow.attach}), fed
-    every substrate step by the same {!observe_dcas} observer, fed
-    alloc/free events through the heap observer, and notified by
-    {!Lfrc}'s zero-detect paths when a thread takes ownership of a dead
-    object's destruction.
+    ({!Lfrc_sanitize.Shadow.attach}), fed every substrate step by the
+    same observer, fed alloc/free events through the heap observer, and
+    notified by {!Lfrc}'s zero-detect paths when a thread takes
+    ownership of a dead object's destruction.
 
-    [symbolic] marks the environment as belonging to the static analyser
-    ([lib/analysis]): structure code running over it is being *recorded*,
-    not executed, so no real LFRC operation may touch it. Every {!Lfrc}
-    entry point checks the flag and raises {!Lfrc.Symbolic_bypass} — which
-    is how the analyser catches client code that side-steps the
-    {!Ops_intf.OPS} functor argument and calls {!Lfrc} directly (a
-    discipline violation the type checker alone cannot see, because the
-    environment is reachable through the structure record). *)
-
-val observe_dcas :
-  ?metrics:Lfrc_obs.Metrics.t ->
-  ?tracer:Lfrc_obs.Tracer.t ->
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
-  ?sanitize:Lfrc_sanitize.Shadow.t ->
-  Lfrc_atomics.Dcas.t ->
-  unit
-(** Install on a DCAS substrate the observer that fans every step out to
-    the given layers (each defaults to its disabled form). {!create}
-    installs the same fan-out, over its span stack, on its own
-    substrate; a bare substrate has no spans, so its stamps and charges
-    are all ["(unattributed)"]. With every layer off it installs
-    nothing. Per step, in this order:
+    The substrate's observer fans every step out to the layers given
+    here; with metrics, tracer, profiler, blame and sanitizer all off it
+    is not installed. Sites and charges are the calling thread's
+    innermost span, ["(unattributed)"] with none open. Per step, in this
+    order:
     - the sanitizer's access hook;
     - blame: a winning write, CAS, DCAS or fetch-add stamps its cell(s)
       with the innermost span's site; a failed CAS or DCAS is charged to
@@ -144,7 +125,16 @@ val observe_dcas :
     [dcas.spurious_dcas], emits a [Fault] event and is then accounted as
     a failed attempt; blame charges it to ["(fault-injection)"], after
     that accounting for a CAS and before it for a DCAS. These [dcas.*]
-    series are the only count of substrate traffic. *)
+    series are the only count of substrate traffic.
+
+    [symbolic] marks the environment as belonging to the static analyser
+    ([lib/analysis]): structure code running over it is being *recorded*,
+    not executed, so no real LFRC operation may touch it. Every {!Lfrc}
+    entry point checks the flag and raises {!Lfrc.Symbolic_bypass} — which
+    is how the analyser catches client code that side-steps the
+    {!Ops_intf.OPS} functor argument and calls {!Lfrc} directly (a
+    discipline violation the type checker alone cannot see, because the
+    environment is reachable through the structure record). *)
 
 val heap : t -> Lfrc_simmem.Heap.t
 val dcas : t -> Lfrc_atomics.Dcas.t

@@ -423,12 +423,6 @@ let observe_spans ~spans ~metrics ~tracer ~profile ~blame ~sanitize d =
                attempted Blame.Dcas false);
          })
 
-let observe_dcas ?(metrics = Metrics.disabled) ?(tracer = Tracer.disabled)
-    ?(profile = Profile.disabled) ?(blame = Blame.disabled)
-    ?(sanitize = Shadow.disabled) d =
-  observe_spans ~spans:(Spans.create ()) ~metrics ~tracer ~profile ~blame
-    ~sanitize d
-
 (* --- op spans: the one subscriber set {!Lfrc}'s spans feed ---
 
    The tracer's End is emitted even with no frame to close: a span that

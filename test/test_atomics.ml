@@ -84,9 +84,12 @@ let test_dcas_negative_values () =
       checki (name ^ " c1") (-60) (Dcas.read d c1))
 
 let test_counters () =
-  let d = Dcas.create Dcas.Atomic_step in
   let metrics = Metrics.create () in
-  Lfrc_core.Env.observe_dcas ~metrics d;
+  let d =
+    Lfrc_core.Env.dcas
+      (Lfrc_core.Env.create ~dcas_impl:Dcas.Atomic_step ~metrics
+         (Lfrc_simmem.Heap.create ()))
+  in
   let c0 = Cell.make 0 and c1 = Cell.make 0 in
   ignore (Dcas.read d c0);
   Dcas.write d c0 1;

@@ -246,6 +246,42 @@ let test_e11_profiles () =
       checkb "profiled sites" true
         (Lfrc_obs.Profile.rows r.Lfrc_harness.Common.profile <> [])
 
+(* E5 opens a span named after its row around every op it drives, so no
+   failed attempt falls to the "(unattributed)" site: not the substrate
+   rows' raw DCAS-increments, not the locked deque's spin lock. *)
+let test_e5_names_every_failure () =
+  match Experiments.find "E5" with
+  | None -> Alcotest.fail "E5 missing"
+  | Some e ->
+      let r =
+        e.Experiments.run
+          {
+            Scenario.default_config with
+            threads = 2;
+            ops_per_thread = 30;
+            iters = 100;
+            profile = true;
+            blame = true;
+          }
+      in
+      let profile = r.Lfrc_harness.Common.profile
+      and blame = r.Lfrc_harness.Common.blame in
+      checkb "attempts failed" true (Lfrc_obs.Profile.total_wasted profile > 0);
+      List.iter
+        (fun (row : Lfrc_obs.Profile.row) ->
+          if row.Lfrc_obs.Profile.r_site = "(unattributed)" then
+            checki "unattributed failures" 0 row.Lfrc_obs.Profile.r_wasted)
+        (Lfrc_obs.Profile.rows profile);
+      List.iter
+        (fun (b : Lfrc_obs.Blame.row) ->
+          checkb
+            (Printf.sprintf "%s -> %s names sites" b.Lfrc_obs.Blame.b_victim
+               b.Lfrc_obs.Blame.b_culprit)
+            false
+            (List.mem "(unattributed)"
+               [ b.Lfrc_obs.Blame.b_victim; b.Lfrc_obs.Blame.b_culprit ]))
+        (Lfrc_obs.Blame.rows blame)
+
 let () =
   Alcotest.run "harness"
     [
@@ -275,5 +311,7 @@ let () =
             test_csv_prints_only_csv;
           Alcotest.test_case "E2 rc-mode headlines" `Quick
             test_e2_rc_mode_headlines;
+          Alcotest.test_case "E5 names every failure" `Quick
+            test_e5_names_every_failure;
         ] );
     ]
