@@ -67,9 +67,6 @@ let name_of tid =
   | Some s when tid >= 0 && tid < s.n_threads -> s.threads.(tid).name
   | _ -> Printf.sprintf "t%d" tid
 
-let crashed_so_far () =
-  match !current_sched with None -> [] | Some s -> List.rev s.crashed
-
 let point () =
   match !current_sched with None -> () | Some _ -> Effect.perform Yield
 

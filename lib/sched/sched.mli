@@ -93,9 +93,3 @@ val name_of : int -> string
 (** The thread's name in the current run ("main", a [spawn ~name], or the
     default ["t<id>"]); falls back to ["t<id>"] outside a simulation or
     for an unknown id. For diagnostics (sanitizer witnesses). *)
-
-val crashed_so_far : unit -> int list
-(** Threads crash-injected so far in the current run, in crash order —
-    the survivors' view of who has failed permanently, so in-run code
-    (helping/adoption protocols) can take over a dead peer's orphaned
-    state without waiting for the run to end. [] outside a simulation. *)

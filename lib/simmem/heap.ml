@@ -294,6 +294,3 @@ let stats (t : t) : stats =
 
 let live_count (t : t) = Atomic.get t.live
 
-let pp_stats ppf s =
-  Format.fprintf ppf "allocs=%d frees=%d live=%d peak=%d live_cells=%d"
-    s.allocs s.frees s.live s.peak_live s.live_cells

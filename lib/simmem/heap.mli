@@ -154,4 +154,3 @@ type stats = {
 
 val stats : t -> stats
 val live_count : t -> int
-val pp_stats : Format.formatter -> stats -> unit

@@ -21,11 +21,6 @@ type tier = Cas | Dcas
 
 let tier_name = function Cas -> "cas" | Dcas -> "dcas"
 
-let tier_of_name = function
-  | "cas" -> Some Cas
-  | "dcas" -> Some Dcas
-  | _ -> None
-
 type cas_ops = (module Lfrc_core.Ops_intf.OPS_CAS)
 type dcas_ops = (module Lfrc_core.Ops_intf.OPS_DCAS)
 

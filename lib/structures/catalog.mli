@@ -14,9 +14,6 @@ type tier = Cas | Dcas
 val tier_name : tier -> string
 (** ["cas"] / ["dcas"] — the CLI/report spelling. *)
 
-val tier_of_name : string -> tier option
-(** Inverse of {!tier_name}; [None] on anything else. *)
-
 type cas_ops = (module Lfrc_core.Ops_intf.OPS_CAS)
 type dcas_ops = (module Lfrc_core.Ops_intf.OPS_DCAS)
 

@@ -12,6 +12,5 @@ let slot_dummy = 0
 let slot_left_hat = 1
 let slot_right_hat = 2
 
-let l_cell heap p = Heap.ptr_cell heap p slot_l
 let r_cell heap p = Heap.ptr_cell heap p slot_r
 let v_cell heap p = Heap.val_cell heap p slot_v

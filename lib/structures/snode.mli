@@ -18,6 +18,5 @@ val slot_dummy : int
 val slot_left_hat : int
 val slot_right_hat : int
 
-val l_cell : Lfrc_simmem.Heap.t -> Lfrc_simmem.Heap.ptr -> Lfrc_simmem.Cell.t
 val r_cell : Lfrc_simmem.Heap.t -> Lfrc_simmem.Heap.ptr -> Lfrc_simmem.Cell.t
 val v_cell : Lfrc_simmem.Heap.t -> Lfrc_simmem.Heap.ptr -> Lfrc_simmem.Cell.t

@@ -27,14 +27,6 @@ let balanced_deque =
   named "balanced"
     [ (Push_left, 25); (Push_right, 25); (Pop_left, 25); (Pop_right, 25) ]
 
-let push_heavy =
-  named "push-heavy"
-    [ (Push_left, 40); (Push_right, 40); (Pop_left, 10); (Pop_right, 10) ]
-
-let pop_heavy =
-  named "pop-heavy"
-    [ (Push_left, 10); (Push_right, 10); (Pop_left, 40); (Pop_right, 40) ]
-
 let right_only = named "right-only" [ (Push_right, 50); (Pop_right, 50) ]
 
 let stream t ~seed ~thread n =

@@ -14,12 +14,6 @@ val make : (kind * int) list -> t
 val balanced_deque : t
 (** 25% each of the four deque operations. *)
 
-val push_heavy : t
-(** 40/40 pushes, 10/10 pops: grows the structure. *)
-
-val pop_heavy : t
-(** 10/10 pushes, 40/40 pops: drains the structure. *)
-
 val right_only : t
 (** 50/50 push-right/pop-right: single-ended (stack-like) usage. *)
 
