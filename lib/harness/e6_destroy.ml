@@ -10,7 +10,11 @@
       a stack overflow waiting to happen;
     - iterative: same single pause, constant stack;
     - deferred: the pause is split into per-operation slices of
-      [budget_per_op] frees; the maximum slice is the bounded pause. *)
+      [budget_per_op] frees; the maximum slice is the bounded pause.
+
+    Destroying a chain is one single-threaded timed call, so the
+    config's [iters] sets the scale: chains of [iters/200], [iters/20],
+    [iters/2] and [2 * iters] objects (1e3 to 4e5 at the default). *)
 
 module Heap = Lfrc_simmem.Heap
 module Layout = Lfrc_simmem.Layout
@@ -94,5 +98,5 @@ let run (cfg : Scenario.config) =
                 (Float.of_int max_pause /. 1e6)
           | Error note -> Table.add_rowf table "%s|%d|-|-|%s" label n note)
         policies)
-    [ 1_000; 10_000; 100_000; 400_000 ];
+    (List.map (fun d -> max 1 (2 * cfg.Scenario.iters / d)) [ 400; 40; 4; 1 ]);
   Common.result ~table ~profile metrics
