@@ -15,11 +15,11 @@ let checkb = Alcotest.(check bool)
 
 let node = Layout.make ~name:"node" ~n_ptrs:2 ~n_vals:1
 
-let fresh ?policy ?rc_mode ?metrics ?profile ?blame name =
+let fresh ?(dcas_impl = Lfrc_atomics.Dcas.Atomic_step) ?policy ?rc_mode
+    ?metrics ?profile ?blame name =
   let heap = Heap.create ~name () in
   let env =
-    Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?policy ?rc_mode
-      ?metrics ?profile ?blame heap
+    Env.create ~dcas_impl ?policy ?rc_mode ?metrics ?profile ?blame heap
   in
   (env, heap)
 
@@ -516,50 +516,68 @@ let budget name limit op =
     Alcotest.failf "%s: %.4f words per op (budget %.0f)" name words limit
 
 (* Load, store and cas, outside the simulator, each within its budget of
-   minor words per call. *)
-let op_budgets ?rc_mode ?metrics ?profile ?blame (load, store, cas) =
-  let env, heap = fresh ?rc_mode ?metrics ?profile ?blame "budget" in
+   minor words per call; the substrate defaults to [Atomic_step]. *)
+let op_budgets ?dcas_impl ?rc_mode ?metrics ?profile ?blame (load, store, cas)
+    =
+  let env, heap =
+    fresh ?dcas_impl ?rc_mode ?metrics ?profile ?blame "budget"
+  in
+  let on = " on " ^ Lfrc_atomics.Dcas.impl_name (Env.dcas env) in
   let cell = Heap.root heap () in
   Lfrc.store_alloc env ~dst:cell (Lfrc.alloc env node);
   let local = ref Heap.null in
   Lfrc.load env ~src:cell ~dest:local;
-  budget "load" load (fun () -> Lfrc.load env ~src:cell ~dest:local);
-  budget "store" store (fun () -> Lfrc.store env ~dst:cell !local);
-  budget "cas" cas (fun () ->
+  budget ("load" ^ on) load (fun () -> Lfrc.load env ~src:cell ~dest:local);
+  budget ("store" ^ on) store (fun () -> Lfrc.store env ~dst:cell !local);
+  budget ("cas" ^ on) cas (fun () ->
       ignore (Lfrc.cas env cell ~old_ptr:!local ~new_ptr:!local));
-  (env, local)
+  (env, local, on)
 
 (* The four obs-off rows in one count-delivery mode: load, store, cas,
    and copy + destroy of a second local. *)
-let mode_budgets ?rc_mode words =
-  let env, local = op_budgets ?rc_mode (words, words, words) in
+let mode_budgets ?dcas_impl ?rc_mode words =
+  let env, local, on = op_budgets ?dcas_impl ?rc_mode (words, words, words) in
   let tmp = ref Heap.null in
-  budget "copy+destroy" words (fun () ->
+  budget ("copy+destroy" ^ on) words (fun () ->
       Lfrc.copy env ~dest:tmp !local;
       Lfrc.destroy env !tmp;
       tmp := Heap.null);
   (env, local)
 
+(* Every obs-off row runs on the simulator's substrate and on the one
+   real domains use, whose stripe locks build no closure. *)
+let substrates = Lfrc_atomics.Dcas.[ Atomic_step; Striped_lock ]
+
 (* Outside the simulator, with observability off, an eager Figure-2
    operation allocates nothing: no closure, no box, and no registry
    cell, since the crash registries are int stacks grown once. *)
 let test_obs_off_op_budgets () =
-  let env, local = mode_budgets 0. in
-  checki "counts unchanged" 2 (rc env !local)
+  List.iter
+    (fun dcas_impl ->
+      let env, local = mode_budgets ~dcas_impl 0. in
+      checki "counts unchanged" 2 (rc env !local))
+    substrates
 
 (* Deferred rc parks into a per-thread table grown once; the budget
    also covers the flush every 64 parks, amortized. *)
 let test_deferred_op_budgets () =
-  let env, local =
-    mode_budgets ~rc_mode:(Env.Deferred_rc { epoch = 64 }) 4.
-  in
-  Env.settle env;
-  checki "counts settle" 2 (rc env !local)
+  List.iter
+    (fun dcas_impl ->
+      let env, local =
+        mode_budgets ~dcas_impl ~rc_mode:(Env.Deferred_rc { epoch = 64 }) 4.
+      in
+      Env.settle env;
+      checki "counts settle" 2 (rc env !local))
+    substrates
 
 (* Wait-free counts move weight between per-thread tables grown once
    and issue single fetch-adds: nothing allocates. *)
 let test_wait_free_op_budgets () =
-  ignore (mode_budgets ~rc_mode:(Env.Wait_free { weight = 64 }) 0.)
+  List.iter
+    (fun dcas_impl ->
+      ignore
+        (mode_budgets ~dcas_impl ~rc_mode:(Env.Wait_free { weight = 64 }) 0.))
+    substrates
 
 (* A context's locals are an array stack: declare + retire allocates
    only the local's own ref. *)
