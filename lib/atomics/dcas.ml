@@ -51,15 +51,16 @@ let impl_name t =
   | Striped_lock -> "striped-lock"
   | Software_mcas -> "software-mcas"
 
-let with_stripe t c f =
-  Mutex.protect t.stripes.(Cell.id c land (n_stripes - 1)) f
+(* The [Striped_lock] arms lock and unlock inline, with no closure to
+   build: [stripe] names a cell's lock, and a cell op that raises (a
+   write to freed memory) releases the stripes before the exception
+   leaves. *)
+let stripe t c = t.stripes.(Cell.id c land (n_stripes - 1))
 
-let with_two_stripes t c0 c1 f =
-  let i0 = Cell.id c0 land (n_stripes - 1)
-  and i1 = Cell.id c1 land (n_stripes - 1) in
-  let lo = min i0 i1 and hi = max i0 i1 in
-  Mutex.protect t.stripes.(lo) (fun () ->
-      if hi = lo then f () else Mutex.protect t.stripes.(hi) f)
+let unlock_reraise m e =
+  let bt = Printexc.get_raw_backtrace () in
+  Mutex.unlock m;
+  Printexc.raise_with_backtrace e bt
 
 let read t c =
   Sched.point ();
@@ -75,7 +76,12 @@ let write t c v =
   Sched.point ();
   (match t.kind with
   | Atomic_step -> Cell.set c v
-  | Striped_lock -> with_stripe t c (fun () -> Cell.set c v)
+  | Striped_lock -> (
+      let m = stripe t c in
+      Mutex.lock m;
+      match Cell.set c v with
+      | () -> Mutex.unlock m
+      | exception e -> unlock_reraise m e)
   | Software_mcas ->
       (* A blind write must still cooperate with in-flight descriptors. *)
       let rec go () = if not (Mcas.cas c (Mcas.read c) v) then go () in
@@ -101,7 +107,14 @@ let cas t c old_v new_v =
     let ok =
       match t.kind with
       | Atomic_step -> Cell.cas c old_v new_v
-      | Striped_lock -> with_stripe t c (fun () -> Cell.cas c old_v new_v)
+      | Striped_lock -> (
+          let m = stripe t c in
+          Mutex.lock m;
+          match Cell.cas c old_v new_v with
+          | ok ->
+              Mutex.unlock m;
+              ok
+          | exception e -> unlock_reraise m e)
       | Software_mcas -> Mcas.cas c old_v new_v
     in
     (match t.observer with
@@ -115,7 +128,14 @@ let fetch_add t c d =
   let v =
     match t.kind with
     | Atomic_step -> Cell.fetch_and_add c d
-    | Striped_lock -> with_stripe t c (fun () -> Cell.fetch_and_add c d)
+    | Striped_lock -> (
+        let m = stripe t c in
+        Mutex.lock m;
+        match Cell.fetch_and_add c d with
+        | v ->
+            Mutex.unlock m;
+            v
+        | exception e -> unlock_reraise m e)
     | Software_mcas ->
         let rec go () =
           let v = Mcas.read c in
@@ -137,6 +157,25 @@ let swap2 c0 c1 ~old0 ~old1 ~new0 ~new1 =
   end;
   ok
 
+(* [swap2] under both cells' stripes, taken in stripe order (once when
+   the cells share one). *)
+let locked_swap2 t c0 c1 ~old0 ~old1 ~new0 ~new1 =
+  let i0 = Cell.id c0 land (n_stripes - 1)
+  and i1 = Cell.id c1 land (n_stripes - 1) in
+  let two = i0 <> i1 in
+  let lo = t.stripes.(if i0 < i1 then i0 else i1)
+  and hi = t.stripes.(if i0 < i1 then i1 else i0) in
+  Mutex.lock lo;
+  if two then Mutex.lock hi;
+  match swap2 c0 c1 ~old0 ~old1 ~new0 ~new1 with
+  | ok ->
+      if two then Mutex.unlock hi;
+      Mutex.unlock lo;
+      ok
+  | exception e ->
+      if two then Mutex.unlock hi;
+      unlock_reraise lo e
+
 let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
   Sched.point ();
   if spurious_dcas t then begin
@@ -147,9 +186,7 @@ let dcas t c0 c1 ~old0 ~old1 ~new0 ~new1 =
     let ok =
       match t.kind with
       | Atomic_step -> swap2 c0 c1 ~old0 ~old1 ~new0 ~new1
-      | Striped_lock ->
-          with_two_stripes t c0 c1 (fun () ->
-              swap2 c0 c1 ~old0 ~old1 ~new0 ~new1)
+      | Striped_lock -> locked_swap2 t c0 c1 ~old0 ~old1 ~new0 ~new1
       | Software_mcas -> Mcas.dcas c0 c1 old0 old1 new0 new1
     in
     (match t.observer with

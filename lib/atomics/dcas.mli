@@ -10,9 +10,13 @@
       yield points a simulated thread runs alone, so the two-word update is
       indivisible by construction. Only valid inside [Sched.run].
     - [Striped_lock]: hashes the two cells onto a fixed array of mutexes
-      acquired in cell-id order. Models an atomic hardware unit for real
-      multi-domain runs; not lock-free, exactly as real [malloc] is not
-      (the paper's footnote 1 draws the same boundary).
+      acquired in stripe order (once when both cells share a stripe).
+      Models an atomic hardware unit for real multi-domain runs; not
+      lock-free, exactly as real [malloc] is not (the paper's footnote 1
+      draws the same boundary). A step locks and unlocks inline and
+      allocates nothing; when its cell op raises (a write into freed
+      memory with safety on), it releases its stripes before the
+      exception leaves.
     - [Software_mcas]: the lock-free {!Mcas} substrate. Lock-free, but
       writes descriptors into target cells and therefore must not be used
       under LFRC itself (see {!Mcas}); provided for the E5 ablation.

@@ -394,6 +394,33 @@ let test_mcas_frozen_install_corrupts () =
     | _ -> false
     | exception Cell.Corruption _ -> true)
 
+(* A [Striped_lock] step whose cell op raises (a write into freed memory
+   with safety on) releases its stripes before the exception leaves: the
+   next step on the same cells completes. A stripe left locked would
+   make that step raise [Sys_error] instead, since OCaml's mutexes check
+   for a relock by their holder. *)
+let test_striped_lock_raise_releases () =
+  let d = Dcas.create Dcas.Striped_lock in
+  let poison = Lfrc_simmem.Config.poison in
+  let freed = Cell.make 0 and live = Cell.make 1 in
+  let corrupts name f =
+    Cell.freeze freed;
+    checkb (name ^ " into freed memory raises") true
+      (match f () with _ -> false | exception Cell.Corruption _ -> true);
+    Cell.thaw freed 0
+  in
+  corrupts "write" (fun () -> Dcas.write d freed 5);
+  corrupts "cas" (fun () -> ignore (Dcas.cas d freed poison 5));
+  corrupts "fetch-add" (fun () -> ignore (Dcas.fetch_add d freed 1));
+  corrupts "dcas" (fun () ->
+      ignore (Dcas.dcas d freed live ~old0:poison ~old1:1 ~new0:5 ~new1:2));
+  Dcas.write d freed 4;
+  checkb "cas completes" true (Dcas.cas d freed 4 5);
+  checki "fetch-add completes" 5 (Dcas.fetch_add d freed 1);
+  checkb "dcas completes" true
+    (Dcas.dcas d freed live ~old0:6 ~old1:1 ~new0:7 ~new1:2);
+  checki "both words swapped" 9 (Dcas.read d freed + Dcas.read d live)
+
 let test_striped_lock_parallel () =
   (* Real domains hammer one striped-lock DCAS pair; the two cells move
      in lock-step, proving two-word atomicity under true parallelism. *)
@@ -512,6 +539,8 @@ let () =
           Alcotest.test_case "no-op dcas" `Quick test_dcas_same_values;
           Alcotest.test_case "negative values" `Quick test_dcas_negative_values;
           Alcotest.test_case "counters" `Quick test_counters;
+          Alcotest.test_case "striped lock releases on raise" `Quick
+            test_striped_lock_raise_releases;
         ] );
       ( "observer",
         [
