@@ -51,20 +51,10 @@ let rpool =
   Array.init pool_size (fun _ ->
       { r_seq = Atomic.make 0; r_cell = dummy_cell; r_old = 0; r_mref = 0 })
 
-(* Thread slots: simulated threads use their scheduler id (one domain, ids
-   0..61); real domains draw unique slots from 64 upward. *)
-let slot_counter = Atomic.make 64
-
-let dls_slot =
-  Domain.DLS.new_key (fun () -> Atomic.fetch_and_add slot_counter 1)
-
-let my_slot () =
-  if Sched.active () then Sched.tid ()
-  else begin
-    let s = Domain.DLS.get dls_slot in
-    if s >= pool_size then failwith "Mcas: descriptor pool exhausted";
-    s
-  end
+(* Descriptor slots: a simulated thread uses its scheduler id (one
+   domain, ids 0..61); a real domain uses its thread slot, which it holds
+   only while it lives ({!Sched.slot}, below {!Lfrc_sched.Limits.slots}). *)
+let my_slot () = if Sched.active () then Sched.tid () else Sched.slot ()
 
 (* Snapshot an mdesc's fields if the reference is still current. *)
 let read_mdesc idx seq =

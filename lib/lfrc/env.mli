@@ -250,10 +250,10 @@ val deferred_pending : t -> int
     object is freed (or parked in the deferred queue), that reference is
     held only in the destroying thread's OCaml locals — invisible to the
     heap. The destroy registry republishes such objects (one stack per
-    simulated thread's slot), and {!register_locals} does the same for a
-    thread's local pointer variables, so the post-mortem fault auditor can
-    attribute a crashed thread's leaks to its lost references instead of
-    flagging them as unaccounted.
+    thread slot, {!Lfrc_sched.Sched.slot}), and {!register_locals} does
+    the same for a thread's local pointer variables, so the post-mortem
+    fault auditor can attribute a crashed thread's leaks to its lost
+    references instead of flagging them as unaccounted.
 
     None of this is visible to the heap: heap frames feed the tracing
     collectors and invariant checkers, whose semantics must not change

@@ -105,40 +105,45 @@ type frame = {
   fr_take : unit -> int list;
 }
 
-(* Per-thread tables, one per thread slot ({!Lfrc_sched.Limits.slot_of_tid}
-   of the simulated thread id), each created on its thread's first use:
-   an environment pays nothing per slot until a thread touches it. Every
-   per-thread table on the count path sits behind this. Outside a
-   simulation every caller runs as tid 0, so real domains share slot 1
-   (and the table's lock). *)
+(* Per-thread tables, one per thread slot ({!Lfrc_sched.Sched.slot}: a
+   simulated thread's, or a real domain's own), each created on its
+   thread's first use: an environment pays nothing per slot until a
+   thread touches it. Every per-thread table on the count path sits
+   behind this. Callers take the calling thread's slot before any lock,
+   to keep the critical section short. Only a slot's own thread creates
+   its table, but two domains may create theirs at once, so creation
+   takes [grow]. *)
 module Per_thread = struct
   type 'a t = {
     make : unit -> 'a;
     by_slot : 'a option array;
     mutable made : 'a array;  (* every table in use, oldest first *)
+    grow : Mutex.t;
   }
 
   let create make =
     {
       make;
-      by_slot = Array.make Lfrc_sched.Limits.thread_slots None;
+      by_slot = Array.make Lfrc_sched.Limits.slots None;
       made = [||];
+      grow = Mutex.create ();
     }
 
-  let get t slot =
-    match t.by_slot.(slot) with
-    | Some x -> x
-    | None ->
-        let x = t.make () in
-        t.by_slot.(slot) <- Some x;
-        t.made <- Array.append t.made [| x |];
-        x
+  let add t slot =
+    Mutex.lock t.grow;
+    let x =
+      match t.by_slot.(slot) with
+      | Some x -> x
+      | None ->
+          let x = t.make () in
+          t.made <- Array.append t.made [| x |];
+          t.by_slot.(slot) <- Some x;
+          x
+    in
+    Mutex.unlock t.grow;
+    x
 
-  (* The calling thread's slot, {!Lfrc_sched.Limits.slot_of_tid} of its
-     tid, spelled out so the hot paths make one call, not two. Callers
-     compute it before taking a table's lock, to keep the critical
-     section short. *)
-  let slot () = Lfrc_sched.Sched.tid () + 1
+  let get t slot = match t.by_slot.(slot) with Some x -> x | None -> add t slot
 
   (* [tid]'s table, if it has a slot and has used it; [adopt_*] take ids
      from the caller. *)
@@ -153,8 +158,9 @@ end
 
 (* The open op spans, kept once per environment for every layer that
    attributes work to an op: per thread slot, a stack of frame records
-   reused from call to call, innermost last, under one lock taken
-   without a closure. A frame dies with its environment. *)
+   reused from call to call, innermost last, under the stack's own lock
+   (taken without a closure; crash adoption reads other threads'
+   stacks). A frame dies with its environment. *)
 module Spans = struct
   type frame = {
     mutable key : Metrics.key;
@@ -163,15 +169,19 @@ module Spans = struct
     mutable dcas : int;
   }
 
-  type stack = { mutable depth : int; mutable frames : frame array }
+  type stack = {
+    lock : Mutex.t;
+    mutable depth : int;
+    mutable frames : frame array;
+  }
 
-  type t = { lock : Mutex.t; stacks : stack Per_thread.t }
+  type t = stack Per_thread.t
 
   let k_unattributed = Metrics.key "(unattributed)"
 
   let create () =
-    let stack () = { depth = 0; frames = [||] } in
-    { lock = Mutex.create (); stacks = Per_thread.create stack }
+    Per_thread.create (fun () ->
+        { lock = Mutex.create (); depth = 0; frames = [||] })
 
   let fresh _ = { key = k_unattributed; start_step = 0; retries = 0; dcas = 0 }
 
@@ -186,29 +196,27 @@ module Spans = struct
   (* The calling thread's innermost span key, [(unattributed)] with none
      open. *)
   let key t =
-    let slot = Per_thread.slot () in
-    Mutex.lock t.lock;
-    let st = Per_thread.get t.stacks slot in
+    let st = Per_thread.get t (Lfrc_sched.Sched.slot ()) in
+    Mutex.lock st.lock;
     let k =
       if st.depth = 0 then k_unattributed else st.frames.(st.depth - 1).key
     in
-    Mutex.unlock t.lock;
+    Mutex.unlock st.lock;
     k
 
   (* Charge the calling thread's innermost span one retry ([retry]) or
      one failed attempt; with none open, the profiler's unattributed
      site takes it. *)
   let charge t profile ~retry =
-    let slot = Per_thread.slot () in
-    Mutex.lock t.lock;
-    let st = Per_thread.get t.stacks slot in
+    let st = Per_thread.get t (Lfrc_sched.Sched.slot ()) in
+    Mutex.lock st.lock;
     if st.depth > 0 then begin
       let f = st.frames.(st.depth - 1) in
       if retry then f.retries <- f.retries + 1 else f.dcas <- f.dcas + 1;
-      Mutex.unlock t.lock
+      Mutex.unlock st.lock
     end
     else begin
-      Mutex.unlock t.lock;
+      Mutex.unlock st.lock;
       Profile.unattributed profile ~retry
     end
 
@@ -261,7 +269,16 @@ module Int_stack = struct
     !acc
 end
 
-type publications = { pub_addrs : Int_stack.t; pub_weights : Int_stack.t }
+(* One thread's registry entries and the lock that guards them: the
+   thread itself and the registry-wide readers (audits, crash adoption)
+   take it. *)
+type destroys = { des_lock : Mutex.t; des_stack : Int_stack.t }
+
+type publications = {
+  pub_lock : Mutex.t;
+  pub_addrs : Int_stack.t;
+  pub_weights : Int_stack.t;
+}
 
 type t = {
   env_heap : Heap.t;
@@ -278,8 +295,7 @@ type t = {
      thread crashes. Deliberately NOT a heap frame: heap frames feed the
      tracing collectors and invariant checkers, whose semantics must not
      change under LFRC. *)
-  destroying : Int_stack.t Per_thread.t;
-  destroying_lock : Mutex.t;
+  destroying : destroys Per_thread.t;
   (* Speculative count increments not yet justified by a heap-visible
      pointer: store/cas/dcas raise the new pointer's count before the
      publishing CAS, and a crash in between leaves a +1 no destroy will
@@ -287,7 +303,6 @@ type t = {
      [destroying], so recovery can compensate a crashed thread's pending
      publications; entry [i] is (address, weight). *)
   publishing : publications Per_thread.t;
-  publishing_lock : Mutex.t;
   (* Thread-local pointer variables published for the same auditor (their
      heap-frame analogue, kept off the heap for the same reason). Each
      frame records its owning thread and a [take] closure that surrenders
@@ -430,29 +445,27 @@ let observe_spans ~spans ~metrics ~tracer ~profile ~blame ~sanitize d =
 
 let span_begin t key =
   Tracer.emit t.env_tracer Begin (Metrics.key_name key);
-  let sp = t.env_spans in
-  let start_step = Lfrc_sched.Sched.steps_so_far ()
-  and slot = Per_thread.slot () in
-  Mutex.lock sp.lock;
-  let f = Spans.push (Per_thread.get sp.stacks slot) in
+  let start_step = Lfrc_sched.Sched.steps_so_far () in
+  let st = Per_thread.get t.env_spans (Lfrc_sched.Sched.slot ()) in
+  Mutex.lock st.lock;
+  let f = Spans.push st in
   f.key <- key;
   f.start_step <- start_step;
   f.retries <- 0;
   f.dcas <- 0;
-  Mutex.unlock sp.lock
+  Mutex.unlock st.lock
 
 let span_end t key =
-  let sp = t.env_spans in
-  let now = Lfrc_sched.Sched.steps_so_far () and slot = Per_thread.slot () in
-  Mutex.lock sp.lock;
-  let st = Per_thread.get sp.stacks slot in
-  if st.depth = 0 then Mutex.unlock sp.lock
+  let now = Lfrc_sched.Sched.steps_so_far () in
+  let st = Per_thread.get t.env_spans (Lfrc_sched.Sched.slot ()) in
+  Mutex.lock st.lock;
+  if st.depth = 0 then Mutex.unlock st.lock
   else begin
     st.depth <- st.depth - 1;
     let f = st.frames.(st.depth) in
     let key = f.key and retries = f.retries and dcas = f.dcas in
     let steps = max 0 (now - f.start_step) in
-    Mutex.unlock sp.lock;
+    Mutex.unlock st.lock;
     Blame.op_end t.env_blame key;
     Profile.op_end t.env_profile key ~steps ~retries ~dcas
   end;
@@ -464,16 +477,16 @@ let span_site t =
 (* Crashed threads never close their spans: surrender their frames, and
    fold them and their open retry chains into blame. *)
 let adopt_spans t ~crashed =
-  let sp = t.env_spans and frames = ref 0 in
+  let frames = ref 0 in
   let surrender (st : Spans.stack) =
+    Mutex.lock st.lock;
     frames := !frames + st.depth;
-    st.depth <- 0
+    st.depth <- 0;
+    Mutex.unlock st.lock
   in
-  Mutex.lock sp.lock;
   List.iter
-    (fun tid -> Option.iter surrender (Per_thread.of_tid sp.stacks tid))
+    (fun tid -> Option.iter surrender (Per_thread.of_tid t.env_spans tid))
     crashed;
-  Mutex.unlock sp.lock;
   Blame.adopt t.env_blame ~crashed ~frames:!frames
 
 (* Lineage events attributed to the calling thread's innermost span. *)
@@ -511,15 +524,16 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
       env_rc = rc;
       pending = Queue.create ();
       pending_lock = Mutex.create ();
-      destroying = Per_thread.create Int_stack.create;
-      destroying_lock = Mutex.create ();
+      destroying =
+        Per_thread.create (fun () ->
+            { des_lock = Mutex.create (); des_stack = Int_stack.create () });
       publishing =
         Per_thread.create (fun () ->
             {
+              pub_lock = Mutex.create ();
               pub_addrs = Int_stack.create ();
               pub_weights = Int_stack.create ();
             });
-      publishing_lock = Mutex.create ();
       local_frames = [];
       local_frame_ctr = 0;
       local_frames_lock = Mutex.create ();
@@ -674,100 +688,100 @@ let deferred_pending t =
 
 (* --- the destroy, publication and locals registries ---
 
-   Each thread's entries form a stack, newest on top. An end removes the
-   newest matching entry (nearly always the top). The lists handed out
-   are newest first per thread; adoption lists the last-listed thread's
-   entries first. *)
+   Each thread's entries form a stack, newest on top, under the stack's
+   own lock. An end removes the newest matching entry (nearly always the
+   top). The registry-wide readers lock one thread's stack at a time.
+   The lists handed out are newest first per thread; adoption lists the
+   last-listed thread's entries first. *)
 
 let begin_destroy t p =
-  let slot = Per_thread.slot () in
-  Mutex.lock t.destroying_lock;
-  Int_stack.push (Per_thread.get t.destroying slot) p;
-  Mutex.unlock t.destroying_lock
+  let d = Per_thread.get t.destroying (Lfrc_sched.Sched.slot ()) in
+  Mutex.lock d.des_lock;
+  Int_stack.push d.des_stack p;
+  Mutex.unlock d.des_lock
 
 let end_destroy t p =
-  let slot = Per_thread.slot () in
-  Mutex.lock t.destroying_lock;
-  let s = Per_thread.get t.destroying slot in
-  let i = Int_stack.find_newest s p in
-  if i >= 0 then Int_stack.remove_at s i;
-  Mutex.unlock t.destroying_lock
+  let d = Per_thread.get t.destroying (Lfrc_sched.Sched.slot ()) in
+  Mutex.lock d.des_lock;
+  let i = Int_stack.find_newest d.des_stack p in
+  if i >= 0 then Int_stack.remove_at d.des_stack i;
+  Mutex.unlock d.des_lock
 
 let destroying_now t =
-  Mutex.lock t.destroying_lock;
   let ds = ref [] in
   Array.iter
-    (fun s -> ds := Int_stack.to_list s @ !ds)
+    (fun d ->
+      Mutex.lock d.des_lock;
+      ds := Int_stack.to_list d.des_stack @ !ds;
+      Mutex.unlock d.des_lock)
     (Per_thread.made t.destroying);
-  Mutex.unlock t.destroying_lock;
   !ds
 
 (* Surrender the destroy-registry entries of crashed threads: each entry is
    one distinct committed-but-unfinished drop (duplicates are multiple
    pending drops — do NOT dedupe). *)
 let adopt_destroying t ~tids =
-  Mutex.lock t.destroying_lock;
   let out = ref [] in
   List.iter
     (fun tid ->
       match Per_thread.of_tid t.destroying tid with
-      | Some s ->
-          out := Int_stack.to_list s @ !out;
-          s.len <- 0
+      | Some d ->
+          Mutex.lock d.des_lock;
+          out := Int_stack.to_list d.des_stack @ !out;
+          d.des_stack.len <- 0;
+          Mutex.unlock d.des_lock
       | None -> ())
     tids;
-  Mutex.unlock t.destroying_lock;
   !out
 
 let begin_publish t ~weight p =
   if p <> Heap.null then begin
-    let slot = Per_thread.slot () in
-    Mutex.lock t.publishing_lock;
-    let s = Per_thread.get t.publishing slot in
+    let s = Per_thread.get t.publishing (Lfrc_sched.Sched.slot ()) in
+    Mutex.lock s.pub_lock;
     Int_stack.push s.pub_addrs p;
     Int_stack.push s.pub_weights weight;
-    Mutex.unlock t.publishing_lock
+    Mutex.unlock s.pub_lock
   end
 
 let end_publish t p =
   if p <> Heap.null then begin
-    let slot = Per_thread.slot () in
-    Mutex.lock t.publishing_lock;
-    let s = Per_thread.get t.publishing slot in
+    let s = Per_thread.get t.publishing (Lfrc_sched.Sched.slot ()) in
+    Mutex.lock s.pub_lock;
     let i = Int_stack.find_newest s.pub_addrs p in
     if i >= 0 then begin
       Int_stack.remove_at s.pub_addrs i;
       Int_stack.remove_at s.pub_weights i
     end;
-    Mutex.unlock t.publishing_lock
+    Mutex.unlock s.pub_lock
   end
 
 let publishing_now t =
-  Mutex.lock t.publishing_lock;
   let ps = ref [] in
   Array.iter
-    (fun s -> ps := Int_stack.to_list s.pub_addrs @ !ps)
+    (fun s ->
+      Mutex.lock s.pub_lock;
+      ps := Int_stack.to_list s.pub_addrs @ !ps;
+      Mutex.unlock s.pub_lock)
     (Per_thread.made t.publishing);
-  Mutex.unlock t.publishing_lock;
   !ps
 
 let adopt_publications t ~tids =
-  Mutex.lock t.publishing_lock;
   let out = ref [] in
   List.iter
     (fun tid ->
       match Per_thread.of_tid t.publishing tid with
       | Some s ->
+          Mutex.lock s.pub_lock;
           out :=
             List.combine
               (Int_stack.to_list s.pub_addrs)
               (Int_stack.to_list s.pub_weights)
             @ !out;
           s.pub_addrs.len <- 0;
-          s.pub_weights.len <- 0
+          s.pub_weights.len <- 0;
+          Mutex.unlock s.pub_lock
       | None -> ())
     tids;
-  Mutex.unlock t.publishing_lock;
   !out
 
 type local_frame = int

@@ -75,7 +75,7 @@ let create ~epoch =
   }
 
 let park t ~addr ~delta =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   (* A +1 and a -1 on the same address cancel right here, without ever
      touching the heap count — the coalescing fast path. *)

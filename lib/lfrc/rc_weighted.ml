@@ -73,13 +73,13 @@ let create ~weight =
 let weight t = t.weight
 
 let pool_add t ~addr ~w ~n =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   Int_table.add (E.Per_thread.get t.pools slot) addr (pack w n);
   Mutex.unlock t.lock
 
 let pool_try_share t ~addr =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let pool = E.Per_thread.get t.pools slot in
   let p = Int_table.find pool addr in
@@ -89,7 +89,7 @@ let pool_try_share t ~addr =
   ok
 
 let pool_try_drop_shared t ~addr =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let pool = E.Per_thread.get t.pools slot in
   let ok = pouch_n (Int_table.find pool addr) > 1 in
@@ -98,20 +98,20 @@ let pool_try_drop_shared t ~addr =
   ok
 
 let pool_weight t ~addr =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let p = Int_table.find (E.Per_thread.get t.pools slot) addr in
   Mutex.unlock t.lock;
   if p = 0 then 1 else pouch_w p
 
 let pool_remove t ~addr =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   ignore (Int_table.take (E.Per_thread.get t.pools slot) addr);
   Mutex.unlock t.lock
 
 let pool_give t ~addr ~w =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let pool = E.Per_thread.get t.pools slot in
   let ok = Int_table.mem pool addr in
@@ -120,7 +120,7 @@ let pool_give t ~addr ~w =
   ok
 
 let pool_take_for_transfer t ~addr =
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let pool = E.Per_thread.get t.pools slot in
   let p = Int_table.find pool addr in
@@ -177,7 +177,7 @@ let pooled t =
 
 let adopt_pools t ~tids =
   let me = Lfrc_sched.Sched.tid () in
-  let slot = E.Per_thread.slot () in
+  let slot = Lfrc_sched.Sched.slot () in
   Mutex.lock t.lock;
   let mine = E.Per_thread.get t.pools slot in
   let merged = ref 0 in

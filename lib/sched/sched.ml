@@ -60,6 +60,42 @@ let current_sched : sched option ref = ref None
 
 let active () = !current_sched <> None
 let tid () = match !current_sched with None -> 0 | Some s -> s.current
+
+(* Real domains other than the main one hold slots above the simulated
+   threads', drawn from a pool with one slot per domain OCaml can run at
+   once, so it cannot run dry. The newest slot given back is drawn
+   first. *)
+let free_slots =
+  ref (List.init Limits.domain_slots (fun i -> Limits.thread_slots + i))
+
+let free_slots_lock = Mutex.create ()
+
+let give_back s () =
+  Mutex.lock free_slots_lock;
+  free_slots := s :: !free_slots;
+  Mutex.unlock free_slots_lock
+
+let draw_slot () =
+  Mutex.lock free_slots_lock;
+  match !free_slots with
+  | [] ->
+      Mutex.unlock free_slots_lock;
+      failwith "Sched.slot: every domain slot is taken"
+  | s :: rest ->
+      free_slots := rest;
+      Mutex.unlock free_slots_lock;
+      Domain.at_exit (give_back s);
+      s
+
+let domain_slot =
+  Domain.DLS.new_key (fun () ->
+      if Domain.is_main_domain () then Limits.slot_of_tid 0 else draw_slot ())
+
+let slot () =
+  match !current_sched with
+  | Some s -> s.current + 1
+  | None -> Domain.DLS.get domain_slot
+
 let steps_so_far () = match !current_sched with None -> 0 | Some s -> s.steps
 
 let name_of tid =

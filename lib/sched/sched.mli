@@ -85,6 +85,15 @@ val active : unit -> bool
 val tid : unit -> int
 (** Current simulated thread id; 0 outside a simulation. *)
 
+val slot : unit -> int
+(** The calling thread's slot in per-thread tables, below
+    {!Limits.slots}. Simulated thread [t] has slot [t + 1]
+    ({!Limits.slot_of_tid}). Outside a simulation the main domain has
+    slot 1, and any other domain draws a slot of its own, at or above
+    {!Limits.thread_slots}, on its first call; it gives the slot back
+    when it exits, and the next domain to draw one gets the slot given
+    back last. *)
+
 val steps_so_far : unit -> int
 (** Scheduling decisions taken so far in the current run; usable as a
     simulated clock by harness code. 0 outside a simulation. *)
