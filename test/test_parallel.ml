@@ -4,7 +4,9 @@
    interleave preemptively, exercising the real atomics.
 
    Each test checks value conservation and, for LFRC structures, that
-   quiescent teardown leaves an empty heap with exact counts. *)
+   quiescent teardown leaves an empty heap with exact counts. The treiber
+   and queue rows also run under deferred counts, where each domain parks
+   its count deltas in a buffer of its own thread slot. *)
 
 module Heap = Lfrc_simmem.Heap
 module Env = Lfrc_core.Env
@@ -21,16 +23,25 @@ let _checkb = Alcotest.(check bool)
 let n_domains = 3
 let ops_per_domain = 2_000
 
-let fresh name =
+let fresh ?(rc_mode = Env.Eager) name =
   let heap = Heap.create ~name () in
-  (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock heap, heap)
+  (Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock ~rc_mode heap, heap)
+
+let deferred = Env.Deferred_rc { epoch = 64 }
+
+(* After teardown: land what the count mode holds back, then the heap
+   must be empty with exact counts. *)
+let check_quiescent env heap =
+  ignore (Lfrc_core.Lfrc.flush env);
+  Report.assert_no_leaks heap;
+  checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap))
 
 let sum_range a b = (a + b) * (b - a + 1) / 2
 
 (* Each domain pushes a disjoint range and pops whatever it can; after
    joining, drain the rest: pushed sum must equal popped sum. *)
-let test_treiber_domains () =
-  let env, heap = fresh "par-treiber" in
+let treiber_domains rc_mode () =
+  let env, heap = fresh ~rc_mode "par-treiber" in
   let s = Treiber.create env in
   let popped = Atomic.make 0 in
   let worker d () =
@@ -65,11 +76,10 @@ let test_treiber_domains () =
   in
   checki "conservation" expected (Atomic.get popped);
   Treiber.destroy s;
-  Report.assert_no_leaks heap;
-  checki "counts exact at quiescence" 0 (List.length (Report.check_rc_exact heap))
+  check_quiescent env heap
 
-let test_msqueue_domains () =
-  let env, heap = fresh "par-msq" in
+let msqueue_domains rc_mode () =
+  let env, heap = fresh ~rc_mode "par-msq" in
   let q = Msq.create env in
   let popped = Atomic.make 0 in
   let per_thread_order_ok = Atomic.make 1 in
@@ -119,7 +129,7 @@ let test_msqueue_domains () =
   checki "conservation" expected (Atomic.get popped);
   checki "per-producer FIFO held" 1 (Atomic.get per_thread_order_ok);
   Msq.destroy q;
-  Report.assert_no_leaks heap
+  check_quiescent env heap
 
 let deque_conservation (module D : Lfrc_structures.Deque_intf.DEQUE) name
     ~leak_check =
@@ -208,10 +218,15 @@ let () =
     [
       ( "domains",
         [
-          Alcotest.test_case "treiber stack" `Slow test_treiber_domains;
-          Alcotest.test_case "michael-scott queue" `Slow test_msqueue_domains;
+          Alcotest.test_case "treiber stack" `Slow (treiber_domains Env.Eager);
+          Alcotest.test_case "michael-scott queue" `Slow
+            (msqueue_domains Env.Eager);
           Alcotest.test_case "fixed snark deque" `Slow test_fixed_snark_domains;
           Alcotest.test_case "locked deque" `Slow test_locked_deque_domains;
           Alcotest.test_case "raw lfrc ops" `Slow test_lfrc_ops_domains;
+          Alcotest.test_case "treiber stack, deferred rc" `Slow
+            (treiber_domains deferred);
+          Alcotest.test_case "michael-scott queue, deferred rc" `Slow
+            (msqueue_domains deferred);
         ] );
     ]
