@@ -62,6 +62,14 @@ let unlock_reraise m e =
   Mutex.unlock m;
   Printexc.raise_with_backtrace e bt
 
+(* Over software MCAS a blind write or a fetch-add is a read-then-CAS
+   loop, so that it cooperates with in-flight descriptors. *)
+let rec mcas_write c v = if not (Mcas.cas c (Mcas.read c) v) then mcas_write c v
+
+let rec mcas_fetch_add c d =
+  let v = Mcas.read c in
+  if Mcas.cas c v (v + d) then v else mcas_fetch_add c d
+
 let read t c =
   Sched.point ();
   let v =
@@ -82,10 +90,7 @@ let write t c v =
       match Cell.set c v with
       | () -> Mutex.unlock m
       | exception e -> unlock_reraise m e)
-  | Software_mcas ->
-      (* A blind write must still cooperate with in-flight descriptors. *)
-      let rec go () = if not (Mcas.cas c (Mcas.read c) v) then go () in
-      go ());
+  | Software_mcas -> mcas_write c v);
   match t.observer with None -> () | Some o -> o.on_write c v
 
 (* A spurious failure reports false without comparing or writing anything —
@@ -136,12 +141,7 @@ let fetch_add t c d =
             Mutex.unlock m;
             v
         | exception e -> unlock_reraise m e)
-    | Software_mcas ->
-        let rec go () =
-          let v = Mcas.read c in
-          if Mcas.cas c v (v + d) then v else go ()
-        in
-        go ()
+    | Software_mcas -> mcas_fetch_add c d
   in
   (match t.observer with None -> () | Some o -> o.on_rmw c);
   v

@@ -397,8 +397,7 @@ let test_mcas_descriptor_adopted () =
           Strategy.Round_robin
           (fun () ->
             let w =
-              Sched.spawn (fun () ->
-                  ignore (Mcas.mcas [| (a, 0, 1); (b, 0, 1) |]))
+              Sched.spawn (fun () -> ignore (Mcas.dcas a b 0 0 1 1))
             in
             Sched.join [ w ])
       in
