@@ -7,7 +7,7 @@
    against the *wrong* next pointer, corrupting the stack.
 
    The simulated heap recycles ids exactly like a real allocator reuses
-   addresses, and its safe mode turns the resulting use-after-free /
+   addresses, and its liveness checks turn the resulting use-after-free /
    double-free into exceptions. This program drives the broken stack
    under randomized schedules until the corruption fires, then runs the
    LFRC stack through the same schedules: the counted local reference

@@ -15,8 +15,7 @@
       lock-free, exactly as real [malloc] is not (the paper's footnote 1
       draws the same boundary). A step locks and unlocks inline and
       allocates nothing; when its cell op raises (a write into freed
-      memory with safety on), it releases its stripes before the
-      exception leaves.
+      memory), it releases its stripes before the exception leaves.
     - [Software_mcas]: the lock-free {!Mcas} substrate. Lock-free, but
       writes descriptors into target cells and therefore must not be used
       under LFRC itself (see {!Mcas}); provided for the E5 ablation.

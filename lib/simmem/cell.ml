@@ -20,7 +20,7 @@ let id t = t.cid
 let get t = decode (Atomic.get t.v)
 
 let check_write t op =
-  if t.is_frozen && !Config.safety then
+  if t.is_frozen then
     raise (Corruption (Printf.sprintf "%s to freed memory (cell %d)" op t.cid))
 
 let set t v =
@@ -38,7 +38,7 @@ let fetch_and_add t d =
 
 let freeze t =
   t.is_frozen <- true;
-  if !Config.safety then Atomic.set t.v (encode Config.poison)
+  Atomic.set t.v (encode Config.poison)
 
 let thaw t v =
   t.is_frozen <- false;

@@ -13,8 +13,8 @@
     return the poison value: the paper's LFRCLoad reads [a->rc] of an
     object that may already have been freed, relying on the fact that freed
     memory is still mapped and a read is harmless. Writes (including
-    successful CAS/DCAS) to a frozen cell are corruption and raise in safe
-    mode — detecting exactly the class of bug LFRC exists to prevent. *)
+    successful CAS/DCAS) to a frozen cell are corruption and raise —
+    detecting exactly the class of bug LFRC exists to prevent. *)
 
 type t
 
@@ -33,11 +33,11 @@ val get : t -> int
     dispatching read in the atomics library instead. *)
 
 val set : t -> int -> unit
-(** Atomic write. Raises {!Corruption} on a frozen cell in safe mode. *)
+(** Atomic write. Raises {!Corruption} on a frozen cell. *)
 
 val cas : t -> int -> int -> bool
 (** Single-word compare-and-swap on plain values. A successful CAS on a
-    frozen cell raises {!Corruption} in safe mode. *)
+    frozen cell raises {!Corruption}. *)
 
 val fetch_and_add : t -> int -> int
 (** Atomic add; returns the previous value. Frozen-checked like {!set}.
@@ -67,5 +67,5 @@ val raw : t -> int Atomic.t
     responsibility. *)
 
 val check_write : t -> string -> unit
-(** Raise {!Corruption} if the cell is frozen (safe mode); exposed so the
+(** Raise {!Corruption} if the cell is frozen; exposed so the
     MCAS substrate can apply the same policy to its raw writes. *)

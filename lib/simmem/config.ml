@@ -1,3 +1,1 @@
-let safety = ref true
-
 let poison = 0x2DEADBEEF

@@ -1,12 +1,6 @@
-(** Process-global switches for the simulated memory subsystem. *)
-
-val safety : bool ref
-(** When true (default), the heap checks every dereference, write and
-    successful (D)CAS against object liveness, raising {!Heap.Use_after_free}
-    / {!Heap.Corruption} on violations, and [free] poisons cells. Turn off
-    for wall-clock benchmarks. *)
+(** Constants of the simulated memory subsystem. *)
 
 val poison : int
-(** Value written into every cell of a freed object in safe mode. Chosen to
-    be an invalid pointer and an implausible user value, so that logic that
+(** Value written into every cell of a freed object. Chosen to be an
+    invalid pointer and an implausible user value, so that logic that
     consumes a poisoned read fails loudly downstream. *)

@@ -73,7 +73,7 @@ let get_obj t p op =
 
 let live_obj t p op =
   let o = get_obj t p op in
-  if (not o.live) && !Config.safety then
+  if not o.live then
     raise (Use_after_free { id = o.id; gen = o.gen; op });
   o
 

@@ -43,7 +43,7 @@ val alloc : t -> Layout.t -> ptr
 
 val free : t -> ptr -> unit
 (** Return an object to the allocator. Raises {!Double_free} if it is
-    already free. In safe mode, poisons all cells first. *)
+    already free. Poisons all cells first. *)
 
 val set_alloc_hook : t -> (unit -> bool) option -> unit
 (** Fault-injection hook consulted at the top of every {!alloc}; answering
@@ -80,8 +80,7 @@ val rc_cell : t -> ptr -> Cell.t
 
 val ptr_cell : t -> ptr -> int -> Cell.t
 (** [ptr_cell h p i] is pointer slot [i]. Raises {!Use_after_free} when the
-    object is dead (safe mode): holding a counted reference must guarantee
-    liveness. *)
+    object is dead: holding a counted reference must guarantee liveness. *)
 
 val val_cell : t -> ptr -> int -> Cell.t
 (** Value slot [i]; liveness-checked like {!ptr_cell}. *)

@@ -6,9 +6,6 @@ let time_ns f =
   let t1 = now_ns () in
   (r, t1 - t0)
 
-let ns_per_op ~total_ns ~ops =
-  if ops = 0 then 0.0 else Float.of_int total_ns /. Float.of_int ops
-
 let time_per_op_ns ~iters f =
   for _ = 1 to min 1000 (iters / 10) do
     f ()

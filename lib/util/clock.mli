@@ -6,8 +6,6 @@ val now_ns : unit -> int
 val time_ns : (unit -> 'a) -> 'a * int
 (** [time_ns f] runs [f] and returns its result with the elapsed time. *)
 
-val ns_per_op : total_ns:int -> ops:int -> float
-
 val time_per_op_ns : iters:int -> (unit -> unit) -> float
 (** Wall-clock nanoseconds per call, after a small warmup of
     [min 1000 (iters / 10)] calls — the shared timing loop of the

@@ -50,8 +50,6 @@ let render t =
   List.iter line (List.rev t.rows);
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 let csv t =
   let buf = Buffer.create 256 in
   let line row = Buffer.add_string buf (String.concat "," row ^ "\n") in

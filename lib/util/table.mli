@@ -13,7 +13,6 @@ val add_rowf : t -> ('a, unit, string, unit) format4 -> 'a
     cells — convenient for numeric rows. *)
 
 val render : t -> string
-val print : t -> unit
 
 val csv : t -> string
 (** Comma-separated rendering (no escaping; cells must avoid commas). *)

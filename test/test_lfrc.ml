@@ -298,7 +298,7 @@ let test_iterative_handles_deep_chain () =
 let test_weak_invariant_sim () =
   (* Threads shuffle pointers between shared cells with loads, stores and
      DCASes; at quiescence counts must be exact and nothing leaked or
-     freed early (any early free raises Use_after_free in safe mode). *)
+     freed early (any early free raises Use_after_free). *)
   for seed = 0 to 9 do
     let leftover = ref [] in
     let body () =

@@ -316,20 +316,6 @@ let test_report_no_leaks () =
     | () -> false
     | exception Failure _ -> true)
 
-(* --- Safety switch --- *)
-
-let test_fast_mode_skips_checks () =
-  let h = Heap.create ~name:"fast" () in
-  let p = Heap.alloc h node in
-  Heap.free h p;
-  Config.safety := false;
-  Fun.protect
-    ~finally:(fun () -> Config.safety := true)
-    (fun () ->
-      (* In fast mode the dereference does not raise. *)
-      ignore (Heap.ptr_cell h p 0);
-      checkb "fast mode tolerant" true true)
-
 (* --- qcheck: allocator against a reference model --- *)
 
 let prop_allocator_model =
@@ -444,8 +430,6 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_report_unreachable;
           Alcotest.test_case "no-leaks assert" `Quick test_report_no_leaks;
         ] );
-      ( "config",
-        [ Alcotest.test_case "fast mode" `Quick test_fast_mode_skips_checks ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_allocator_model;
