@@ -184,6 +184,78 @@ let test_per_thread_steps () =
   checki "two threads tracked" 2 (Array.length o.Sched.per_thread_steps);
   checkb "worker stepped" true (o.Sched.per_thread_steps.(1) >= 2)
 
+(* A finish by [kill] or by an injected crash releases a join, as a
+   return does. Main joins [a; b]; the recorded enabled sets show a's bit
+   gone from the kill or crash on and main's back once both have
+   finished. The killer b outlives a, so b's return releases main; in
+   the crash run b returns first, so the crash itself does. A last run
+   joins a alone, so the kill itself releases main. *)
+let test_kill_and_crash_release_join () =
+  let steps (o : Sched.outcome) =
+    Array.to_list
+      (Array.map
+         (fun (st : Trace.step) -> (st.tid, Trace.enabled_list st))
+         (Option.get o.trace))
+  in
+  let looping () =
+    for _ = 1 to 10 do
+      Sched.point ()
+    done
+  in
+  let killed =
+    Sched.run ~record:true Strategy.Round_robin (fun () ->
+        let a = Sched.spawn looping in
+        let b =
+          Sched.spawn (fun () ->
+              Sched.point ();
+              Sched.kill a;
+              Sched.point ())
+        in
+        Sched.join [ a; b ])
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "kill: steps and enabled sets"
+    [
+      (0, [ 0 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]);
+      (2, [ 2 ]); (0, [ 0 ]);
+    ]
+    (steps killed);
+  Alcotest.(check (list int)) "kill is not a crash" [] killed.crashed;
+  let killed_alone =
+    Sched.run ~record:true Strategy.Round_robin (fun () ->
+        let a = Sched.spawn looping in
+        ignore
+          (Sched.spawn (fun () ->
+               Sched.point ();
+               Sched.kill a;
+               Sched.point ()));
+        Sched.join [ a ])
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "kill releases a join on its own"
+    [
+      (0, [ 0 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]);
+      (0, [ 0; 2 ]); (2, [ 2 ]);
+    ]
+    (steps killed_alone);
+  let crashed =
+    Sched.run ~record:true
+      ~inject_crash:(fun ~tid ~step -> tid = 1 && step = 5)
+      Strategy.Round_robin
+      (fun () ->
+        let a = Sched.spawn looping in
+        let b = Sched.spawn Sched.point in
+        Sched.join [ a; b ])
+  in
+  Alcotest.(check (list (pair int (list int))))
+    "crash: steps and enabled sets"
+    [
+      (0, [ 0 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]); (1, [ 1; 2 ]); (2, [ 1; 2 ]);
+      (1, [ 1 ]); (0, [ 0 ]);
+    ]
+    (steps crashed);
+  Alcotest.(check (list int)) "a crashed" [ 1 ] crashed.crashed
+
 (* --- Trace --- *)
 
 let test_trace_preemptions () =
@@ -241,10 +313,10 @@ let test_pct_runs () =
   in
   checkb "pct completes" true (o.Sched.steps > 0)
 
-(* --- Schedule identity: the bitmask [choose] against the list model --- *)
+(* --- Schedule identity: the cached-id [choose] against the list model --- *)
 
-(* The list-based [Strategy.choose] that the bitmask walks replaced, kept
-   as the reference model: same parameters, same Rng draws, same picks. *)
+(* A list-based [Strategy.choose], kept as the reference model: same
+   parameters, same Rng draws, same picks. *)
 module Model = struct
   module Rng = Lfrc_util.Rng
 
@@ -376,9 +448,12 @@ let strategy_of kind seed =
           tail_seed = Some seed;
         }
 
-(* [steps] random enabled sets, then eight more with every thread enabled:
-   at each step both must pick the same thread. The full-mask tail shows
-   that both consumed the same Rng draws over the sequence. *)
+(* [steps] random enabled sets, each fed 1 to 4 times in a row, then
+   eight more with every thread enabled: at each step both must pick the
+   same thread. A repeated mask reuses [Strategy]'s cached ids and a new
+   one rebuilds them, Handicap's alternating eligible set included. The
+   full-mask tail shows that both consumed the same Rng draws over the
+   sequence. *)
 let prop_choose_matches_model (kind, name) =
   QCheck2.Test.make
     ~name:(name ^ " picks what the list model picks")
@@ -391,12 +466,18 @@ let prop_choose_matches_model (kind, name) =
         match t with Strategy.Scripted { prefix; _ } -> prefix | _ -> [||]
       in
       let masks = Lfrc_util.Rng.create (seed + 2) in
+      let mask = ref 0 and repeats = ref 0 in
       let last = ref (-1) and ok = ref true in
       for step = 0 to steps + 7 do
+        if !repeats = 0 then begin
+          mask := random_mask masks;
+          repeats := 1 + Lfrc_util.Rng.int masks 4
+        end;
+        decr repeats;
         let enabled =
           if step >= steps then all_threads
           else
-            random_mask masks
+            !mask
             lor if step < Array.length prefix then 1 lsl prefix.(step) else 0
         in
         let want = Model.choose model ~step ~enabled ~last:!last in
@@ -561,6 +642,8 @@ let () =
           Alcotest.test_case "join waits" `Quick test_join_waits;
           Alcotest.test_case "join many" `Quick test_join_many;
           Alcotest.test_case "per-thread steps" `Quick test_per_thread_steps;
+          Alcotest.test_case "kill and crash release a join" `Quick
+            test_kill_and_crash_release_join;
         ] );
       ( "trace",
         [
