@@ -42,6 +42,11 @@ type sched = {
   mutable threads : thread array;
   mutable n_threads : int;
   mutable current : int;
+  mutable enabled : int;
+      (* Bit [i] is set iff thread [i] can run: not started, parked at a
+         yield point, or waiting on a join whose threads have all
+         finished. Kept at every state change rather than rebuilt at
+         every step. *)
   mutable steps : int;
   mutable per_thread : int array;
   mutable failure : (int * exn) option;
@@ -117,6 +122,27 @@ let join tids =
     invalid_arg "Sched.join: not inside a simulation run";
   Effect.perform (Join tids)
 
+let rec all_finished s = function
+  | [] -> true
+  | t :: rest -> (
+      t < s.n_threads
+      &&
+      match s.threads.(t).state with
+      | Finished -> all_finished s rest
+      | Not_started _ | Suspended _ | Waiting _ | Running -> false)
+
+(* [th] is finished: it never runs again, and the joins it held up may
+   now be released. A finish is the only event that can release one. *)
+let finish s th =
+  th.state <- Finished;
+  s.enabled <- s.enabled land lnot (1 lsl th.id);
+  for i = 0 to s.n_threads - 1 do
+    match s.threads.(i).state with
+    | Waiting (tids, _) ->
+        if all_finished s tids then s.enabled <- s.enabled lor (1 lsl i)
+    | Not_started _ | Suspended _ | Running | Finished -> ()
+  done
+
 let kill tid =
   match !current_sched with
   | None -> invalid_arg "Sched.kill: not inside a simulation run"
@@ -129,7 +155,7 @@ let kill tid =
       | Suspended _ | Waiting _ | Not_started _ ->
           (* Drop the continuation without unwinding: a crashed thread
              runs no cleanup, which is the point of the model. *)
-          th.state <- Finished
+          finish s th
       | Running | Finished -> ())
 
 let add_thread s name body =
@@ -148,43 +174,29 @@ let add_thread s name body =
   let name = if name = "" then Printf.sprintf "t%d" id else name in
   s.threads.(id) <- { id; name; state = Not_started body };
   s.n_threads <- id + 1;
+  s.enabled <- s.enabled lor (1 lsl id);
   id
-
-let rec all_finished s = function
-  | [] -> true
-  | t :: rest -> (
-      t < s.n_threads
-      &&
-      match s.threads.(t).state with
-      | Finished -> all_finished s rest
-      | Not_started _ | Suspended _ | Waiting _ | Running -> false)
-
-let enabled_mask s =
-  let mask = ref 0 in
-  for i = 0 to s.n_threads - 1 do
-    match s.threads.(i).state with
-    | Not_started _ | Suspended _ -> mask := !mask lor (1 lsl i)
-    | Waiting (tids, _) -> if all_finished s tids then mask := !mask lor (1 lsl i)
-    | Running | Finished -> ()
-  done;
-  !mask
 
 (* A thread's effect handler, built once when it starts: a resumed
    continuation keeps the handler it was captured under, so no later step
    needs one. The [Yield] arm is built with it, so a step allocates only
    the continuation and its [Suspended] box. *)
 let handler s th : (unit, unit) Effect.Deep.handler =
+  let bit = 1 lsl th.id in
   let on_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         if s.aborting then Effect.Deep.continue k ()
-        else th.state <- Suspended k)
+        else begin
+          th.state <- Suspended k;
+          s.enabled <- s.enabled lor bit
+        end)
   in
   {
-    retc = (fun () -> th.state <- Finished);
+    retc = (fun () -> finish s th);
     exnc =
       (fun exn ->
-        th.state <- Finished;
+        finish s th;
         if (not s.aborting) && s.failure = None then
           s.failure <- Some (th.id, exn));
     effc =
@@ -208,6 +220,7 @@ let handler s th : (unit, unit) Effect.Deep.handler =
 
 (* Run one thread until it yields, finishes, or fails. *)
 let step_thread s th =
+  s.enabled <- s.enabled land lnot (1 lsl th.id);
   match th.state with
   | Not_started body ->
       th.state <- Running;
@@ -243,6 +256,7 @@ let run ?(max_steps = 10_000_000) ?(record = false)
       threads = Array.make 8 { id = 0; name = "main"; state = Finished };
       n_threads = 0;
       current = -1;
+      enabled = 0;
       steps = 0;
       per_thread = Array.make 8 0;
       failure = None;
@@ -259,48 +273,50 @@ let run ?(max_steps = 10_000_000) ?(record = false)
   let result =
     try
       let rec loop last =
-        if s.failure <> None then ()
-        else begin
-          let enabled = enabled_mask s in
-          if enabled = 0 then begin
-            let unfinished = ref [] in
-            for i = s.n_threads - 1 downto 0 do
-              if s.threads.(i).state <> Finished then
-                unfinished := i :: !unfinished
-            done;
-            if !unfinished <> [] then raise (Stuck { unfinished = !unfinished })
-          end
-          else begin
-            if s.steps >= s.max_steps then raise (Step_limit_exceeded s.steps);
-            let choice =
-              Strategy.choose s.strategy ~step:s.steps ~enabled ~last
-            in
-            if s.record then
-              s.trace_buf <- { Trace.tid = choice; enabled } :: s.trace_buf;
-            s.steps <- s.steps + 1;
-            s.per_thread.(choice) <- s.per_thread.(choice) + 1;
-            let th = s.threads.(choice) in
-            let crash_here =
-              (match th.state with
-              | Not_started _ | Suspended _ -> true
-              | Waiting _ | Running | Finished -> false)
-              && inject_crash ~tid:choice ~step:(s.steps - 1)
-            in
-            if crash_here then begin
-              (* Crash injection: the thread is parked at a yield point and
-                 simply never runs again — no unwinding, no cleanup, exactly
-                 like [kill]. *)
-              th.state <- Finished;
-              s.crashed <- choice :: s.crashed
+        match s.failure with
+        | Some _ -> ()
+        | None ->
+            let enabled = s.enabled in
+            if enabled = 0 then begin
+              let unfinished = ref [] in
+              for i = s.n_threads - 1 downto 0 do
+                if s.threads.(i).state <> Finished then
+                  unfinished := i :: !unfinished
+              done;
+              if !unfinished <> [] then
+                raise (Stuck { unfinished = !unfinished })
             end
             else begin
-              s.current <- choice;
-              step_thread s th;
-              s.current <- -1
-            end;
-            loop choice
-          end
-        end
+              if s.steps >= s.max_steps then
+                raise (Step_limit_exceeded s.steps);
+              let choice =
+                Strategy.choose s.strategy ~step:s.steps ~enabled ~last
+              in
+              if s.record then
+                s.trace_buf <- { Trace.tid = choice; enabled } :: s.trace_buf;
+              s.steps <- s.steps + 1;
+              s.per_thread.(choice) <- s.per_thread.(choice) + 1;
+              let th = s.threads.(choice) in
+              let crash_here =
+                (match th.state with
+                | Not_started _ | Suspended _ -> true
+                | Waiting _ | Running | Finished -> false)
+                && inject_crash ~tid:choice ~step:(s.steps - 1)
+              in
+              if crash_here then begin
+                (* Crash injection: the thread is parked at a yield point and
+                   simply never runs again — no unwinding, no cleanup, exactly
+                   like [kill]. *)
+                finish s th;
+                s.crashed <- choice :: s.crashed
+              end
+              else begin
+                s.current <- choice;
+                step_thread s th;
+                s.current <- -1
+              end;
+              loop choice
+            end
       in
       loop (-1);
       Ok ()

@@ -39,7 +39,7 @@ let of_string s =
       | _ -> None)
   | _ -> None
 
-type state =
+type kind =
   | Rr_state
   | Random_state of Lfrc_util.Rng.t
   | Pct_state of {
@@ -51,59 +51,78 @@ type state =
   | Scripted_state of { prefix : int array; tail : Lfrc_util.Rng.t option }
   | Handicap_state of { rng : Lfrc_util.Rng.t; victim : int; period : int }
 
+(* A choice reads the enabled set as an array of ascending ids, rebuilt
+   in place only when the mask differs from the last one seen: a thread
+   started, blocked, unblocked or finished, or a Handicap freeze phase
+   turned. Between those events a choice costs one compare before its
+   pick, and neither a choice nor a rebuild allocates. *)
+type state = {
+  kind : kind;
+  ids : int array; (* the ascending ids of [seen], in its first [n] slots *)
+  mutable n : int;
+  mutable seen : int; (* first 0, which no choice is given *)
+}
+
 let max_threads = Limits.max_threads
 
 let start t ~expected_steps =
-  match t with
-  | Round_robin -> Rr_state
-  | Random seed -> Random_state (Lfrc_util.Rng.create seed)
-  | Pct { seed; change_points } ->
-      let rng = Lfrc_util.Rng.create seed in
-      let priorities =
-        Array.init max_threads (fun _ -> Lfrc_util.Rng.float rng)
-      in
-      let change_steps =
-        Array.init change_points (fun _ ->
-            Lfrc_util.Rng.int rng (max expected_steps 1))
-      in
-      Array.sort compare change_steps;
-      Pct_state { rng; priorities; change_steps; next_change = 0 }
-  | Scripted { prefix; tail_seed } ->
-      Scripted_state
-        { prefix; tail = Option.map Lfrc_util.Rng.create tail_seed }
-  | Handicap { seed; victim; period } ->
-      Handicap_state { rng = Lfrc_util.Rng.create seed; victim; period }
+  let kind =
+    match t with
+    | Round_robin -> Rr_state
+    | Random seed -> Random_state (Lfrc_util.Rng.create seed)
+    | Pct { seed; change_points } ->
+        let rng = Lfrc_util.Rng.create seed in
+        let priorities =
+          Array.init max_threads (fun _ -> Lfrc_util.Rng.float rng)
+        in
+        let change_steps =
+          Array.init change_points (fun _ ->
+              Lfrc_util.Rng.int rng (max expected_steps 1))
+        in
+        Array.sort compare change_steps;
+        Pct_state { rng; priorities; change_steps; next_change = 0 }
+    | Scripted { prefix; tail_seed } ->
+        Scripted_state
+          { prefix; tail = Option.map Lfrc_util.Rng.create tail_seed }
+    | Handicap { seed; victim; period } ->
+        Handicap_state { rng = Lfrc_util.Rng.create seed; victim; period }
+  in
+  { kind; ids = Array.make max_threads 0; n = 0; seen = 0 }
 
-(* Every choice walks the enabled bitmask itself, so a choice allocates
-   nothing. A scan for a set bit needs no bound: it starts below a bit
-   that is set. *)
+(* Write the ids of [mask]'s set bits, bit [i] first, to [ids] from [n]
+   on; the new count. *)
+let rec fill (ids : int array) mask i n =
+  if mask = 0 then n
+  else if mask land 1 = 0 then fill ids (mask lsr 1) (i + 1) n
+  else begin
+    ids.(n) <- i;
+    fill ids (mask lsr 1) (i + 1) (n + 1)
+  end
 
-let rec lowest_bit mask i =
-  if mask land (1 lsl i) <> 0 then i else lowest_bit mask (i + 1)
+let see st mask =
+  if mask <> st.seen then begin
+    st.n <- fill st.ids mask 0 0;
+    st.seen <- mask
+  end
 
-let rec popcount mask n =
-  if mask = 0 then n else popcount (mask land (mask - 1)) (n + 1)
+(* The same draw and pick as [List.nth] of the ascending id list. *)
+let uniform st rng mask =
+  see st mask;
+  st.ids.(Lfrc_util.Rng.int rng st.n)
 
-(* The [k]-th set bit, counting from the lowest: the [k]-th element of
-   the ascending list of enabled ids. *)
-let rec nth_bit mask k =
-  if k = 0 then lowest_bit mask 0 else nth_bit (mask land (mask - 1)) (k - 1)
-
-let uniform rng mask =
-  nth_bit mask (Lfrc_util.Rng.int rng (popcount mask 0))
-
-(* The thread in [mask] with the lowest priority value, starting from
-   [best]; ties go to the lowest id. *)
-let rec min_priority (priorities : float array) mask best =
-  if mask = 0 then best
+(* The id in [ids] from [i] below [n] with the lowest priority value,
+   starting from [best]; ties go to the lowest id. *)
+let rec lowest (priorities : float array) (ids : int array) n i best =
+  if i = n then best
   else
-    let i = lowest_bit mask 0 in
-    min_priority priorities (mask land (mask - 1))
-      (if priorities.(i) < priorities.(best) then i else best)
+    let id = ids.(i) in
+    lowest priorities ids n (i + 1)
+      (if priorities.(id) < priorities.(best) then id else best)
 
 (* The enabled thread PCT runs next. *)
-let runs_first priorities enabled =
-  min_priority priorities enabled (lowest_bit enabled 0)
+let runs_first st priorities enabled =
+  see st enabled;
+  lowest priorities st.ids st.n 1 st.ids.(0)
 
 (* The first entry of the sorted [steps], from [c] on, not below [step]. *)
 let rec skip_before (steps : int array) step c =
@@ -111,19 +130,26 @@ let rec skip_before (steps : int array) step c =
     skip_before steps step (c + 1)
   else c
 
+(* The first id in [ids] from [i] below [n] above [last], wrapping to the
+   lowest. *)
+let rec above (ids : int array) n last i =
+  if i = n then ids.(0)
+  else if ids.(i) > last then ids.(i)
+  else above ids n last (i + 1)
+
+let rec lowest_bit mask i =
+  if mask land (1 lsl i) <> 0 then i else lowest_bit mask (i + 1)
+
 let first_enabled enabled =
   if enabled = 0 then invalid_arg "Strategy: empty enabled set"
   else lowest_bit enabled 0
 
-(* Next enabled thread at or after [i], wrapping. *)
-let rec next_enabled enabled i =
-  let i = if i >= max_threads then 0 else i in
-  if enabled land (1 lsl i) <> 0 then i else next_enabled enabled (i + 1)
-
 let choose st ~step ~enabled ~last =
-  match st with
-  | Rr_state -> next_enabled enabled (last + 1)
-  | Random_state rng -> uniform rng enabled
+  match st.kind with
+  | Rr_state ->
+      see st enabled;
+      above st.ids st.n last 0
+  | Random_state rng -> uniform st rng enabled
   | Pct_state p ->
       (* At a change point, demote the currently highest-priority enabled
          thread to the back of the priority order. [Sched.run] passes
@@ -132,10 +158,10 @@ let choose st ~step ~enabled ~last =
       let c = skip_before p.change_steps step p.next_change in
       p.next_change <- c;
       if c < Array.length p.change_steps && p.change_steps.(c) = step then begin
-        let best = runs_first p.priorities enabled in
+        let best = runs_first st p.priorities enabled in
         p.priorities.(best) <- 1.0 +. Lfrc_util.Rng.float p.rng
       end;
-      runs_first p.priorities enabled
+      runs_first st p.priorities enabled
   | Handicap_state { rng; victim; period } ->
       (* Duty-cycle stall: the victim runs normally for [period] steps,
          then freezes for [period] steps, repeatedly — so it can be
@@ -147,7 +173,7 @@ let choose st ~step ~enabled ~last =
           enabled land lnot (1 lsl victim)
         else enabled
       in
-      uniform rng eligible
+      uniform st rng eligible
   | Scripted_state { prefix; tail } ->
       if step < Array.length prefix then begin
         let wanted = prefix.(step) in
@@ -158,5 +184,5 @@ let choose st ~step ~enabled ~last =
       else begin
         match tail with
         | None -> first_enabled enabled
-        | Some rng -> uniform rng enabled
+        | Some rng -> uniform st rng enabled
       end
