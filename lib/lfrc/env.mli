@@ -78,8 +78,9 @@ val create :
     charges every failed compare to its stamped culprit, and {!Lfrc}
     binds reference-count cells to their owning object so rc contention
     is named. Attaching a registry calls {!Lfrc_obs.Blame.new_run} first:
-    cell ids restart per heap, so stamps must not leak across
-    environments (aggregated pairs survive).
+    the previous run's stamps and owner bindings are dropped, and its
+    open retry chains, whose thread slots this run's threads reuse, are
+    cleared (aggregated pairs survive).
 
     [metrics], [tracer], [lineage] and [profile] default to the disabled
     singletons — the no-op
@@ -170,8 +171,10 @@ val sanitizer : t -> Lfrc_sanitize.Shadow.t
 (** {2 Op spans}
 
     Which LFRC operation each thread is inside, kept once: a stack of
-    open spans per thread slot. The spans die with the environment, so
-    a registry shared with a later one never sees them. *)
+    open spans per thread slot, touched without a lock by its own thread
+    only (and by {!adopt_spans} once that thread has crashed). The spans
+    die with the environment, so a registry shared with a later one
+    never sees them. *)
 
 val span_begin : t -> Lfrc_obs.Metrics.key -> unit
 (** Open a span of the op named by the key on the calling thread: the
@@ -181,7 +184,8 @@ val span_begin : t -> Lfrc_obs.Metrics.key -> unit
 val span_end : t -> Lfrc_obs.Metrics.key -> unit
 (** Close the calling thread's innermost span: blame closes the retry
     chain it opened, the profiler aggregates it, the tracer gets [End].
-    A pair allocates only the profiler's three histogram samples. *)
+    A pair takes no lock on the span stack and allocates nothing once
+    the stack and the profiler's histogram buckets have grown. *)
 
 val span_site : t -> string
 (** The calling thread's innermost span: ["(unattributed)"] with none

@@ -158,9 +158,16 @@ end
 
 (* The open op spans, kept once per environment for every layer that
    attributes work to an op: per thread slot, a stack of frame records
-   reused from call to call, innermost last, under the stack's own lock
-   (taken without a closure; crash adoption reads other threads'
-   stacks). A frame dies with its environment. *)
+   reused from call to call, innermost last. A frame dies with its
+   environment.
+
+   No lock guards a stack. While its thread lives, a slot's stack is
+   read and written only by that thread: a simulated thread and each
+   real domain has a slot of its own ({!Lfrc_sched.Sched.slot}). The one
+   other access is {!adopt_spans}, which runs on the simulating domain
+   after the owner crashed at a yield point; no span code runs at a
+   yield point, so the owner left its stack whole and never touches it
+   again. *)
 module Spans = struct
   type frame = {
     mutable key : Metrics.key;
@@ -169,24 +176,16 @@ module Spans = struct
     mutable dcas : int;
   }
 
-  type stack = {
-    lock : Mutex.t;
-    mutable depth : int;
-    mutable frames : frame array;
-  }
-
+  type stack = { mutable depth : int; mutable frames : frame array }
   type t = stack Per_thread.t
 
   let k_unattributed = Metrics.key "(unattributed)"
 
-  let create () =
-    Per_thread.create (fun () ->
-        { lock = Mutex.create (); depth = 0; frames = [||] })
+  let create () = Per_thread.create (fun () -> { depth = 0; frames = [||] })
 
   let fresh _ = { key = k_unattributed; start_step = 0; retries = 0; dcas = 0 }
 
-  (* Called under the lock: the stack's next free frame, grown on
-     demand. *)
+  (* The stack's next free frame, grown on demand. *)
   let push st =
     if st.depth = Array.length st.frames then
       st.frames <- Array.append st.frames (Array.init (max 4 st.depth) fresh);
@@ -197,28 +196,18 @@ module Spans = struct
      open. *)
   let key t =
     let st = Per_thread.get t (Lfrc_sched.Sched.slot ()) in
-    Mutex.lock st.lock;
-    let k =
-      if st.depth = 0 then k_unattributed else st.frames.(st.depth - 1).key
-    in
-    Mutex.unlock st.lock;
-    k
+    if st.depth = 0 then k_unattributed else st.frames.(st.depth - 1).key
 
   (* Charge the calling thread's innermost span one retry ([retry]) or
      one failed attempt; with none open, the profiler's unattributed
      site takes it. *)
   let charge t profile ~retry =
     let st = Per_thread.get t (Lfrc_sched.Sched.slot ()) in
-    Mutex.lock st.lock;
     if st.depth > 0 then begin
       let f = st.frames.(st.depth - 1) in
-      if retry then f.retries <- f.retries + 1 else f.dcas <- f.dcas + 1;
-      Mutex.unlock st.lock
+      if retry then f.retries <- f.retries + 1 else f.dcas <- f.dcas + 1
     end
-    else begin
-      Mutex.unlock st.lock;
-      Profile.unattributed profile ~retry
-    end
+    else Profile.unattributed profile ~retry
 
   (* For lineage: the innermost op, ["?"] with none open. *)
   let op_name t =
@@ -445,29 +434,21 @@ let observe_spans ~spans ~metrics ~tracer ~profile ~blame ~sanitize d =
 
 let span_begin t key =
   Tracer.emit t.env_tracer Begin (Metrics.key_name key);
-  let start_step = Lfrc_sched.Sched.steps_so_far () in
   let st = Per_thread.get t.env_spans (Lfrc_sched.Sched.slot ()) in
-  Mutex.lock st.lock;
   let f = Spans.push st in
   f.key <- key;
-  f.start_step <- start_step;
+  f.start_step <- Lfrc_sched.Sched.steps_so_far ();
   f.retries <- 0;
-  f.dcas <- 0;
-  Mutex.unlock st.lock
+  f.dcas <- 0
 
 let span_end t key =
-  let now = Lfrc_sched.Sched.steps_so_far () in
   let st = Per_thread.get t.env_spans (Lfrc_sched.Sched.slot ()) in
-  Mutex.lock st.lock;
-  if st.depth = 0 then Mutex.unlock st.lock
-  else begin
+  if st.depth > 0 then begin
     st.depth <- st.depth - 1;
     let f = st.frames.(st.depth) in
-    let key = f.key and retries = f.retries and dcas = f.dcas in
-    let steps = max 0 (now - f.start_step) in
-    Mutex.unlock st.lock;
-    Blame.op_end t.env_blame key;
-    Profile.op_end t.env_profile key ~steps ~retries ~dcas
+    let steps = max 0 (Lfrc_sched.Sched.steps_so_far () - f.start_step) in
+    Blame.op_end t.env_blame f.key;
+    Profile.op_end t.env_profile f.key ~steps ~retries:f.retries ~dcas:f.dcas
   end;
   Tracer.emit t.env_tracer End (Metrics.key_name key)
 
@@ -479,10 +460,8 @@ let span_site t =
 let adopt_spans t ~crashed =
   let frames = ref 0 in
   let surrender (st : Spans.stack) =
-    Mutex.lock st.lock;
     frames := !frames + st.depth;
-    st.depth <- 0;
-    Mutex.unlock st.lock
+    st.depth <- 0
   in
   List.iter
     (fun tid -> Option.iter surrender (Per_thread.of_tid t.env_spans tid))
@@ -512,9 +491,9 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
         else Lfrc_atomics.Dcas.Striped_lock
   in
   let d = Lfrc_atomics.Dcas.create impl in
-  (* A blame registry may outlive several environments; cell ids restart
-     per heap, so stale stamps must be dropped before they can be blamed
-     for this run's failures. *)
+  (* A blame registry may outlive several environments: drop the last
+     run's stamps, owner bindings and open retry chains (see
+     {!Blame.new_run}). *)
   Blame.new_run blame;
   let t =
     {
@@ -645,12 +624,6 @@ let per_retry_obs env =
 
 let record_retries env counter burst =
   if burst > 0 then Metrics.add env.env_metrics counter burst
-
-(* A retry burst for a histogram: the float is boxed only when metrics
-   are on. *)
-let observe_burst env key burst =
-  if Metrics.enabled env.env_metrics then
-    Metrics.observe env.env_metrics key (float_of_int burst)
 
 (* [counter] separates eager frees (destroy paths) from deferred-queue
    frees, the paper-§7 distinction the metrics surface. *)

@@ -26,14 +26,15 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
    the call site every layer attributes to, so a count transition or a
    failed DCAS underneath always knows which operation it belongs to.
    With every span layer off an operation applies its body directly —
-   one branch, no closure — the policy {!Env.create} documents. Retry
+   one branch, no closure — the policy {!Env.create} documents; with one
+   on, the body runs between [span_begin] and [span_end] in the
+   operation itself, so opening a span builds no closure either. Retry
    accounting is shared with the mode implementations
    ({!Env_base.per_retry_obs}). *)
 
 let retry_slow = Env_base.retry_slow
 let per_retry_obs = Env_base.per_retry_obs
 let record_retries = Env_base.record_retries
-let observe_burst = Env_base.observe_burst
 let free_obj = Env_base.free_obj
 
 let k_alloc = Metrics.key "lfrc.alloc"
@@ -58,18 +59,15 @@ let spanned env key =
   Metrics.incr (Env.metrics env) key;
   Env_base.spans_on env
 
-(* The span closes on return and on exception alike, and an exception is
-   re-raised with its backtrace. *)
-let in_span env key f =
-  Env_base.span_begin env key;
-  match f () with
-  | v ->
-      Env_base.span_end env key;
-      v
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      Env_base.span_end env key;
-      Printexc.raise_with_backtrace e bt
+let span_begin = Env_base.span_begin
+let span_end = Env_base.span_end
+
+(* A spanned body raised [e]: close the span, then re-raise [e] with its
+   backtrace. *)
+let span_raise env key e =
+  let bt = Printexc.get_raw_backtrace () in
+  span_end env key;
+  Printexc.raise_with_backtrace e bt
 
 (* --- count delivery ---
 
@@ -145,8 +143,14 @@ let add_to_rc env p v =
 
 let alloc env layout =
   guard env "alloc";
-  if spanned env k_alloc then
-    in_span env k_alloc (fun () -> Heap.alloc (Env.heap env) layout)
+  if spanned env k_alloc then begin
+    span_begin env k_alloc;
+    match Heap.alloc (Env.heap env) layout with
+    | p ->
+        span_end env k_alloc;
+        p
+    | exception e -> span_raise env k_alloc e
+  end
   else Heap.alloc (Env.heap env) layout
 
 (* Allocation with graceful OOM: a simulated allocation failure surfaces as
@@ -162,8 +166,14 @@ let try_alloc_body env layout =
 
 let try_alloc env layout =
   guard env "try_alloc";
-  if spanned env k_alloc then
-    in_span env k_alloc (fun () -> try_alloc_body env layout)
+  if spanned env k_alloc then begin
+    span_begin env k_alloc;
+    match try_alloc_body env layout with
+    | r ->
+        span_end env k_alloc;
+        r
+    | exception e -> span_raise env k_alloc e
+  end
   else try_alloc_body env layout
 
 (* Destroying the last pointer to an object frees it and destroys the
@@ -312,8 +322,12 @@ let destroy_body env p =
 
 let destroy env p =
   guard env "destroy";
-  if spanned env k_destroy then
-    in_span env k_destroy (fun () -> destroy_body env p)
+  if spanned env k_destroy then begin
+    span_begin env k_destroy;
+    match destroy_body env p with
+    | () -> span_end env k_destroy
+    | exception e -> span_raise env k_destroy e
+  end
   else destroy_body env p
 
 (* Drop a reference a winning CAS displaced ([counted]), or one handed back
@@ -368,13 +382,17 @@ let load_body env ~src ~dest =
   record_retries env k_load_retry burst;
   (* Every load contributes its burst — zeros included — so the retry
      histogram is populated even in uncontended runs. *)
-  observe_burst env k_load_retries burst;
+  Metrics.observe (Env.metrics env) k_load_retries burst;
   destroy env olddest
 
 let load env ~src ~dest =
   guard env "load";
-  if spanned env k_load then
-    in_span env k_load (fun () -> load_body env ~src ~dest)
+  if spanned env k_load then begin
+    span_begin env k_load;
+    match load_body env ~src ~dest with
+    | () -> span_end env k_load
+    | exception e -> span_raise env k_load e
+  end
   else load_body env ~src ~dest
 
 (* LFRCStore (Figure 2, lines 21..28). *)
@@ -387,7 +405,7 @@ let rec store_retry env d ~dst v ~slow burst =
     Env.end_publish env v;
     installed env ~cell:dst ~old:oldval v ~owned:false;
     record_retries env k_store_retry burst;
-    observe_burst env k_store_retries burst;
+    Metrics.observe (Env.metrics env) k_store_retries burst;
     drop_taken env oldval ~counted:true
   end
   else begin
@@ -401,8 +419,12 @@ let store_body env ~dst v =
 
 let store env ~dst v =
   guard env "store";
-  if spanned env k_store then
-    in_span env k_store (fun () -> store_body env ~dst v)
+  if spanned env k_store then begin
+    span_begin env k_store;
+    match store_body env ~dst v with
+    | () -> span_end env k_store
+    | exception e -> span_raise env k_store e
+  end
   else store_body env ~dst v
 
 (* LFRCStoreAlloc (paper Figure 1, line 35): consume the allocation's
@@ -428,8 +450,12 @@ let store_alloc_body env ~dst r =
 
 let store_alloc_from env ~dst r =
   guard env "store_alloc";
-  if spanned env k_store_alloc then
-    in_span env k_store_alloc (fun () -> store_alloc_body env ~dst r)
+  if spanned env k_store_alloc then begin
+    span_begin env k_store_alloc;
+    match store_alloc_body env ~dst r with
+    | () -> span_end env k_store_alloc
+    | exception e -> span_raise env k_store_alloc e
+  end
   else store_alloc_body env ~dst r
 
 let store_alloc env ~dst v = store_alloc_from env ~dst (ref v)
@@ -444,8 +470,12 @@ let copy_body env ~dest w =
 
 let copy env ~dest w =
   guard env "copy";
-  if spanned env k_copy then
-    in_span env k_copy (fun () -> copy_body env ~dest w)
+  if spanned env k_copy then begin
+    span_begin env k_copy;
+    match copy_body env ~dest w with
+    | () -> span_end env k_copy
+    | exception e -> span_raise env k_copy e
+  end
   else copy_body env ~dest w
 
 (* A losing CAS's publication of [p] resolves: the mode keeps the unspent
@@ -483,9 +513,14 @@ let dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1 =
 
 let dcas env c0 c1 ~old0 ~old1 ~new0 ~new1 =
   guard env "dcas";
-  if spanned env k_dcas then
-    in_span env k_dcas (fun () ->
-        dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1)
+  if spanned env k_dcas then begin
+    span_begin env k_dcas;
+    match dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1 with
+    | won ->
+        span_end env k_dcas;
+        won
+    | exception e -> span_raise env k_dcas e
+  end
   else dcas_body env c0 c1 ~old0 ~old1 ~new0 ~new1
 
 (* The single-pointer tail of LFRCCAS and [dcas_ptr_val]: [won] is the
@@ -507,8 +542,14 @@ let cas_body env c ~old_ptr ~new_ptr =
 
 let cas env c ~old_ptr ~new_ptr =
   guard env "cas";
-  if spanned env k_cas then
-    in_span env k_cas (fun () -> cas_body env c ~old_ptr ~new_ptr)
+  if spanned env k_cas then begin
+    span_begin env k_cas;
+    match cas_body env c ~old_ptr ~new_ptr with
+    | won ->
+        span_end env k_cas;
+        won
+    | exception e -> span_raise env k_cas e
+  end
   else cas_body env c ~old_ptr ~new_ptr
 
 (* Extension: DCAS over one pointer cell and one plain-value cell.
@@ -522,10 +563,17 @@ let dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
 
 let dcas_ptr_val env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val ~new_val =
   guard env "dcas_ptr_val";
-  if spanned env k_dcas_ptr_val then
-    in_span env k_dcas_ptr_val (fun () ->
-        dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
-          ~new_val)
+  if spanned env k_dcas_ptr_val then begin
+    span_begin env k_dcas_ptr_val;
+    match
+      dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
+        ~new_val
+    with
+    | won ->
+        span_end env k_dcas_ptr_val;
+        won
+    | exception e -> span_raise env k_dcas_ptr_val e
+  end
   else
     dcas_ptr_val_body env ~ptr_cell ~val_cell ~old_ptr ~new_ptr ~old_val
       ~new_val

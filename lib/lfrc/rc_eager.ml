@@ -20,7 +20,8 @@ let rec add_retry env d rc p v ~slow burst =
     E.record_retries env E.k_rc_retry burst;
     (* Contended transitions record their retry burst; the quiet common
        case stays out of the histogram. *)
-    if burst > 0 then E.observe_burst env E.k_rc_retry burst;
+    if burst > 0 then
+      Lfrc_obs.Metrics.observe (E.metrics env) E.k_rc_retry burst;
     E.record_lineage_rc env ~addr:p ~old_rc:oldrc ~delta:v;
     oldrc
   end

@@ -1,6 +1,7 @@
 module Sched = Lfrc_sched.Sched
 module Limits = Lfrc_sched.Limits
 module Json = Lfrc_util.Json
+module Int_table = Lfrc_util.Int_table
 
 (* Contention causality. Every successful shared-memory write stamps its
    cell with (thread, call site, op kind, scheduler step); every failed
@@ -19,6 +20,9 @@ module Json = Lfrc_util.Json
    pending state is that chain and the spans its environment surrenders
    ({!adopt} folds both in instead of dropping them).
 
+   The tables are {!Lfrc_util.Int_table}s and flat arrays, so an event
+   hashes nothing and allocates nothing once they have grown.
+
    Off path: like every observability layer here, [Disabled] makes each
    hook a single branch. *)
 
@@ -33,20 +37,68 @@ let op_kind_name = function
 let op_kind_index = function Write -> 0 | Cas -> 1 | Dcas -> 2 | Rmw -> 3
 let op_kinds = [| Write; Cas; Dcas; Rmw |]
 
-module Itbl = Hashtbl.Make (Int)
-
 (* A site is named by its {!Metrics.key}: the span key {!Lfrc_core.Lfrc}
    opens, or one of the reserved culprits below. Names are resolved only
    when reporting. *)
 type site = Metrics.key
 
-(* A cell's last successful writer, updated in place on each write. *)
-type stamp = {
-  mutable s_tid : int;
-  mutable s_site : site;
-  mutable s_kind : op_kind;
-  mutable s_step : int;
-}
+let unattributed_site = Metrics.key "(unattributed)"
+let unstamped_site = Metrics.key "(unstamped)"
+let injected_site = Metrics.key "(fault-injection)"
+
+(* [a] with twice the room (at least [n]), new slots holding [fill]. *)
+let widen a n fill =
+  let b = Array.make (max n (2 * Array.length a)) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Each stamped cell's last successful writer. [row] maps a cell id to
+   1 + its row in the four columns; a re-stamp rewrites its row in
+   place. *)
+module Stamps = struct
+  type t = {
+    row : Int_table.t;
+    mutable tids : int array;
+    mutable sites : site array;
+    mutable kinds : op_kind array;
+    mutable steps : int array;
+  }
+
+  let create () =
+    {
+      row = Int_table.create 256;
+      tids = [||];
+      sites = [||];
+      kinds = [||];
+      steps = [||];
+    }
+
+  let clear t = Int_table.clear t.row
+
+  (* [cell]'s row, -1 when it has no stamp. *)
+  let find t cell = Int_table.find t.row cell - 1
+
+  let write t cell ~tid ~site ~kind ~step =
+    let i = find t cell in
+    let i =
+      if i >= 0 then i
+      else begin
+        let i = Int_table.length t.row in
+        if i = Array.length t.tids then begin
+          t.tids <- widen t.tids 256 0;
+          t.sites <- widen t.sites 256 unattributed_site;
+          t.kinds <- widen t.kinds 256 Write;
+          t.steps <- widen t.steps 256 0
+        end;
+        Int_table.set t.row cell (i + 1);
+        i
+      end
+    in
+    t.tids.(i) <- tid;
+    t.sites.(i) <- site;
+    t.kinds.(i) <- kind;
+    t.steps.(i) <- step
+end
 
 type pair = {
   p_victim : site;
@@ -58,7 +110,7 @@ type pair = {
          loser paid for. *)
   mutable p_rc : int;  (* charged failures on cells bound as rc cells *)
   p_kinds : int array;  (* by culprit op kind *)
-  p_addrs : int Itbl.t;  (* owner addr -> charged failures *)
+  p_addrs : Int_table.t;  (* owner addr -> charged failures *)
 }
 
 type chain_stat = {
@@ -86,11 +138,12 @@ type thread = {
 type reg = {
   lock : Mutex.t;
   tracer : Tracer.t;  (* flow events (winning write -> doomed attempt) *)
-  stamps : stamp Itbl.t;  (* cell id -> last successful writer *)
-  owners : int Itbl.t;  (* cell id -> owning object (rc cells) *)
-  pairs : pair Itbl.t;  (* pair_id victim culprit *)
+  stamps : Stamps.t;
+  owners : Int_table.t;  (* cell id -> owning object (rc cells) *)
+  pair_at : Int_table.t;  (* pair_id -> 1 + its index in [pairs] *)
+  mutable pairs : pair array;
   threads : thread array;  (* thread slot -> open retry chain *)
-  chain_stats : chain_stat Itbl.t;  (* victim site -> stats *)
+  mutable chain_stats : chain_stat array;  (* victim site -> stats *)
   mutable flows : int;
   mutable attributed : int;
   mutable unstamped : int;
@@ -101,9 +154,16 @@ type reg = {
 
 type t = Disabled | On of reg
 
-let unattributed_site = Metrics.key "(unattributed)"
-let unstamped_site = Metrics.key "(unstamped)"
-let injected_site = Metrics.key "(fault-injection)"
+(* Marks a site with no chain statistics yet. *)
+let no_chain_stat =
+  {
+    cs_site = unattributed_site;
+    cs_chains = 0;
+    cs_adopted = 0;
+    cs_len_total = 0;
+    cs_len_max = 0;
+    cs_steps_total = 0;
+  }
 
 (* A (victim, culprit) pair packed into one int: keys are dense and far
    below 2^30. *)
@@ -115,9 +175,10 @@ let create ?(tracer = Tracer.disabled) () =
     {
       lock = Mutex.create ();
       tracer;
-      stamps = Itbl.create 256;
-      owners = Itbl.create 256;
-      pairs = Itbl.create 32;
+      stamps = Stamps.create ();
+      owners = Int_table.create 256;
+      pair_at = Int_table.create 32;
+      pairs = [||];
       threads =
         Array.init Limits.thread_slots (fun _ ->
             {
@@ -126,7 +187,7 @@ let create ?(tracer = Tracer.disabled) () =
               ch_last = 0;
               ch_len = 0;
             });
-      chain_stats = Itbl.create 16;
+      chain_stats = [||];
       flows = 0;
       attributed = 0;
       unstamped = 0;
@@ -144,35 +205,34 @@ let locked r f = Mutex.protect r.lock f
 
 let thread_of r tid = r.threads.(Limits.slot_of_tid tid)
 
-(* A fresh environment attaching this registry starts a new run: stale
-   stamps from a previous heap (cell ids restart per heap) must not be
-   blamed for the new run's failures. Aggregates survive — one registry
-   can cover a whole experiment campaign. *)
+(* A fresh environment attaching this registry starts a new run. Cell
+   ids are process-wide and never reused, so no stale stamp could be
+   blamed for a new failure; the reset drops the previous run's stamps
+   and owner bindings, which no later write will touch, and its open
+   retry chains, whose thread slots the new run's threads take over.
+   Aggregates survive — one registry can cover a whole experiment
+   campaign. *)
 let new_run = function
   | Disabled -> ()
   | On r ->
       Mutex.lock r.lock;
-      Itbl.reset r.stamps;
-      Itbl.reset r.owners;
+      Stamps.clear r.stamps;
+      Int_table.clear r.owners;
       Array.iter (fun th -> th.ch_len <- 0) r.threads;
       Mutex.unlock r.lock
 
+(* Called under the lock. *)
 let chain_stat_of r (site : site) =
-  match Itbl.find_opt r.chain_stats (site :> int) with
-  | Some cs -> cs
-  | None ->
-      let cs =
-        {
-          cs_site = site;
-          cs_chains = 0;
-          cs_adopted = 0;
-          cs_len_total = 0;
-          cs_len_max = 0;
-          cs_steps_total = 0;
-        }
-      in
-      Itbl.add r.chain_stats (site :> int) cs;
-      cs
+  let k = (site :> int) in
+  if k >= Array.length r.chain_stats then
+    r.chain_stats <- widen r.chain_stats (k + 1) no_chain_stat;
+  let cs = r.chain_stats.(k) in
+  if cs != no_chain_stat then cs
+  else begin
+    let cs = { no_chain_stat with cs_site = site } in
+    r.chain_stats.(k) <- cs;
+    cs
+  end
 
 (* Called under the lock, on a thread with an open chain. *)
 let close_chain_locked r th ~adopted =
@@ -187,26 +247,33 @@ let close_chain_locked r th ~adopted =
   cs.cs_steps_total <- cs.cs_steps_total + max 0 (th.ch_last - th.ch_first);
   th.ch_len <- 0
 
+(* An op that ends while its retry chain is still open gave up without a
+   winning write (a failed Lfrc.cas, an empty pop): the chain is
+   complete. A chain opened by a *different* (enclosing) site stays
+   open. *)
+let ends_chain th site = th.ch_len > 0 && th.ch_site = site
+
+(* Only a slot's own thread writes its chain ([adopt] writes a crashed
+   owner's), so the test takes no lock; closing updates the shared
+   aggregates and locks. The test is repeated under the lock because on
+   real domains, where every thread's tid is 0, threads share a slot. *)
 let op_end t site =
   match t with
   | Disabled -> ()
   | On r ->
       let th = thread_of r (Sched.tid ()) in
-      Mutex.lock r.lock;
-      (* An op that ends while its retry chain is still open gave up
-         without a winning write (a failed Lfrc.cas, an empty pop): the
-         chain is complete, close it. A chain opened by a *different*
-         (enclosing) site stays open. *)
-      if th.ch_len > 0 && th.ch_site = site then
-        close_chain_locked r th ~adopted:false;
-      Mutex.unlock r.lock
+      if ends_chain th site then begin
+        Mutex.lock r.lock;
+        if ends_chain th site then close_chain_locked r th ~adopted:false;
+        Mutex.unlock r.lock
+      end
 
 let bind_owner t ~cell ~addr =
   match t with
   | Disabled -> ()
   | On r ->
       Mutex.lock r.lock;
-      Itbl.replace r.owners cell addr;
+      Int_table.set r.owners cell addr;
       Mutex.unlock r.lock
 
 let stamp t ~site kind cell =
@@ -216,52 +283,46 @@ let stamp t ~site kind cell =
       let tid = Sched.tid () and step = Sched.steps_so_far () in
       let th = thread_of r tid in
       Mutex.lock r.lock;
-      (match Itbl.find r.stamps cell with
-      | st ->
-          st.s_tid <- tid;
-          st.s_site <- site;
-          st.s_kind <- kind;
-          st.s_step <- step
-      | exception Not_found ->
-          Itbl.add r.stamps cell
-            { s_tid = tid; s_site = site; s_kind = kind; s_step = step });
+      Stamps.write r.stamps cell ~tid ~site ~kind ~step;
       (* This thread just won a write: whatever it was retrying is
          through — its chain (if any) is complete. *)
       if th.ch_len > 0 then close_chain_locked r th ~adopted:false;
       Mutex.unlock r.lock
 
+(* Called under the lock. *)
 let pair_of r ~victim ~culprit =
   let id = pair_id victim culprit in
-  match Itbl.find_opt r.pairs id with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          p_victim = victim;
-          p_culprit = culprit;
-          p_wasted = 0;
-          p_steps = 0;
-          p_rc = 0;
-          p_kinds = Array.make 4 0;
-          p_addrs = Itbl.create 8;
-        }
-      in
-      Itbl.add r.pairs id p;
-      p
+  let i = Int_table.find r.pair_at id in
+  if i > 0 then r.pairs.(i - 1)
+  else begin
+    let p =
+      {
+        p_victim = victim;
+        p_culprit = culprit;
+        p_wasted = 0;
+        p_steps = 0;
+        p_rc = 0;
+        p_kinds = Array.make 4 0;
+        p_addrs = Int_table.create 8;
+      }
+    in
+    let n = Int_table.length r.pair_at in
+    if n = Array.length r.pairs then r.pairs <- widen r.pairs 16 p;
+    r.pairs.(n) <- p;
+    Int_table.set r.pair_at id (n + 1);
+    p
+  end
 
+(* [owner] is the charged cell's owning object, 0 for none. *)
 let charge_locked r ~victim ~culprit ~kind ~steps ~owner =
   let p = pair_of r ~victim ~culprit in
   p.p_wasted <- p.p_wasted + 1;
   p.p_steps <- p.p_steps + steps;
   p.p_kinds.(op_kind_index kind) <- p.p_kinds.(op_kind_index kind) + 1;
-  match owner with
-  | None -> ()
-  | Some addr ->
-      p.p_rc <- p.p_rc + 1;
-      let n =
-        match Itbl.find_opt p.p_addrs addr with Some n -> n | None -> 0
-      in
-      Itbl.replace p.p_addrs addr (n + 1)
+  if owner <> 0 then begin
+    p.p_rc <- p.p_rc + 1;
+    Int_table.add p.p_addrs owner 1
+  end
 
 let extend_chain_locked th ~victim ~step =
   if th.ch_len > 0 then begin
@@ -278,35 +339,39 @@ let extend_chain_locked th ~victim ~step =
 let charge t ~site:victim kind cell =
   match t with
   | Disabled -> ()
-  | On r -> (
+  | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
       let th = thread_of r tid in
       Mutex.lock r.lock;
       extend_chain_locked th ~victim ~step;
-      let owner = Itbl.find_opt r.owners cell in
-      match Itbl.find r.stamps cell with
-      | st ->
-          r.attributed <- r.attributed + 1;
-          charge_locked r ~victim ~culprit:st.s_site ~kind:st.s_kind
-            ~steps:(max 0 (step - st.s_step))
-            ~owner;
-          if not (Tracer.enabled r.tracer) then Mutex.unlock r.lock
-          else begin
-            r.flows <- r.flows + 1;
-            let id = r.flows and c_step = st.s_step and c_tid = st.s_tid in
-            Mutex.unlock r.lock;
-            (* The flow arrow: from the culprit's winning write to the
-               attempt it doomed. Emitted outside our lock (the tracer has
-               its own). *)
-            Tracer.emit_at r.tracer ~step:c_step ~tid:c_tid ~arg:id
-              Tracer.Flow_out "blame";
-            Tracer.emit_at r.tracer ~step ~tid ~arg:id Tracer.Flow_in "blame"
-          end
-      | exception Not_found ->
-          r.unstamped <- r.unstamped + 1;
-          charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0
-            ~owner;
-          Mutex.unlock r.lock)
+      let owner = Int_table.find r.owners cell in
+      let st = r.stamps in
+      let i = Stamps.find st cell in
+      if i >= 0 then begin
+        r.attributed <- r.attributed + 1;
+        let c_step = st.steps.(i) in
+        charge_locked r ~victim ~culprit:st.sites.(i) ~kind:st.kinds.(i)
+          ~steps:(max 0 (step - c_step))
+          ~owner;
+        if not (Tracer.enabled r.tracer) then Mutex.unlock r.lock
+        else begin
+          r.flows <- r.flows + 1;
+          let id = r.flows and c_tid = st.tids.(i) in
+          Mutex.unlock r.lock;
+          (* The flow arrow: from the culprit's winning write to the
+             attempt it doomed. Emitted outside our lock (the tracer has
+             its own). *)
+          Tracer.emit_at r.tracer ~step:c_step ~tid:c_tid ~arg:id
+            Tracer.Flow_out "blame";
+          Tracer.emit_at r.tracer ~step ~tid ~arg:id Tracer.Flow_in "blame"
+        end
+      end
+      else begin
+        r.unstamped <- r.unstamped + 1;
+        charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0
+          ~owner;
+        Mutex.unlock r.lock
+      end
 
 (* A spurious (injected) failure compared nothing: no write invalidated
    the attempt, the fault plan did. Charged to a reserved culprit so
@@ -321,7 +386,7 @@ let charge_spurious t ~site:victim kind =
       extend_chain_locked th ~victim ~step;
       r.spurious <- r.spurious + 1;
       charge_locked r ~victim ~culprit:injected_site ~kind ~steps:0
-        ~owner:None;
+        ~owner:0;
       Mutex.unlock r.lock
 
 (* Fold crashed threads' pending state — the [frames] open op spans
@@ -387,32 +452,32 @@ let rows t =
   match t with
   | Disabled -> []
   | On r ->
+      let row p =
+        let kinds =
+          Array.to_list op_kinds
+          |> List.filter_map (fun k ->
+                 let n = p.p_kinds.(op_kind_index k) in
+                 if n > 0 then Some (op_kind_name k, n) else None)
+        in
+        let a = p.p_addrs in
+        let addrs =
+          List.init (Int_table.length a) (fun e ->
+              (Int_table.key a e, Int_table.value a e))
+          |> List.sort (fun (a1, n1) (a2, n2) -> compare (n2, a1) (n1, a2))
+        in
+        {
+          b_victim = Metrics.key_name p.p_victim;
+          b_culprit = Metrics.key_name p.p_culprit;
+          b_wasted = p.p_wasted;
+          b_steps = p.p_steps;
+          b_rc = p.p_rc;
+          b_kinds = kinds;
+          b_addrs = addrs;
+        }
+      in
       let all =
         locked r (fun () ->
-            Itbl.fold
-              (fun _ p acc ->
-                let kinds =
-                  Array.to_list op_kinds
-                  |> List.filter_map (fun k ->
-                         let n = p.p_kinds.(op_kind_index k) in
-                         if n > 0 then Some (op_kind_name k, n) else None)
-                in
-                let addrs =
-                  Itbl.fold (fun a n acc -> (a, n) :: acc) p.p_addrs []
-                  |> List.sort (fun (a1, n1) (a2, n2) ->
-                         compare (n2, a1) (n1, a2))
-                in
-                {
-                  b_victim = Metrics.key_name p.p_victim;
-                  b_culprit = Metrics.key_name p.p_culprit;
-                  b_wasted = p.p_wasted;
-                  b_steps = p.p_steps;
-                  b_rc = p.p_rc;
-                  b_kinds = kinds;
-                  b_addrs = addrs;
-                }
-                :: acc)
-              r.pairs [])
+            List.init (Int_table.length r.pair_at) (fun i -> row r.pairs.(i)))
       in
       (* Worst pair first; name order breaks ties for deterministic
          byte-identical output on identical runs. *)
@@ -428,18 +493,20 @@ let chain_rows t =
   | Disabled -> []
   | On r ->
       locked r (fun () ->
-          Itbl.fold
-            (fun _ cs acc ->
-              {
-                c_site = Metrics.key_name cs.cs_site;
-                c_chains = cs.cs_chains;
-                c_adopted = cs.cs_adopted;
-                c_len_total = cs.cs_len_total;
-                c_len_max = cs.cs_len_max;
-                c_steps_total = cs.cs_steps_total;
-              }
-              :: acc)
-            r.chain_stats [])
+          Array.fold_left
+            (fun acc cs ->
+              if cs == no_chain_stat then acc
+              else
+                {
+                  c_site = Metrics.key_name cs.cs_site;
+                  c_chains = cs.cs_chains;
+                  c_adopted = cs.cs_adopted;
+                  c_len_total = cs.cs_len_total;
+                  c_len_max = cs.cs_len_max;
+                  c_steps_total = cs.cs_steps_total;
+                }
+                :: acc)
+            [] r.chain_stats)
       |> List.sort (fun a b ->
              compare
                (b.c_len_total, a.c_site)

@@ -18,7 +18,13 @@
 
     Like the other observability layers, {!disabled} makes every hook a
     single branch; the registry writes nothing to [Metrics], so counter
-    snapshots are byte-identical with blame on or off. *)
+    snapshots are byte-identical with blame on or off.
+
+    Blame is a simulator layer: it keys its threads on
+    {!Lfrc_sched.Sched.tid}, which is 0 on every real domain, so on
+    domains all threads share one retry chain and every stamp records
+    thread 0. (The op spans it reads its sites from are kept per
+    domain.) *)
 
 type t
 
@@ -34,17 +40,21 @@ val disabled : t
 val enabled : t -> bool
 
 val new_run : t -> unit
-(** Start a new run: clear per-cell stamps and owner bindings (cell ids
-    restart per heap, so stale stamps must not cross environments) and
-    the per-thread retry chains. Aggregated pairs/chains/totals survive.
-    Called by [Env.create] when a blame registry is attached. *)
+(** Start a new run: clear per-cell stamps and owner bindings and the
+    per-thread retry chains. Cell ids are process-wide and never reused,
+    so the reset is not needed for correct attribution: it keeps the
+    tables from holding every cell a campaign ever wrote, and stops a
+    chain left open by the last run from being extended or closed by the
+    new run's thread in the same slot. Aggregated pairs/chains/totals
+    survive. Called by [Env.create] when a blame registry is attached. *)
 
 val op_end : t -> Metrics.key -> unit
 (** The calling thread's span of the named site closed: closes its
     retry chain if that site opened it (the op gave up without a winning
-    write). Each thread's open retry chain sits in its own slot, and a
-    stamp is updated in place, so the hooks allocate
-    nothing once a cell has been stamped. *)
+    write). Each thread's open retry chain sits in its own slot, which
+    [op_end] tests without a lock; it locks only to close a chain. The
+    tables are int-keyed and flat and a stamp is updated in place, so no
+    hook hashes a key or allocates once the tables have grown. *)
 
 val bind_owner : t -> cell:int -> addr:int -> unit
 (** Mark [cell] as belonging to object [addr] (used for rc cells), so

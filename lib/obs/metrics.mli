@@ -16,11 +16,12 @@
     off.
 
     Series names are interned once into {!key}s, so a recording call
-    indexes a slot rather than hashing a string. Counters are atomic
-    cells, exact on real domains without a lock; gauges and histograms
-    sit under the registry's mutex. Several environments may share one
-    registry — the harness does exactly that to aggregate an experiment's
-    sub-runs. *)
+    indexes a slot rather than hashing a string. Counters, and the
+    buckets that hold a histogram's samples in \[0, 4096), are atomic
+    cells, exact on real domains without a lock; gauges and any other
+    histogram sample sit under the registry's mutex. Several environments
+    may share one registry — the harness does exactly that to aggregate
+    an experiment's sub-runs. *)
 
 type t
 
@@ -72,8 +73,11 @@ val set_gauge : t -> key -> int -> unit
 (** Set a gauge's current value; the registry also retains the maximum
     ever set (high-water mark). *)
 
-val observe : t -> key -> float -> unit
-(** Record one sample into a histogram series. *)
+val observe : t -> key -> int -> unit
+(** Record one sample into a histogram series. A sample in \[0, 4096)
+    bumps its bucket without the registry lock and, once the series has
+    grown a bucket that far, allocates nothing; any other sample takes
+    the lock. *)
 
 (** {2 Snapshots} *)
 
@@ -85,7 +89,9 @@ type snapshot = {
 }
 
 val snapshot : t -> snapshot
-(** A consistent copy of the registry. The disabled registry snapshots to
+(** A consistent copy of the registry, in time linear in the samples held
+    (each series' samples come out sorted by merging its buckets with its
+    few out-of-range samples). The disabled registry snapshots to
     {!empty}. *)
 
 val empty : snapshot
@@ -102,9 +108,9 @@ val gauge_value : snapshot -> string -> (int * int) option
 
 val merge : snapshot -> snapshot -> snapshot
 (** Pointwise union: counters add, gauges keep the latest last-value and
-    the max of maxima, histogram samples concatenate. Used to aggregate
-    snapshots taken from registries that could not be shared (e.g.
-    separate chaos cells). *)
+    the max of maxima, histogram samples merge in sorted order. Used to
+    aggregate snapshots taken from registries that could not be shared
+    (e.g. separate chaos cells). *)
 
 val to_json : snapshot -> Lfrc_util.Json.t
 (** A JSON object [{"counters": {...}, "gauges": {name: {"last","max"}},

@@ -11,8 +11,8 @@ module Json = Lfrc_util.Json
 
    Sites sit in an array indexed by span key and carry their three
    histogram keys, built once when the site is created, so aggregation
-   allocates nothing of its own: only the samples [op_end] hands to
-   {!Metrics.observe} are boxed. *)
+   allocates nothing: the three int samples [op_end] hands to
+   {!Metrics.observe} bump atomic buckets. *)
 
 type site = {
   label : string;
@@ -89,12 +89,11 @@ let op_end t key ~steps ~retries ~dcas =
       Mutex.unlock r.lock;
       (* Observed for every completed call — zeros included — so the
          histograms are populated deterministically, not only under
-         contention. Metrics has its own lock; observe outside ours. *)
-      if Metrics.enabled r.metrics then begin
-        Metrics.observe r.metrics site.k_retries (float_of_int retries);
-        Metrics.observe r.metrics site.k_steps (float_of_int steps);
-        Metrics.observe r.metrics site.k_dcas (float_of_int dcas)
-      end
+         contention. Outside our lock: a sample out of bucket range takes
+         the registry's. *)
+      Metrics.observe r.metrics site.k_retries retries;
+      Metrics.observe r.metrics site.k_steps steps;
+      Metrics.observe r.metrics site.k_dcas dcas
 
 let unattributed t ~retry =
   match t with

@@ -39,7 +39,7 @@ val op_end : t -> Metrics.key -> steps:int -> retries:int -> dcas:int -> unit
     scheduler steps and was charged [retries] loop re-runs and [dcas]
     failed attempts, and observe the three into the histograms. A site's
     histogram keys are built once, when the profiler first sees it; a
-    call allocates only the three samples it observes. *)
+    call allocates nothing once its buckets have grown. *)
 
 val unattributed : t -> retry:bool -> unit
 (** A loop re-ran ([retry]) or a CAS/DCAS attempt failed with no span

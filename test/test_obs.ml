@@ -51,7 +51,7 @@ let test_disabled_records_nothing () =
   Metrics.incr m (Metrics.key "a");
   Metrics.add m (Metrics.key "a") 10;
   Metrics.set_gauge m (Metrics.key "g") 1;
-  Metrics.observe m (Metrics.key "h") 1.0;
+  Metrics.observe m (Metrics.key "h") 1;
   checkb "snapshot empty" true (Metrics.is_empty (Metrics.snapshot m))
 
 let test_merge () =
@@ -61,8 +61,10 @@ let test_merge () =
   Metrics.add m2 (Metrics.key "only2") 1;
   Metrics.set_gauge m1 (Metrics.key "g") 7;
   Metrics.set_gauge m2 (Metrics.key "g") 2;
-  Metrics.observe m1 (Metrics.key "h") 1.0;
-  Metrics.observe m2 (Metrics.key "h") 3.0;
+  Metrics.observe m1 (Metrics.key "h") 1;
+  Metrics.observe m1 (Metrics.key "h") 5000;
+  Metrics.observe m2 (Metrics.key "h") 3;
+  Metrics.observe m2 (Metrics.key "h") (-2);
   let s = Metrics.merge (Metrics.snapshot m1) (Metrics.snapshot m2) in
   checki "counters add" 7 (Metrics.counter_value s "c");
   checki "disjoint kept" 1 (Metrics.counter_value s "only2");
@@ -70,7 +72,9 @@ let test_merge () =
   | Some (_, mx) -> checki "gauge max of maxima" 7 mx
   | None -> Alcotest.fail "gauge lost");
   match List.assoc_opt "h" s.Metrics.samples with
-  | Some arr -> checki "samples concatenated" 2 (Array.length arr)
+  | Some arr ->
+      Alcotest.(check (list (float 0.)))
+        "samples merged in order" [ -2.; 1.; 3.; 5000. ] (Array.to_list arr)
   | None -> Alcotest.fail "histogram lost"
 
 let test_quantile_sanity () =
@@ -91,7 +95,7 @@ let test_metrics_json_shape () =
   let m = Metrics.create () in
   Metrics.incr m (Metrics.key "dcas.reads");
   Metrics.set_gauge m (Metrics.key "heap.live") 3;
-  Metrics.observe m (Metrics.key "pause") 2.5;
+  Metrics.observe m (Metrics.key "pause") 3;
   let j = Json.to_string (Metrics.to_json (Metrics.snapshot m)) in
   List.iter
     (fun frag ->
@@ -134,7 +138,7 @@ let test_reset_drops_series () =
   let k = Metrics.key "keys.reset" in
   Metrics.add m k 3;
   Metrics.set_gauge m k 4;
-  Metrics.observe m k 5.0;
+  Metrics.observe m k 5;
   Metrics.reset m;
   checkb "snapshot empty" true (Metrics.is_empty (Metrics.snapshot m));
   checki "live read" 0 (Metrics.count m k);
@@ -142,19 +146,21 @@ let test_reset_drops_series () =
   checki "counts again from zero" 1
     (Metrics.counter_value (Metrics.snapshot m) "keys.reset")
 
-(* Small integer samples are kept as counts, the rest as values; a
+(* Samples in [0, 4096) are kept as bucket counts, the rest as values; a
    snapshot returns exactly the samples observed, sorted. *)
 let test_histogram_keeps_samples () =
   let m = Metrics.create () in
   let k = Metrics.key "keys.hist" in
   let xs =
-    [ 3.; 0.; 2.5; 3.; 5000.; -1.; 0.; 1e9; 4095.; 4096.; 7.; 0.25 ]
+    [ 3; 0; -40; 3; 5000; -1; 0; 1_000_000_000; 4095; 4096; 7; 2 ]
   in
   List.iter (Metrics.observe m k) xs;
   match List.assoc_opt "keys.hist" (Metrics.snapshot m).Metrics.samples with
   | Some got ->
       Alcotest.(check (list (float 0.)))
-        "sorted samples" (List.sort compare xs) (Array.to_list got)
+        "sorted samples"
+        (List.map float (List.sort compare xs))
+        (Array.to_list got)
   | None -> Alcotest.fail "histogram missing"
 
 (* Two domains bump one shared key; midway each interns and bumps fresh
@@ -186,22 +192,67 @@ let test_counters_exact_across_domains () =
     done
   done
 
+(* Two domains observe into one shared histogram; each sample below 4096
+   bumps an atomic bucket without the lock. Each domain's samples climb
+   past the buckets grown so far, so the buckets grow while the other
+   domain is bumping; a few out-of-range samples take the lock. No
+   sample may be lost. *)
+let test_histogram_exact_across_domains () =
+  let m = Metrics.create () in
+  let k = Metrics.key "keys.hist.shared" in
+  let n = 50_000 in
+  let sample i = if i mod 1000 = 0 then 5000 + i else i mod 4096 in
+  let worker () =
+    for i = 1 to n do
+      Metrics.observe m k (sample i)
+    done
+  in
+  let other = Domain.spawn worker in
+  worker ();
+  Domain.join other;
+  let samples = (Metrics.snapshot m).Metrics.samples in
+  match List.assoc_opt "keys.hist.shared" samples with
+  | Some got ->
+      let expected =
+        List.init n (fun i -> sample (i + 1))
+        |> List.concat_map (fun v -> [ v; v ])
+        |> List.sort compare |> List.map float
+      in
+      Alcotest.(check (list (float 0.)))
+        "every sample kept, sorted" expected (Array.to_list got)
+  | None -> Alcotest.fail "histogram missing"
+
+(* Minor words per call of [f], over 10,000 calls. *)
+let words_per_call f =
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. Float.of_int n
+
 (* An enabled registry's counters are atomic slots: bumping one
    allocates nothing. *)
 let test_counter_allocates_nothing () =
   let m = Metrics.create () in
   let k = Metrics.key "keys.alloc" in
   Metrics.incr m k;
-  let words f =
-    let n = 10_000 in
-    let before = Gc.minor_words () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Gc.minor_words () -. before) /. Float.of_int n
-  in
-  Alcotest.(check (float 0.)) "incr words/op" 0. (words (fun () -> Metrics.incr m k));
-  Alcotest.(check (float 0.)) "add words/op" 0. (words (fun () -> Metrics.add m k 3))
+  Alcotest.(check (float 0.))
+    "incr words/op" 0.
+    (words_per_call (fun () -> Metrics.incr m k));
+  Alcotest.(check (float 0.))
+    "add words/op" 0.
+    (words_per_call (fun () -> Metrics.add m k 3))
+
+(* A histogram sample in bucket range bumps an atomic cell: once the
+   bucket exists, observing allocates nothing. *)
+let test_observe_allocates_nothing () =
+  let m = Metrics.create () in
+  let k = Metrics.key "keys.hist.alloc" in
+  Metrics.observe m k 100;
+  Alcotest.(check (float 0.))
+    "observe words/op" 0.
+    (words_per_call (fun () -> Metrics.observe m k 63))
 
 (* --- wiring: a scripted single-threaded LFRC sequence has exact counts --- *)
 
@@ -350,11 +401,15 @@ let () =
             test_histogram_keeps_samples;
           Alcotest.test_case "exact across domains" `Quick
             test_counters_exact_across_domains;
+          Alcotest.test_case "histogram exact across domains" `Quick
+            test_histogram_exact_across_domains;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "counter incr and add" `Quick
             test_counter_allocates_nothing;
+          Alcotest.test_case "histogram observe" `Quick
+            test_observe_allocates_nothing;
         ] );
       ( "wiring",
         [
