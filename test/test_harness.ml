@@ -243,8 +243,26 @@ let test_e11_profiles () =
           profile = true }
       in
       let r = e.Experiments.run cfg in
-      checkb "profiled sites" true
-        (Lfrc_obs.Profile.rows r.Lfrc_harness.Common.profile <> [])
+      let rows = Lfrc_obs.Profile.rows r.Lfrc_harness.Common.profile in
+      checkb "profiled sites" true (rows <> []);
+      (* Each closed span observes one sample into each of its site's
+         three series, and nothing else writes them. *)
+      let samples = r.Lfrc_harness.Common.metrics.Lfrc_obs.Metrics.samples in
+      List.iter
+        (fun (row : Lfrc_obs.Profile.row) ->
+          let site = row.Lfrc_obs.Profile.r_site in
+          if site <> "(unattributed)" then
+            List.iter
+              (fun h ->
+                let n =
+                  match List.assoc_opt h samples with
+                  | Some xs -> Array.length xs
+                  | None -> 0
+                in
+                checki (h ^ " holds one sample per call")
+                  row.Lfrc_obs.Profile.r_calls n)
+              [ site ^ ".retries"; site ^ ".steps"; "dcas.retries." ^ site ])
+        rows
 
 (* E5 opens a span named after its row around every op it drives, so no
    failed attempt falls to the "(unattributed)" site: not the substrate

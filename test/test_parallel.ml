@@ -53,8 +53,7 @@ let check_no_open_span env =
 
 (* With the profiler on: no worker left a span open, and every load on
    every domain closed a span the profiler aggregated, with its samples
-   in the bucket histograms. ([lfrc.load.retries] also holds each load's
-   own retry burst, so it is not one sample per load.) *)
+   in the bucket histograms. *)
 let check_profiled env { metrics; profile } =
   checki "no worker left a span open" 0 (Atomic.get open_spans);
   Alcotest.(check string)
@@ -79,7 +78,7 @@ let check_profiled env { metrics; profile } =
           checki (h ^ " holds one sample per load")
             load.Lfrc_obs.Profile.r_calls (Array.length xs)
       | None -> Alcotest.failf "histogram %s missing" h)
-    [ "lfrc.load.steps"; "dcas.retries.lfrc.load" ]
+    [ "lfrc.load.retries"; "lfrc.load.steps"; "dcas.retries.lfrc.load" ]
 
 (* After teardown: land what the count mode holds back, then the heap
    must be empty with exact counts. *)
