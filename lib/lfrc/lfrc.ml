@@ -51,8 +51,6 @@ let k_frees = Env_base.k_frees
 let k_deferred_frees = Metrics.key "lfrc.deferred_frees"
 let k_load_retry = Metrics.key "lfrc.load_retry"
 let k_store_retry = Metrics.key "lfrc.store_retry"
-let k_load_retries = Metrics.key "lfrc.load.retries"
-let k_store_retries = Metrics.key "lfrc.store.retries"
 
 (* Count one operation; answer whether it runs in a span. *)
 let spanned env key =
@@ -380,9 +378,6 @@ let load_body env ~src ~dest =
     load_retry env (Env.dcas env) ~src ~dest ~slow:(per_retry_obs env) 0
   in
   record_retries env k_load_retry burst;
-  (* Every load contributes its burst — zeros included — so the retry
-     histogram is populated even in uncontended runs. *)
-  Metrics.observe (Env.metrics env) k_load_retries burst;
   destroy env olddest
 
 let load env ~src ~dest =
@@ -405,7 +400,6 @@ let rec store_retry env d ~dst v ~slow burst =
     Env.end_publish env v;
     installed env ~cell:dst ~old:oldval v ~owned:false;
     record_retries env k_store_retry burst;
-    Metrics.observe (Env.metrics env) k_store_retries burst;
     drop_taken env oldval ~counted:true
   end
   else begin
