@@ -538,6 +538,7 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
   Shadow.attach sanitize ~heap ~metrics ~tracer ~site:(fun () -> span_site t);
   let obs_on =
     Metrics.enabled metrics || Tracer.enabled tracer || Lineage.enabled lineage
+    || Blame.enabled blame
   in
   let san_on = Shadow.enabled sanitize in
   if obs_on || san_on then
@@ -549,7 +550,11 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
              | Heap.Obs_alloc { p; gen; live } ->
                  Metrics.incr metrics k_heap_allocs;
                  Metrics.set_gauge metrics k_heap_live live;
-                 record_lineage t ~addr:p (Lineage.Alloc { gen })
+                 record_lineage t ~addr:p (Lineage.Alloc { gen });
+                 (* An rc cell's owner is fixed for the object's life:
+                    bound once here, never on the count path. *)
+                 Blame.bind_owner blame ~cell:(Cell.id (Heap.rc_cell heap p))
+                   ~addr:p
              | Heap.Obs_free { p; gen; live } ->
                  Metrics.incr metrics k_heap_frees;
                  Metrics.set_gauge metrics k_heap_live live;

@@ -4,7 +4,6 @@ module Dcas = Lfrc_atomics.Dcas
 module Metrics = Lfrc_obs.Metrics
 module Tracer = Lfrc_obs.Tracer
 module Lineage = Lfrc_obs.Lineage
-module Blame = Lfrc_obs.Blame
 module Shadow = Lfrc_sanitize.Shadow
 
 type ptr = Heap.ptr
@@ -355,7 +354,6 @@ let rec load_retry env d ~src ~dest ~slow burst =
   end
   else begin
     let rc = Heap.rc_cell (Env.heap env) a in
-    Blame.bind_owner (Env.blame env) ~cell:(Cell.id rc) ~addr:a;
     let r = Dcas.read d rc in
     (* Increment the count while atomically checking that [src] still
        points at [a]: the object cannot have been freed and recycled

@@ -324,7 +324,6 @@ let rec apply t env addr =
   else begin
     let d = E.dcas env in
     let rc = Heap.rc_cell (E.heap env) addr in
-    Lfrc_obs.Blame.bind_owner (E.blame env) ~cell:(Cell.id rc) ~addr;
     let oldrc = Dcas.read d rc in
     (* Fold in anything parked up to this instant so the CAS below applies
        the complete net and a success at zero means zero adjustments

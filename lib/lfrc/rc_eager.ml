@@ -4,7 +4,6 @@
    there. The mode keeps no state of its own. *)
 
 module Heap = Lfrc_simmem.Heap
-module Cell = Lfrc_simmem.Cell
 module Dcas = Lfrc_atomics.Dcas
 module E = Env_base
 
@@ -31,9 +30,8 @@ let rec add_retry env d rc p v ~slow burst =
   end
 
 let add_to_rc env p v =
-  let rc = Heap.rc_cell (E.heap env) p in
-  Lfrc_obs.Blame.bind_owner (E.blame env) ~cell:(Cell.id rc) ~addr:p;
-  add_retry env (E.dcas env) rc p v ~slow:(E.per_retry_obs env) 0
+  add_retry env (E.dcas env) (Heap.rc_cell (E.heap env) p) p v
+    ~slow:(E.per_retry_obs env) 0
 
 let mode () = E.Eager
 let borrow () _ ~src:_ _ = false

@@ -198,10 +198,7 @@ let adopt_pools t ~tids =
 
 (* --- the delivery hooks --- *)
 
-let bind_rc env p =
-  let rc = Heap.rc_cell (E.heap env) p in
-  Lfrc_obs.Blame.bind_owner (E.blame env) ~cell:(Cell.id rc) ~addr:p;
-  rc
+let rc_cell env p = Heap.rc_cell (E.heap env) p
 
 let mode t = E.Wait_free { weight = t.weight }
 
@@ -239,7 +236,7 @@ let loaded t env ~src a ~old_rc =
    batch size so a crash before the CAS resolves is compensated
    weight-exactly by recovery. *)
 let publish t env p =
-  let prev = Dcas.fetch_add (E.dcas env) (bind_rc env p) t.weight in
+  let prev = Dcas.fetch_add (E.dcas env) (rc_cell env p) t.weight in
   (* Atomic with the add: the speculative batch is never unanchored. *)
   E.begin_publish env ~weight:t.weight p;
   Metrics.incr (E.metrics env) k_weight_pub;
@@ -256,7 +253,7 @@ let acquire_copy t env w =
       E.record_lineage env ~addr:w Lineage.Wshare
     end
     else begin
-      let prev = Dcas.fetch_add (E.dcas env) (bind_rc env w) t.weight in
+      let prev = Dcas.fetch_add (E.dcas env) (rc_cell env w) t.weight in
       (* Atomic with the add: pouch the batch before any yield. *)
       pool_add t ~addr:w ~w:t.weight ~n:1;
       Metrics.incr (E.metrics env) k_weight_refill;
@@ -309,7 +306,7 @@ let release t env p =
   end
   else begin
     let w = pool_weight t ~addr:p in
-    let prev = Dcas.fetch_add (E.dcas env) (bind_rc env p) (-w) in
+    let prev = Dcas.fetch_add (E.dcas env) (rc_cell env p) (-w) in
     (* No yield since the add landed: removing the pouch entry is atomic
        with it, so a crashed thread can never double-spend its weight
        (a crash at the add's own yield point means nothing happened and

@@ -79,6 +79,11 @@ val observe : t -> key -> int -> unit
     grown a bucket that far, allocates nothing; any other sample takes
     the lock. *)
 
+val tally : t -> key -> int * int * int
+(** A histogram's sample count, sum and largest sample (0 with none),
+    read live without a {!snapshot}; [(0, 0, 0)] when the series does
+    not exist or the registry is disabled. *)
+
 (** {2 Snapshots} *)
 
 type snapshot = {

@@ -5,31 +5,30 @@ module Json = Lfrc_util.Json
    registered on first use. The environment keeps the open spans and
    charges each retry or failed DCAS to the innermost one on the thread
    it happened on, so a destroy embedded in a load charges the destroy,
-   not the load; this module aggregates each span as it closes. A charge
+   not the load; this module observes each span as it closes. A charge
    made with no span open goes to the "(unattributed)" site, which has
    no calls.
 
-   Sites sit in an array indexed by span key and carry their three
-   histogram keys, built once when the site is created, so aggregation
-   allocates nothing: the three int samples [op_end] hands to
-   {!Metrics.observe} bump atomic buckets. *)
+   The profiler keeps no totals of its own: each closed span is three
+   samples in its site's histograms, and a row reads their count, sum
+   and max back. Sites sit in an array indexed by span key and carry
+   their three histogram keys, built once when the site is created, so
+   once it exists a span closes without a lock and allocates nothing:
+   the three int samples bump atomic buckets. *)
 
 type site = {
   label : string;
-  k_retries : Metrics.key;  (* <site>.retries *)
-  k_steps : Metrics.key;  (* <site>.steps *)
-  k_dcas : Metrics.key;  (* dcas.retries.<site> *)
-  mutable calls : int;
-  mutable retries : int;  (* operation-loop re-runs (LFRC retry shims) *)
-  mutable dcas_retries : int;  (* failed CAS/DCAS attempts underneath *)
-  mutable steps_total : int;  (* scheduler steps spent inside, summed *)
-  mutable steps_max : int;
+  k_retries : Metrics.key;  (* <site>.retries: operation-loop re-runs *)
+  k_steps : Metrics.key;  (* <site>.steps: scheduler steps inside *)
+  k_dcas : Metrics.key;  (* dcas.retries.<site>: failed CAS/DCAS attempts *)
 }
 
 type reg = {
-  lock : Mutex.t;
+  lock : Mutex.t;  (* taken to add a site *)
   metrics : Metrics.t;
-  mutable sites : site array;  (* span key -> site, [no_site] if unseen *)
+  sites : site array Atomic.t;  (* span key -> site, [no_site] if unseen *)
+  unattributed_retries : int Atomic.t;
+  unattributed_dcas : int Atomic.t;
 }
 
 (* Single-branch off switch, same as the disabled Metrics singleton. *)
@@ -41,69 +40,62 @@ let new_site label =
     k_retries = Metrics.key (label ^ ".retries");
     k_steps = Metrics.key (label ^ ".steps");
     k_dcas = Metrics.key ("dcas.retries." ^ label);
-    calls = 0;
-    retries = 0;
-    dcas_retries = 0;
-    steps_total = 0;
-    steps_max = 0;
   }
 
 let no_site = new_site "(none)"
 
-let k_unattributed = Metrics.key "(unattributed)"
-
 let create ?(metrics = Metrics.disabled) () =
-  On { lock = Mutex.create (); metrics; sites = [||] }
+  On
+    {
+      lock = Mutex.create ();
+      metrics = (if Metrics.enabled metrics then metrics else Metrics.create ());
+      sites = Atomic.make [||];
+      unattributed_retries = Atomic.make 0;
+      unattributed_dcas = Atomic.make 0;
+    }
 
 let disabled = Disabled
 
 let enabled = function Disabled -> false | On _ -> true
 
-(* Called under the lock. *)
-let site_of r (key : Metrics.key) =
+(* A site seen for the first time. The array is republished whole after
+   a growth, as the registry's slots are. *)
+let add_site r (key : Metrics.key) =
   let k = (key :> int) in
-  if k >= Array.length r.sites then begin
-    let bigger = Array.make (max 16 (2 * (k + 1))) no_site in
-    Array.blit r.sites 0 bigger 0 (Array.length r.sites);
-    r.sites <- bigger
-  end;
-  let s = r.sites.(k) in
-  if s != no_site then s
-  else begin
-    let s = new_site (Metrics.key_name key) in
-    r.sites.(k) <- s;
-    s
-  end
+  Mutex.lock r.lock;
+  let sites = Atomic.get r.sites in
+  let sites =
+    if k < Array.length sites then sites
+    else begin
+      let bigger = Array.make (max 16 (2 * (k + 1))) no_site in
+      Array.blit sites 0 bigger 0 (Array.length sites);
+      bigger
+    end
+  in
+  if sites.(k) == no_site then sites.(k) <- new_site (Metrics.key_name key);
+  Atomic.set r.sites sites;
+  Mutex.unlock r.lock;
+  sites.(k)
 
-let op_end t key ~steps ~retries ~dcas =
+(* Observed for every completed call — zeros included — so the
+   histograms are populated deterministically, not only under
+   contention. *)
+let op_end t (key : Metrics.key) ~steps ~retries ~dcas =
   match t with
   | Disabled -> ()
   | On r ->
-      Mutex.lock r.lock;
-      let site = site_of r key in
-      site.calls <- site.calls + 1;
-      site.retries <- site.retries + retries;
-      site.dcas_retries <- site.dcas_retries + dcas;
-      site.steps_total <- site.steps_total + steps;
-      if steps > site.steps_max then site.steps_max <- steps;
-      Mutex.unlock r.lock;
-      (* Observed for every completed call — zeros included — so the
-         histograms are populated deterministically, not only under
-         contention. Outside our lock: a sample out of bucket range takes
-         the registry's. *)
-      Metrics.observe r.metrics site.k_retries retries;
-      Metrics.observe r.metrics site.k_steps steps;
-      Metrics.observe r.metrics site.k_dcas dcas
+      let sites = Atomic.get r.sites and k = (key :> int) in
+      let s = if k < Array.length sites then Array.unsafe_get sites k else no_site in
+      let s = if s != no_site then s else add_site r key in
+      Metrics.observe r.metrics s.k_retries retries;
+      Metrics.observe r.metrics s.k_steps steps;
+      Metrics.observe r.metrics s.k_dcas dcas
 
 let unattributed t ~retry =
   match t with
   | Disabled -> ()
   | On r ->
-      Mutex.lock r.lock;
-      let s = site_of r k_unattributed in
-      if retry then s.retries <- s.retries + 1
-      else s.dcas_retries <- s.dcas_retries + 1;
-      Mutex.unlock r.lock
+      Atomic.incr (if retry then r.unattributed_retries else r.unattributed_dcas)
 
 (* --- reporting --- *)
 
@@ -117,28 +109,33 @@ type row = {
   r_steps_max : int;
 }
 
-let row_of (s : site) =
-  {
-    r_site = s.label;
-    r_calls = s.calls;
-    r_retries = s.retries;
-    r_dcas_retries = s.dcas_retries;
-    r_wasted = s.retries + s.dcas_retries;
-    r_steps_total = s.steps_total;
-    r_steps_max = s.steps_max;
-  }
+(* A row from its series' (count, sum, max) tallies. *)
+let row r_site (r_calls, r_retries, _) (_, r_dcas_retries, _)
+    (_, r_steps_total, r_steps_max) =
+  let r_wasted = r_retries + r_dcas_retries in
+  { r_site; r_calls; r_retries; r_dcas_retries; r_wasted; r_steps_total;
+    r_steps_max }
 
 let rows t =
   match t with
   | Disabled -> []
   | On r ->
-      Mutex.lock r.lock;
+      let tally k = Metrics.tally r.metrics k in
+      let retries = Atomic.get r.unattributed_retries
+      and dcas = Atomic.get r.unattributed_dcas in
+      let unattributed =
+        if retries + dcas = 0 then []
+        else [ row "(unattributed)" (0, retries, 0) (0, dcas, 0) (0, 0, 0) ]
+      in
       let all =
         Array.fold_left
-          (fun acc s -> if s == no_site then acc else row_of s :: acc)
-          [] r.sites
+          (fun acc s ->
+            if s == no_site then acc
+            else
+              row s.label (tally s.k_retries) (tally s.k_dcas) (tally s.k_steps)
+              :: acc)
+          unattributed (Atomic.get r.sites)
       in
-      Mutex.unlock r.lock;
       (* Most wasted attempts first: the contention hot list. *)
       List.sort
         (fun a b -> compare (b.r_wasted, a.r_site) (a.r_wasted, b.r_site))

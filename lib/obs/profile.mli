@@ -4,13 +4,14 @@
     "lfrc.destroy", …) is a frame on its environment's span stack
     ({!Lfrc_core.Env.span_begin}), charged the CAS/DCAS failures and
     operation-loop retries that happen while it is innermost. Closing
-    it hands it to {!op_end}, which accumulates into a per-site registry
-    — calls, retries, failed DCAS attempts, scheduler steps spent — and
-    observes the per-call burst into the {!Metrics} histograms
-    ([<site>.retries], [<site>.steps],
+    it hands it to {!op_end}, which observes the call's retries, failed
+    DCAS attempts and scheduler steps into its site's three {!Metrics}
+    histograms ([<site>.retries], [<site>.steps],
     [dcas.retries.<site>]), zeros included, so the histograms are
     populated deterministically rather than only under contention. The
-    profiler keeps no per-thread state.
+    histograms are the profile: a row reads each series' count, sum and
+    max back, and the profiler keeps no totals and no per-thread state
+    of its own. It is those series' only writer.
 
     Latency is measured in {!Lfrc_sched.Sched.steps_so_far} deltas — the
     deterministic interleaving clock — so a profile replays identically
@@ -23,9 +24,10 @@
 type t
 
 val create : ?metrics:Metrics.t -> unit -> t
-(** A fresh enabled profiler. Per-call bursts are observed into
-    [metrics] histograms when given (the registry the harness already
-    snapshots); default {!Metrics.disabled} keeps only the site table. *)
+(** A fresh enabled profiler. Per-call bursts are observed into the
+    histograms of [metrics] when it is enabled (the registry the harness
+    already snapshots), else into a private registry of its own. One
+    profiler per registry: a second one would double its rows. *)
 
 val disabled : t
 (** The shared no-op profiler: every call is a single branch. *)
@@ -35,15 +37,18 @@ val enabled : t -> bool
 (** {1 Aggregation} *)
 
 val op_end : t -> Metrics.key -> steps:int -> retries:int -> dcas:int -> unit
-(** Aggregate one closed span of the named site, which took [steps]
-    scheduler steps and was charged [retries] loop re-runs and [dcas]
-    failed attempts, and observe the three into the histograms. A site's
-    histogram keys are built once, when the profiler first sees it; a
-    call allocates nothing once its buckets have grown. *)
+(** One closed span of the named site, which took [steps] scheduler
+    steps and was charged [retries] loop re-runs and [dcas] failed
+    attempts: the three are observed into the site's histograms. A
+    site's histogram keys are built once, under a lock, when the
+    profiler first sees it; after that a call takes no lock (unless a
+    sample lies outside the buckets, {!Metrics.observe}) and allocates
+    nothing once its buckets have grown. *)
 
 val unattributed : t -> retry:bool -> unit
 (** A loop re-ran ([retry]) or a CAS/DCAS attempt failed with no span
-    open: charged to the ["(unattributed)"] site, which has no calls. *)
+    open: charged to the ["(unattributed)"] site, which has no calls and
+    no histograms, only two atomic counters. *)
 
 (** {1 Reporting} *)
 
@@ -58,8 +63,13 @@ type row = {
 }
 
 val rows : t -> row list
-(** Per-site totals, most wasted attempts first (ties by site name).
-    ["(unattributed)"] appears only when something was charged to it. *)
+(** Per-site totals read back from the histograms ({!Metrics.tally}):
+    calls and retries are [<site>.retries]' count and sum, dcas retries
+    [dcas.retries.<site>]'s sum, steps [<site>.steps]' sum and max. Most
+    wasted attempts first (ties by site name). ["(unattributed)"]
+    appears only when something was charged to it. Read after the run:
+    a row read while spans close may mix series read at different
+    instants. *)
 
 val table : t -> string
 (** The contention table as aligned text: site, calls, retries, dcas,
