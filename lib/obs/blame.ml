@@ -180,7 +180,7 @@ let create ?(tracer = Tracer.disabled) () =
       pair_at = Int_table.create 32;
       pairs = [||];
       threads =
-        Array.init Limits.thread_slots (fun _ ->
+        Array.init Limits.slots (fun _ ->
             {
               ch_site = unattributed_site;
               ch_first = 0;
@@ -203,7 +203,8 @@ let enabled = function Disabled -> false | On _ -> true
 (* For the cold reporting paths; the hooks lock without a closure. *)
 let locked r f = Mutex.protect r.lock f
 
-let thread_of r tid = r.threads.(Limits.slot_of_tid tid)
+(* The calling thread's slot. *)
+let own_thread r = r.threads.(Sched.slot ())
 
 (* A fresh environment attaching this registry starts a new run. Cell
    ids are process-wide and never reused, so no stale stamp could be
@@ -255,16 +256,15 @@ let ends_chain th site = th.ch_len > 0 && th.ch_site = site
 
 (* Only a slot's own thread writes its chain ([adopt] writes a crashed
    owner's), so the test takes no lock; closing updates the shared
-   aggregates and locks. The test is repeated under the lock because on
-   real domains, where every thread's tid is 0, threads share a slot. *)
+   aggregates and locks. *)
 let op_end t site =
   match t with
   | Disabled -> ()
   | On r ->
-      let th = thread_of r (Sched.tid ()) in
+      let th = own_thread r in
       if ends_chain th site then begin
         Mutex.lock r.lock;
-        if ends_chain th site then close_chain_locked r th ~adopted:false;
+        close_chain_locked r th ~adopted:false;
         Mutex.unlock r.lock
       end
 
@@ -281,7 +281,7 @@ let stamp t ~site kind cell =
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
-      let th = thread_of r tid in
+      let th = own_thread r in
       Mutex.lock r.lock;
       Stamps.write r.stamps cell ~tid ~site ~kind ~step;
       (* This thread just won a write: whatever it was retrying is
@@ -341,7 +341,7 @@ let charge t ~site:victim kind cell =
   | Disabled -> ()
   | On r ->
       let tid = Sched.tid () and step = Sched.steps_so_far () in
-      let th = thread_of r tid in
+      let th = own_thread r in
       Mutex.lock r.lock;
       extend_chain_locked th ~victim ~step;
       let owner = Int_table.find r.owners cell in
@@ -381,7 +381,7 @@ let charge_spurious t ~site:victim kind =
   | Disabled -> ()
   | On r ->
       let step = Sched.steps_so_far () in
-      let th = thread_of r (Sched.tid ()) in
+      let th = own_thread r in
       Mutex.lock r.lock;
       extend_chain_locked th ~victim ~step;
       r.spurious <- r.spurious + 1;
@@ -403,7 +403,7 @@ let adopt t ~crashed ~frames =
       List.iter
         (fun tid ->
           if Limits.has_slot tid then begin
-            let th = thread_of r tid in
+            let th = r.threads.(Limits.slot_of_tid tid) in
             if th.ch_len > 0 then begin
               incr chains;
               close_chain_locked r th ~adopted:true

@@ -13,18 +13,18 @@
     Aggregates: a site×site interference matrix (wasted attempts +
     scheduler-step staleness per pair), per-site retry-chain statistics
     (the critical path of contended operations), and per-object charge
-    counts on cells bound via {!bind_owner} (reference-count cells), which
-    the report joins with lineage to name the contended object family.
+    counts on cells bound via {!bind_owner} (reference-count cells, bound
+    when their object is allocated), which the report joins with lineage
+    to name the contended object family.
 
     Like the other observability layers, {!disabled} makes every hook a
     single branch; the registry writes nothing to [Metrics], so counter
     snapshots are byte-identical with blame on or off.
 
-    Blame is a simulator layer: it keys its threads on
-    {!Lfrc_sched.Sched.tid}, which is 0 on every real domain, so on
-    domains all threads share one retry chain and every stamp records
-    thread 0. (The op spans it reads its sites from are kept per
-    domain.) *)
+    Each thread's open retry chain sits in its own slot
+    ({!Lfrc_sched.Sched.slot}), a real domain's included. A stamp's
+    culprit tid is {!Lfrc_sched.Sched.tid}, which is 0 on every real
+    domain. *)
 
 type t
 
@@ -57,8 +57,11 @@ val op_end : t -> Metrics.key -> unit
     hook hashes a key or allocates once the tables have grown. *)
 
 val bind_owner : t -> cell:int -> addr:int -> unit
-(** Mark [cell] as belonging to object [addr] (used for rc cells), so
-    charges on it count as rc contention and name the object. *)
+(** Mark [cell] as belonging to object [addr], so charges on it count as
+    rc contention and name the object. Its one caller is the
+    environment's heap observer, which binds each new object's rc cell
+    once, at allocation: the owner of an rc cell never changes while the
+    object lives. *)
 
 val stamp : t -> site:Metrics.key -> op_kind -> int -> unit
 (** Record a successful write to cell id [int] by the calling thread
