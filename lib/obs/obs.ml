@@ -29,16 +29,12 @@ let enabled t =
   || Lineage.enabled t.lineage || Profile.enabled t.profile
   || Blame.enabled t.blame
 
-let create ?(master = true) ?(metrics = true) ?(trace_capacity = 0)
-    ?(lineage_ring = 0) ?(profile = false) ?(blame = false) () =
+let create ?(master = true) ?(trace_capacity = 0) ?(profile = false)
+    ?(blame = false) () =
   if not master then disabled
   else
-    let metrics = if metrics then Metrics.create () else Metrics.disabled in
+    let metrics = Metrics.create () in
     let tracer = Tracer.create ~capacity:trace_capacity in
-    let lineage =
-      if lineage_ring > 0 then Lineage.create ~ring:lineage_ring ()
-      else Lineage.disabled
-    in
     let profile = if profile then Profile.create ~metrics () else Profile.disabled in
     let blame = if blame then Blame.create ~tracer () else Blame.disabled in
-    { metrics; tracer; lineage; profile; blame }
+    { metrics; tracer; lineage = Lineage.disabled; profile; blame }

@@ -23,14 +23,16 @@ val enabled : t -> bool
 
 val create :
   ?master:bool ->
-  ?metrics:bool ->
   ?trace_capacity:int ->
-  ?lineage_ring:int ->
   ?profile:bool ->
   ?blame:bool ->
   unit ->
   t
-(** Defaults: [master = true], [metrics = true], everything else off.
-    When [blame] is set the blame registry is created over this bundle's
-    tracer, so attributed failures emit flow events whenever the tracer
-    is live. *)
+(** Defaults: [master = true], everything else off. With [master] on,
+    the bundle has a fresh metrics registry, a tracer of
+    [trace_capacity] events (disabled at 0) and, when asked for, a
+    profiler over that registry and a blame registry over that tracer,
+    so attributed failures emit flow events whenever the tracer is
+    live. Its lineage is always {!Lineage.disabled}: a lifecycle
+    recorder is created where it is read and passed to the environment
+    itself. *)

@@ -225,8 +225,7 @@ let test_counter_identity () =
 
 let test_obs_master_switch () =
   let o =
-    Obs.create ~master:false ~metrics:true ~trace_capacity:64
-      ~lineage_ring:16 ~profile:true ~blame:true ()
+    Obs.create ~master:false ~trace_capacity:64 ~profile:true ~blame:true ()
   in
   checkb "master off: metrics dead" false (Metrics.enabled o.Obs.metrics);
   checkb "master off: tracer dead" false (Tracer.enabled o.Obs.tracer);
