@@ -314,6 +314,7 @@ type t = {
   env_sanitizer : Shadow.t;
   env_spans : Spans.t;
   spans_on : bool;  (* some span layer is on, so {!Lfrc} opens spans *)
+  per_retry : bool;  (* tracer or profiler on: see {!retried} *)
   env_symbolic : bool;
 }
 
@@ -530,6 +531,7 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
       spans_on =
         Tracer.enabled tracer || Profile.enabled profile
         || Lineage.enabled lineage || Blame.enabled blame;
+      per_retry = Tracer.enabled tracer || Profile.enabled profile;
       env_symbolic = symbolic;
     }
   in
@@ -607,25 +609,23 @@ let in_transit t =
 (* --- observability shims shared by {!Lfrc} and the mode implementations ---
 
    A retry bumps its counter and, when tracing/profiling is on, charges
-   the innermost span. The hot retry loops hoist the obs-enabled check
-   out of the loop: the retry *count* is staged in the loop's burst
-   accumulator and recorded once after the loop ([Metrics.add] — totals
-   identical to the per-retry [incr] they replace), and only the
-   per-event sinks (tracer timeline, profiler frame charge) still run per
-   retry — behind a single branch computed before the first attempt.
-   With observability off a retry costs nothing at all. *)
+   the innermost span. The hot retry loops stage the retry *count* in
+   the loop's burst accumulator and record it once after the loop
+   ([Metrics.add] — totals identical to a per-retry [incr]); only the
+   per-event sinks (tracer timeline, profiler frame charge) run per
+   retry, behind the one branch on [per_retry], decided when the
+   environment is made. *)
 
-let retry_slow env counter =
-  Tracer.emit env.env_tracer Retry (Metrics.key_name counter);
-  if Profile.enabled env.env_profile then
-    Spans.charge env.env_spans env.env_profile ~retry:true
+let retried env counter =
+  if env.per_retry then begin
+    Tracer.emit env.env_tracer Retry (Metrics.key_name counter);
+    if Profile.enabled env.env_profile then
+      Spans.charge env.env_spans env.env_profile ~retry:true
+  end
 
 let retry env counter =
   Metrics.incr env.env_metrics counter;
-  retry_slow env counter
-
-let per_retry_obs env =
-  Tracer.enabled env.env_tracer || Profile.enabled env.env_profile
+  retried env counter
 
 let record_retries env counter burst =
   if burst > 0 then Metrics.add env.env_metrics counter burst

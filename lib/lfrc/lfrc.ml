@@ -29,10 +29,9 @@ let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)
    on, the body runs between [span_begin] and [span_end] in the
    operation itself, so opening a span builds no closure either. Retry
    accounting is shared with the mode implementations
-   ({!Env_base.per_retry_obs}). *)
+   ({!Env_base.retried}). *)
 
-let retry_slow = Env_base.retry_slow
-let per_retry_obs = Env_base.per_retry_obs
+let retried = Env_base.retried
 let record_retries = Env_base.record_retries
 let free_obj = Env_base.free_obj
 
@@ -342,7 +341,7 @@ let drop_taken env p ~counted =
 (* LFRCLoad (Figure 2, lines 1..12). This and the retry loops below are
    top-level functions, so an operation builds no closure. [load_retry]
    returns its retry burst. *)
-let rec load_retry env d ~src ~dest ~slow burst =
+let rec load_retry env d ~src ~dest burst =
   let a = Dcas.read d src in
   if a = null then begin
     dest := null;
@@ -365,16 +364,14 @@ let rec load_retry env d ~src ~dest ~slow burst =
       burst
     end
     else begin
-      if slow then retry_slow env k_load_retry;
-      load_retry env d ~src ~dest ~slow (burst + 1)
+      retried env k_load_retry;
+      load_retry env d ~src ~dest (burst + 1)
     end
   end
 
 let load_body env ~src ~dest =
   let olddest = !dest in
-  let burst =
-    load_retry env (Env.dcas env) ~src ~dest ~slow:(per_retry_obs env) 0
-  in
+  let burst = load_retry env (Env.dcas env) ~src ~dest 0 in
   record_retries env k_load_retry burst;
   destroy env olddest
 
@@ -389,7 +386,7 @@ let load env ~src ~dest =
   else load_body env ~src ~dest
 
 (* LFRCStore (Figure 2, lines 21..28). *)
-let rec store_retry env d ~dst v ~slow burst =
+let rec store_retry env d ~dst v burst =
   let oldval = Dcas.read d dst in
   if Dcas.cas d dst oldval v then begin
     (* No yield since the CAS: the +1 is now heap-justified, so ending
@@ -401,13 +398,13 @@ let rec store_retry env d ~dst v ~slow burst =
     drop_taken env oldval ~counted:true
   end
   else begin
-    if slow then retry_slow env k_store_retry;
-    store_retry env d ~dst v ~slow (burst + 1)
+    retried env k_store_retry;
+    store_retry env d ~dst v (burst + 1)
   end
 
 let store_body env ~dst v =
   publish env v;
-  store_retry env (Env.dcas env) ~dst v ~slow:(per_retry_obs env) 0
+  store_retry env (Env.dcas env) ~dst v 0
 
 let store env ~dst v =
   guard env "store";
@@ -424,7 +421,7 @@ let store env ~dst v =
    cleared in the same atomic step as the winning CAS, so the
    allocation's count has exactly one owner — the local or the heap slot
    — at every yield point. *)
-let rec store_alloc_retry env d ~dst r v ~slow burst =
+let rec store_alloc_retry env d ~dst r v burst =
   let oldval = Dcas.read d dst in
   if Dcas.cas d dst oldval v then begin
     r := null;
@@ -433,12 +430,12 @@ let rec store_alloc_retry env d ~dst r v ~slow burst =
     drop_taken env oldval ~counted:true
   end
   else begin
-    if slow then retry_slow env k_store_retry;
-    store_alloc_retry env d ~dst r v ~slow (burst + 1)
+    retried env k_store_retry;
+    store_alloc_retry env d ~dst r v (burst + 1)
   end
 
 let store_alloc_body env ~dst r =
-  store_alloc_retry env (Env.dcas env) ~dst r !r ~slow:(per_retry_obs env) 0
+  store_alloc_retry env (Env.dcas env) ~dst r !r 0
 
 let store_alloc_from env ~dst r =
   guard env "store_alloc";

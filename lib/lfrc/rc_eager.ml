@@ -13,7 +13,7 @@ type state = unit
 (* add_to_rc (Figure 2, lines 16..20). The caller holds a counted
    reference, so the object cannot be freed while the loop runs. The loop
    is a top-level function, so an adjustment builds no closure. *)
-let rec add_retry env d rc p v ~slow burst =
+let rec add_retry env d rc p v burst =
   let oldrc = Dcas.read d rc in
   if Dcas.cas d rc oldrc (oldrc + v) then begin
     E.record_retries env E.k_rc_retry burst;
@@ -25,13 +25,12 @@ let rec add_retry env d rc p v ~slow burst =
     oldrc
   end
   else begin
-    if slow then E.retry_slow env E.k_rc_retry;
-    add_retry env d rc p v ~slow (burst + 1)
+    E.retried env E.k_rc_retry;
+    add_retry env d rc p v (burst + 1)
   end
 
 let add_to_rc env p v =
-  add_retry env (E.dcas env) (Heap.rc_cell (E.heap env) p) p v
-    ~slow:(E.per_retry_obs env) 0
+  add_retry env (E.dcas env) (Heap.rc_cell (E.heap env) p) p v 0
 
 let mode () = E.Eager
 let borrow () _ ~src:_ _ = false
