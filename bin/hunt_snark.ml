@@ -99,7 +99,7 @@ let () =
     if Array.length Sys.argv > 2 then float_of_string Sys.argv.(2) else 240.0
   in
   deadline := Unix.gettimeofday () +. seconds;
-  let dq : (module Lfrc_structures.Deque_intf.DEQUE) =
+  let dq : (module Lfrc_structures.Container_intf.DEQUE) =
     match variant with
     | "fixed" -> (module Fixed)
     | _ -> (module Published)

@@ -558,7 +558,7 @@ let check_cmd =
     Arg.(value & opt int 20_000 & info [ "schedules" ] ~doc:"Randomized schedules per scenario.")
   in
   let run variant schedules =
-    let dq : (module Lfrc_structures.Deque_intf.DEQUE) =
+    let dq : (module Lfrc_structures.Container_intf.DEQUE) =
       match variant with
       | `Published ->
           (module Lfrc_structures.Snark.Make (Lfrc_core.Lfrc_ops))

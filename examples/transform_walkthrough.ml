@@ -33,7 +33,7 @@ let () =
     \  the paper's own modification; test_cycle shows what happens\n\
     \  otherwise, and lib/cycle is the paper's backup-tracer extension.";
   step 4 "Produce correctly-typed LFRC operations"
-    "The operation set is the module type Ops_intf.OPS; Lfrc_ops\n\
+    "The operation set is the module type Ops_intf.OPS_DCAS; Lfrc_ops\n\
     \  implements it for every layout (ids make pointers uniform).";
   step 5 "Replace pointer operations (Table 1)"
     "Structures are functors over OPS, so the replacement is the functor\n\
@@ -46,7 +46,7 @@ let () =
 
   (* Run the same workload through both instantiations. *)
   let workload (type t h) name
-      (module S : Lfrc_structures.Stack_intf.STACK
+      (module S : Lfrc_structures.Container_intf.STACK
         with type t = t
          and type handle = h) heap env =
     let s = S.create env in

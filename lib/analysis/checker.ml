@@ -70,7 +70,7 @@ let enumerate ~limits r (action : unit -> unit) =
   (List.rev !paths, truncated)
 
 type actions_fn =
-  Catalog.ops_module -> Env.t -> (string * (unit -> unit)) list
+  Catalog.dcas_ops -> Env.t -> (string * (unit -> unit)) list
 
 (* Analyze one structure given its action builder. Used both for catalog
    entries and for the test suite's deliberately broken fixtures. The
@@ -88,7 +88,7 @@ let analyze_actions ?(limits = default_limits) ?tier ~name (mk : actions_fn)
   end) in
   let actions =
     Recorder.muted r (fun () ->
-        mk (module O : Lfrc_core.Ops_intf.OPS) env)
+        mk (module O : Lfrc_core.Ops_intf.OPS_DCAS) env)
   in
   let enumerated =
     List.map

@@ -1,6 +1,6 @@
 (** The op-level intermediate representation the static checker works on.
 
-    One {!op} is one call into the recording {!Ops_intf.OPS} instance
+    One {!op} is one call into the recording {!Ops_intf.OPS_DCAS} instance
     ({!Record_ops}), plus the branch markers the oracle injects at each
     nondeterministic decision point. A {!path} is the linear trace of one
     symbolically executed control-flow path through a structure operation:

@@ -1,4 +1,4 @@
-(** The recording {!Ops_intf.OPS} instance: symbolic execution by proxy.
+(** The recording {!Ops_intf.OPS_DCAS} instance: symbolic execution by proxy.
 
     Structure functors are applied to this module exactly as they are to
     {!Lfrc_ops} or {!Gc_ops}; instead of maintaining reference counts it
@@ -30,7 +30,7 @@ let universal_layout = Layout.make ~name:"sym-object" ~n_ptrs:4 ~n_vals:2
 
 module Make (R : sig
   val r : Recorder.t
-end) : Lfrc_core.Ops_intf.OPS = struct
+end) : Lfrc_core.Ops_intf.OPS_DCAS = struct
   let r = R.r
   let name = "record"
 

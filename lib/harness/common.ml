@@ -78,10 +78,10 @@ let time_per_op_ns = Lfrc_util.Clock.time_per_op_ns
 
 let deque_impls () =
   [
-    ("locked", (module Lfrc_structures.Locked_deque : Lfrc_structures.Deque_intf.DEQUE), false);
-    ("snark-gc", (module Snark_gc : Lfrc_structures.Deque_intf.DEQUE), true);
-    ("snark-lfrc", (module Snark_fixed_lfrc : Lfrc_structures.Deque_intf.DEQUE), false);
-    ("sundell-lfrc", (module Sundell_lfrc : Lfrc_structures.Deque_intf.DEQUE), false);
+    ("locked", (module Lfrc_structures.Locked_deque : Lfrc_structures.Container_intf.DEQUE), false);
+    ("snark-gc", (module Snark_gc : Lfrc_structures.Container_intf.DEQUE), true);
+    ("snark-lfrc", (module Snark_fixed_lfrc : Lfrc_structures.Container_intf.DEQUE), false);
+    ("sundell-lfrc", (module Sundell_lfrc : Lfrc_structures.Container_intf.DEQUE), false);
   ]
 
 let value_stream ~seed ~thread i = (((seed * 67) + thread) * 1_000_000) + i
@@ -131,7 +131,7 @@ let queue_workload ~workers ~ops_per_worker ~seed env =
   in
   Sched.join tids
 
-let generic_deque_workload (module D : Lfrc_structures.Deque_intf.DEQUE)
+let generic_deque_workload (module D : Lfrc_structures.Container_intf.DEQUE)
     ~workers ~ops_per_worker ~seed env =
   let t = D.create env in
   let tids =

@@ -83,7 +83,7 @@ val time_per_op_ns : iters:int -> (unit -> unit) -> float
     (= {!Lfrc_util.Clock.time_per_op_ns}). *)
 
 val deque_impls :
-  unit -> (string * (module Lfrc_structures.Deque_intf.DEQUE) * bool) list
+  unit -> (string * (module Lfrc_structures.Container_intf.DEQUE) * bool) list
 (** (label, implementation, is-GC-dependent) triples used by E2:
     lock-based baseline, GC-dependent Snark, LFRC Snark (corrected), and
     the CAS-only Sundell–Tsigas port under LFRC. *)
@@ -100,7 +100,7 @@ val value_stream : seed:int -> thread:int -> int -> int
     skipped op. *)
 
 val generic_deque_workload :
-  (module Lfrc_structures.Deque_intf.DEQUE) ->
+  (module Lfrc_structures.Container_intf.DEQUE) ->
   workers:int ->
   ops_per_worker:int ->
   seed:int ->

@@ -12,7 +12,7 @@ module Sched = Lfrc_sched.Sched
 module Table = Lfrc_util.Table
 module Opmix = Lfrc_workload.Opmix
 
-let run_one (module D : Lfrc_structures.Deque_intf.DEQUE) ~gc ~rc_mode
+let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~rc_mode
     ~threads ~ops_per_thread ~seed ~metrics ~tracer ~profile ~blame =
   let steps = ref 0 and dcas_fail = ref 0.0 and gc_pauses = ref 0 in
   let metrics = Common.counting metrics in

@@ -141,7 +141,7 @@ let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
    gets a direct answer: the price of not having it is either the MCAS
    emulation's helping traffic on every LFRC count update, or the
    algorithmic detour Sundell's marker nodes represent. *)
-let deque_row table ~label (module D : Lfrc_structures.Deque_intf.DEQUE)
+let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
     ~dcas_impl ~threads ~per_thread ~seed ~metrics ~tracer ~profile ~blame
     ~notes =
   let leaked = ref 0 in
@@ -283,16 +283,16 @@ let run (cfg : Scenario.config) =
   let deque_rows =
     [
       ( "snark hw-dcas",
-        (module Snark_lfrc : Lfrc_structures.Deque_intf.DEQUE),
+        (module Snark_lfrc : Lfrc_structures.Container_intf.DEQUE),
         Dcas.Atomic_step );
       ( "snark sw-mcas",
-        (module Snark_lfrc : Lfrc_structures.Deque_intf.DEQUE),
+        (module Snark_lfrc : Lfrc_structures.Container_intf.DEQUE),
         Dcas.Software_mcas );
       ( "sundell pure-cas",
-        (module Sundell_lfrc : Lfrc_structures.Deque_intf.DEQUE),
+        (module Sundell_lfrc : Lfrc_structures.Container_intf.DEQUE),
         Dcas.Atomic_step );
       ( "locked",
-        (module Lfrc_structures.Locked_deque : Lfrc_structures.Deque_intf.DEQUE),
+        (module Lfrc_structures.Locked_deque : Lfrc_structures.Container_intf.DEQUE),
         Dcas.Atomic_step );
     ]
   in

@@ -16,7 +16,7 @@ module Opmix = Lfrc_workload.Opmix
 let step_budget = 150_000
 let stall_period = 3_000
 
-let run_one (module D : Lfrc_structures.Deque_intf.DEQUE) ~gc ~threads ~seed
+let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~threads ~seed
     ~metrics ~tracer ~profile ~strategy =
   let completed = Atomic.make 0 in
   let last_progress = ref 0 in

@@ -106,7 +106,7 @@ type outcome = {
    and a handle to the history it fills. Everything (heap, deque) is
    created fresh inside the body so forced re-executions are
    deterministic. *)
-let make_body (module D : Lfrc_structures.Deque_intf.DEQUE) ?rc_mode ~preload
+let make_body (module D : Lfrc_structures.Container_intf.DEQUE) ?rc_mode ~preload
     ~threads history_out =
   let exec_op h = function
     | Push_left v ->
@@ -181,14 +181,14 @@ let judge ~gc_final history_out =
           Format.pp_print_flush ppf ();
           failwith ("history not linearizable:\n" ^ Buffer.contents buf))
 
-let body_and_check (module D : Lfrc_structures.Deque_intf.DEQUE)
+let body_and_check (module D : Lfrc_structures.Container_intf.DEQUE)
     ?(gc_final = false) ?rc_mode ?(preload = []) ~threads () =
   let history_out = ref None in
   let body = make_body (module D) ?rc_mode ~preload ~threads history_out in
   let check () = judge ~gc_final history_out in
   (body, check)
 
-let run (module D : Lfrc_structures.Deque_intf.DEQUE) ?(gc_final = false)
+let run (module D : Lfrc_structures.Container_intf.DEQUE) ?(gc_final = false)
     ?rc_mode ?(preload = []) ~threads strategy =
   let history_out = ref None in
   let body = make_body (module D) ?rc_mode ~preload ~threads history_out in

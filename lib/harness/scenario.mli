@@ -90,7 +90,7 @@ type outcome = {
 }
 
 val run :
-  (module Lfrc_structures.Deque_intf.DEQUE) ->
+  (module Lfrc_structures.Container_intf.DEQUE) ->
   ?gc_final:bool ->
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?preload:int list ->
@@ -106,7 +106,7 @@ val run :
     the environment's reference-count delivery mode (default eager). *)
 
 val body_and_check :
-  (module Lfrc_structures.Deque_intf.DEQUE) ->
+  (module Lfrc_structures.Container_intf.DEQUE) ->
   ?gc_final:bool ->
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?preload:int list ->

@@ -133,7 +133,7 @@ val create :
     not executed, so no real LFRC operation may touch it. Every {!Lfrc}
     entry point checks the flag and raises {!Lfrc.Symbolic_bypass} — which
     is how the analyser catches client code that side-steps the
-    {!Ops_intf.OPS} functor argument and calls {!Lfrc} directly (a
+    {!Ops_intf.OPS_DCAS} functor argument and calls {!Lfrc} directly (a
     discipline violation the type checker alone cannot see, because the
     environment is reachable through the structure record). *)
 

@@ -1,4 +1,4 @@
-(** {!Ops_intf.OPS} implemented with raw pointer operations in a
+(** {!Ops_intf.OPS_DCAS} implemented with raw pointer operations in a
     garbage-collected environment: the GC-dependent side of the paper's
     transformation (the left column of Table 1).
 
@@ -9,4 +9,4 @@
     and stack scanning a production collector performs (and which the
     paper identifies as the reason such collectors stop the world). *)
 
-include Ops_intf.OPS
+include Ops_intf.OPS_DCAS

@@ -13,7 +13,7 @@ let null = Heap.null
 exception Symbolic_bypass of string
 
 (* Under a symbolic (analysis) environment no real LFRC operation may run:
-   structure code is being recorded through an {!Ops_intf.OPS} instance,
+   structure code is being recorded through an {!Ops_intf.OPS_DCAS} instance,
    and a direct call here means the code bypassed its functor argument.
    Raising identifies the offending operation to the analyser. *)
 let guard env op = if Env.symbolic env then raise (Symbolic_bypass op)

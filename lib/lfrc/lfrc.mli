@@ -37,7 +37,7 @@ exception Symbolic_bypass of string
 (** Raised (with the operation name) by every operation below when called
     on a symbolic analysis environment ({!Env.create} with
     [~symbolic:true]): structure code under static analysis must reach its
-    pointer operations only through its {!Ops_intf.OPS} functor argument,
+    pointer operations only through its {!Ops_intf.OPS_DCAS} functor argument,
     and a direct {!Lfrc} call is itself a discipline violation the
     analyser reports. *)
 

@@ -27,8 +27,7 @@
     Both real implementations ({!Gc_ops}, {!Lfrc_ops}) and the analyzer's
     recording instance satisfy [OPS_DCAS], and therefore — by first-class-
     module width subtyping — can be passed wherever an [OPS_CAS] is
-    expected. [OPS] remains as an alias for [OPS_DCAS] so existing
-    functors keep compiling unchanged.
+    expected.
 
     Thread-local pointer variables are abstract ([local]) so that the
     GC-dependent implementation can register them as roots with the
@@ -137,7 +136,3 @@ module type OPS_DCAS = sig
   (** Mixed pointer/value DCAS (our documented extension of the paper's
       operation set; see {!Lfrc.dcas_ptr_val}). *)
 end
-
-module type OPS = OPS_DCAS
-(** Compatibility alias: the historical monolithic signature is exactly
-    the DCAS tier. *)

@@ -1,8 +1,8 @@
 (** Treiber stack reclaimed with epochs: each operation runs pinned, pops
     retire the unlinked node into the current epoch's limbo list.
-    Implements {!Lfrc_structures.Stack_intf.STACK} for experiment E4. *)
+    Implements {!Lfrc_structures.Container_intf.STACK} for experiment E4. *)
 
-include Lfrc_structures.Stack_intf.STACK
+include Lfrc_structures.Container_intf.STACK
 
 val flush : t -> unit
 (** Quiescent: advance epochs and drain all limbo lists. *)

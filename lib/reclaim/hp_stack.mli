@@ -1,5 +1,5 @@
 (** Treiber stack reclaimed with hazard pointers: pop protects the top
     node before dereferencing it and retires it after unlinking.
-    Implements {!Lfrc_structures.Stack_intf.STACK} for experiment E4. *)
+    Implements {!Lfrc_structures.Container_intf.STACK} for experiment E4. *)
 
-include Lfrc_structures.Stack_intf.STACK
+include Lfrc_structures.Container_intf.STACK

@@ -19,7 +19,7 @@
     lock-freedom claim); the stack operations themselves are CAS-only and
     use SafeRead counting faithfully. *)
 
-include Lfrc_structures.Stack_intf.STACK
+include Lfrc_structures.Container_intf.STACK
 
 type counters = { freelist_len : int; recycled : int }
 

@@ -24,10 +24,6 @@ let tier_name = function Cas -> "cas" | Dcas -> "dcas"
 type cas_ops = (module Lfrc_core.Ops_intf.OPS_CAS)
 type dcas_ops = (module Lfrc_core.Ops_intf.OPS_DCAS)
 
-type ops_module = dcas_ops
-(** Compatibility alias: the historical "any OPS" module is the DCAS
-    tier. *)
-
 type actions = (string * (unit -> unit)) list
 
 (** The builder over the minimal module the entry's tier grants it. A

@@ -17,10 +17,6 @@ val tier_name : tier -> string
 type cas_ops = (module Lfrc_core.Ops_intf.OPS_CAS)
 type dcas_ops = (module Lfrc_core.Ops_intf.OPS_DCAS)
 
-type ops_module = dcas_ops
-(** Compatibility alias: the historical "any OPS" packed module is the
-    DCAS tier (every full-[OPS] module satisfies both tiers). *)
-
 type actions = (string * (unit -> unit)) list
 (** A structure's focal operations as named thunks. *)
 

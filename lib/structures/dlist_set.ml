@@ -8,7 +8,7 @@ let node_layout = Layout.make ~name:"set-node" ~n_ptrs:1 ~n_vals:1
 let next_slot = 0
 let key_slot = 0
 
-module Make (O : Lfrc_core.Ops_intf.OPS) = struct
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) = struct
   let name = "dlist-set-" ^ O.name
 
   type t = {

@@ -21,6 +21,6 @@
     [contains] at its last load. Values must be strictly increasing along
     the list; duplicates are rejected. *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS) : Container_intf.SET
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) : Container_intf.SET
 
 val node_layout : Lfrc_simmem.Layout.t

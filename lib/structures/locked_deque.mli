@@ -7,7 +7,7 @@
     spin is a scheduler step, so simulated-time contention is visible)
     against the lock-free deques.
 
-    Implements {!Deque_intf.DEQUE}; handles are freely shareable since all
+    Implements {!Container_intf.DEQUE}; handles are freely shareable since all
     state is in the structure. *)
 
-include Deque_intf.DEQUE
+include Container_intf.DEQUE

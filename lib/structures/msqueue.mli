@@ -7,9 +7,9 @@
     toward newer nodes, so the paper's Cycle-Free Garbage criterion holds
     without modification. *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Queue_intf.QUEUE
+module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Container_intf.QUEUE
 (** [Cas]-tier: needs no DCAS; the functor argument is the single-word
-    signature, and any full-[OPS] module still applies. *)
+    signature, and any [OPS_DCAS] module still applies. *)
 
 val node_layout : Lfrc_simmem.Layout.t
 val anchor_layout : Lfrc_simmem.Layout.t

@@ -16,7 +16,7 @@ let idx_right = 0
 let idx_down = 1
 let idx_node = 2
 
-module Make (O : Lfrc_core.Ops_intf.OPS) = struct
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) = struct
   let name = "skiplist-" ^ O.name
 
   type t = {
@@ -462,7 +462,7 @@ module Make (O : Lfrc_core.Ops_intf.OPS) = struct
   end)
 end
 
-module As_set (O : Lfrc_core.Ops_intf.OPS) : Container_intf.SET = struct
+module As_set (O : Lfrc_core.Ops_intf.OPS_DCAS) : Container_intf.SET = struct
   include Make (O)
 
   (* The uniform signature has no room for the seed: eta-expand to the

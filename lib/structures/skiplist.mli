@@ -22,7 +22,7 @@
 
 val max_level : int
 
-module Make (O : Lfrc_core.Ops_intf.OPS) : sig
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) : sig
   val name : string
 
   type t
@@ -59,6 +59,6 @@ module Make (O : Lfrc_core.Ops_intf.OPS) : sig
   val with_env : Lfrc_core.Env.t -> (handle -> 'a) -> 'a
 end
 
-module As_set (O : Lfrc_core.Ops_intf.OPS) : Container_intf.SET
+module As_set (O : Lfrc_core.Ops_intf.OPS_DCAS) : Container_intf.SET
 (** {!Make} with the seeded [register] eta-expanded away: the skip list
     as a drop-in for anything generic over {!Container_intf.SET}. *)

@@ -1,6 +1,6 @@
 
 
-module Make (O : Lfrc_core.Ops_intf.OPS) = struct
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) = struct
   include Snark_common.Core (O)
   open Snark_common
 

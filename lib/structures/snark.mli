@@ -19,4 +19,4 @@
     A4). {!Snark_fixed} is the corrected variant used for sustained
     workloads. *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS) : Deque_intf.DEQUE
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) : Container_intf.DEQUE

@@ -35,7 +35,7 @@ let left_side =
     other_hat_slot = Snode.slot_right_hat;
   }
 
-module Core (O : Lfrc_core.Ops_intf.OPS) = struct
+module Core (O : Lfrc_core.Ops_intf.OPS_DCAS) = struct
   type t = {
     env : Lfrc_core.Env.t;
     heap : Heap.t;

@@ -1,7 +1,7 @@
 
 let claimed = -0x3C1A1ED
 
-module Make (O : Lfrc_core.Ops_intf.OPS) = struct
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) = struct
   include Snark_common.Core (O)
   open Snark_common
 

@@ -23,4 +23,4 @@
 val claimed : int
 (** Reserved value marker; pushes assert their value differs. *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS) : Deque_intf.DEQUE
+module Make (O : Lfrc_core.Ops_intf.OPS_DCAS) : Container_intf.DEQUE

@@ -11,6 +11,6 @@
     per-node prev chain with a single tail hint; DESIGN.md §14 lists
     every deviation from the published helping scheme. *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Deque_intf.DEQUE
+module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Container_intf.DEQUE
 
 val node_layout : Lfrc_simmem.Layout.t

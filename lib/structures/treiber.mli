@@ -7,9 +7,9 @@
     Section 1 argument (and [examples/aba_demo.ml] shows the unprotected
     variant corrupting itself on the same heap). *)
 
-module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Stack_intf.STACK
+module Make (O : Lfrc_core.Ops_intf.OPS_CAS) : Container_intf.STACK
 (** [Cas]-tier: the implementation needs no DCAS, so the functor argument
     is the single-word signature ({!Lfrc_core.Ops_intf.OPS_CAS}); any
-    full-[OPS] module still applies. *)
+    [OPS_DCAS] module still applies. *)
 
 val node_layout : Lfrc_simmem.Layout.t

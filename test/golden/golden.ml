@@ -52,19 +52,19 @@ module type FAMILY = sig
   val op : handle -> int -> int -> unit
 end
 
-module Stack_family (M : S.Stack_intf.STACK) = struct
+module Stack_family (M : S.Container_intf.STACK) = struct
   include M
 
   let op h k v = if k < 2 then push h v else ignore (pop h)
 end
 
-module Queue_family (M : S.Queue_intf.QUEUE) = struct
+module Queue_family (M : S.Container_intf.QUEUE) = struct
   include M
 
   let op h k v = if k < 2 then enqueue h v else ignore (dequeue h)
 end
 
-module Deque_family (M : S.Deque_intf.DEQUE) = struct
+module Deque_family (M : S.Container_intf.DEQUE) = struct
   include M
 
   let op h k v =

@@ -42,7 +42,7 @@ let errors_of (r : Report.structure_report) =
 let test_flags_leak () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-leak"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -61,7 +61,7 @@ let test_flags_leak () =
 let test_flags_double_destroy () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-double-destroy"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -80,7 +80,7 @@ let test_flags_double_destroy () =
 let test_flags_use_after_retire () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-use-after-retire"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -102,7 +102,7 @@ let test_flags_use_after_retire () =
 let test_flags_escaping_get () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-escaping-get"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -123,7 +123,7 @@ let test_flags_escaping_get () =
 let test_flags_unowned_store () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-unowned-store"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -146,7 +146,7 @@ let test_flags_unowned_store () =
 let test_flags_borrow_across_flush () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-borrow-across-flush"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -170,7 +170,7 @@ let test_flags_borrow_across_flush () =
 let test_borrow_with_live_owner_spans_flush () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-borrow-owned-flush"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -195,7 +195,7 @@ let test_borrow_with_live_owner_spans_flush () =
 let test_flags_weight_unbalanced () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-weight-split"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -222,7 +222,7 @@ let test_flags_weight_unbalanced () =
 let test_balanced_split_clean () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-weight-balanced"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -248,7 +248,7 @@ let test_balanced_split_clean () =
 let test_flags_lfrc_bypass () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-bypass"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         ignore ctx;
         [
@@ -269,7 +269,7 @@ let test_flags_lfrc_bypass () =
    [Cas_pack] builder types against [OPS_CAS] and cannot name dcas), but
    hand-written analyses claiming a tier can lie, and the checker is what
    catches them. *)
-let tier_fixture (module O : Lfrc_core.Ops_intf.OPS) env =
+let tier_fixture (module O : Lfrc_core.Ops_intf.OPS_DCAS) env =
   let ctx = O.make_ctx env in
   let anchor = O.declare ctx in
   O.alloc ctx fixture_layout anchor;
@@ -318,7 +318,7 @@ let test_catalog_tier_names () =
 let test_flags_racy_plain_access () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-racy-plain"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -344,7 +344,7 @@ let test_flags_racy_plain_access () =
 let test_private_init_not_racy () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-private-init"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let heap = Env.heap env in
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
@@ -373,7 +373,7 @@ let test_private_init_not_racy () =
 let test_clean_fixture_passes () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-clean"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         let anchor = O.declare ctx in
         O.alloc ctx fixture_layout anchor;
@@ -430,7 +430,7 @@ let test_structure_selection () =
 let test_json_render () =
   let r =
     Checker.analyze_actions ~limits ~name:"fixture-leak-json"
-      (fun (module O : Lfrc_core.Ops_intf.OPS) env ->
+      (fun (module O : Lfrc_core.Ops_intf.OPS_DCAS) env ->
         let ctx = O.make_ctx env in
         [
           ( "op",

@@ -63,7 +63,7 @@ let test_scenario_sequential_linearizable () =
 let test_scenario_detects_bad_impl () =
   (* A deliberately broken deque: pop_left always says empty. The
      scenario engine must flag it. *)
-  let module Broken : Lfrc_structures.Deque_intf.DEQUE = struct
+  let module Broken : Lfrc_structures.Container_intf.DEQUE = struct
     let name = "broken"
 
     type t = Fixed.t

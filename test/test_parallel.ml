@@ -189,7 +189,7 @@ let msqueue_domains ?prof rc_mode () =
   check_quiescent env heap;
   Option.iter (check_profiled env) prof
 
-let deque_conservation (module D : Lfrc_structures.Deque_intf.DEQUE) name
+let deque_conservation (module D : Lfrc_structures.Container_intf.DEQUE) name
     ~leak_check =
   let env, heap = fresh name in
   let d = D.create env in

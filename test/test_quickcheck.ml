@@ -128,7 +128,7 @@ let run_queue ~rc_mode ops =
   Queue_.destroy t;
   match !err with None -> Ok () | Some e -> Error e
 
-let run_deque (module D : Lfrc_structures.Deque_intf.DEQUE) name ~rc_mode ops
+let run_deque (module D : Lfrc_structures.Container_intf.DEQUE) name ~rc_mode ops
     =
   with_run name rc_mode @@ fun env ->
   let t = D.create env in

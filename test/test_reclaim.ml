@@ -165,7 +165,7 @@ let test_epoch_stats () =
 (* --- Stacks on each scheme: sequential conformance --- *)
 
 let stack_conformance (type t h) name
-    (module S : Lfrc_structures.Stack_intf.STACK with type t = t and type handle = h)
+    (module S : Lfrc_structures.Container_intf.STACK with type t = t and type handle = h)
     =
   let env, heap = fresh name in
   let s = S.create env in
@@ -228,7 +228,7 @@ let test_valois_footprint_never_shrinks () =
 (* --- Concurrent stress in the simulator --- *)
 
 let conserved_stress (type t h) name
-    (module S : Lfrc_structures.Stack_intf.STACK with type t = t and type handle = h)
+    (module S : Lfrc_structures.Container_intf.STACK with type t = t and type handle = h)
     ~seeds =
   (* Values pushed = values popped + values drained, per seed. *)
   for seed = 0 to seeds - 1 do

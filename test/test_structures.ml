@@ -30,7 +30,7 @@ let fresh name =
 
 (* --- Deque: basics shared by every implementation --- *)
 
-let deque_impls : (string * (module Lfrc_structures.Deque_intf.DEQUE) * bool) list =
+let deque_impls : (string * (module Lfrc_structures.Container_intf.DEQUE) * bool) list =
   [
     ("snark-lfrc", (module Snark_lfrc), true);
     ("snark-gc", (module Snark_gc), false);
@@ -41,7 +41,7 @@ let deque_impls : (string * (module Lfrc_structures.Deque_intf.DEQUE) * bool) li
 
 let test_deque_fifo_lifo () =
   List.iter
-    (fun (name, (module D : Lfrc_structures.Deque_intf.DEQUE), _) ->
+    (fun (name, (module D : Lfrc_structures.Container_intf.DEQUE), _) ->
       let env, _ = fresh name in
       let d = D.create env in
       let h = D.register d in
@@ -61,7 +61,7 @@ let test_deque_fifo_lifo () =
 
 let test_deque_mixed_ends () =
   List.iter
-    (fun (name, (module D : Lfrc_structures.Deque_intf.DEQUE), _) ->
+    (fun (name, (module D : Lfrc_structures.Container_intf.DEQUE), _) ->
       let env, _ = fresh name in
       let d = D.create env in
       let h = D.register d in
@@ -77,7 +77,7 @@ let test_deque_mixed_ends () =
 
 let test_deque_empty_after_create () =
   List.iter
-    (fun (name, (module D : Lfrc_structures.Deque_intf.DEQUE), _) ->
+    (fun (name, (module D : Lfrc_structures.Container_intf.DEQUE), _) ->
       let env, _ = fresh name in
       let d = D.create env in
       let h = D.register d in
@@ -91,7 +91,7 @@ let test_deque_empty_after_create () =
       D.destroy d)
     deque_impls
 
-let random_ops_vs_spec (module D : Lfrc_structures.Deque_intf.DEQUE) name n
+let random_ops_vs_spec (module D : Lfrc_structures.Container_intf.DEQUE) name n
     seed =
   let env, heap = fresh name in
   let d = D.create env in
@@ -163,7 +163,7 @@ let test_snark_gc_reclaimed_by_tracer () =
 let test_deque_destroy_nonempty () =
   (* The paper's destructor drains remaining nodes (Figure 1 line 41). *)
   List.iter
-    (fun (name, (module D : Lfrc_structures.Deque_intf.DEQUE), leak_check) ->
+    (fun (name, (module D : Lfrc_structures.Container_intf.DEQUE), leak_check) ->
       let env, heap = fresh name in
       let d = D.create env in
       let h = D.register d in
@@ -202,7 +202,7 @@ let op_gen =
         return Scenario.Pop_right;
       ])
 
-let prop_deque_conforms (name, (module D : Lfrc_structures.Deque_intf.DEQUE), leak_check) =
+let prop_deque_conforms (name, (module D : Lfrc_structures.Container_intf.DEQUE), leak_check) =
   QCheck2.Test.make
     ~name:(Printf.sprintf "%s conforms to the sequential deque" name)
     ~count:60
@@ -237,7 +237,7 @@ let prop_deque_conforms (name, (module D : Lfrc_structures.Deque_intf.DEQUE), le
 (* --- Stack and queue conformance --- *)
 
 let test_stack_vs_spec () =
-  let run (module S : Lfrc_structures.Stack_intf.STACK) name leak_check =
+  let run (module S : Lfrc_structures.Container_intf.STACK) name leak_check =
     let env, heap = fresh name in
     let s = S.create env in
     let h = S.register s in
@@ -268,7 +268,7 @@ let test_stack_vs_spec () =
   run (module Treiber_gc) "treiber-gc" false
 
 let test_queue_vs_spec () =
-  let run (module Q : Lfrc_structures.Queue_intf.QUEUE) name leak_check =
+  let run (module Q : Lfrc_structures.Container_intf.QUEUE) name leak_check =
     let env, heap = fresh name in
     let q = Q.create env in
     let h = Q.register q in
