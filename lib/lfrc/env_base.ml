@@ -553,8 +553,7 @@ let make ?dcas_impl ?(policy = Iterative) ?(gc_threshold = 0)
                  Metrics.incr metrics k_heap_allocs;
                  Metrics.set_gauge metrics k_heap_live live;
                  record_lineage t ~addr:p (Lineage.Alloc { gen });
-                 (* An rc cell's owner is fixed for the object's life:
-                    bound once here, never on the count path. *)
+                 (* Once: an rc cell's owner is fixed for its life. *)
                  Blame.bind_owner blame ~cell:(Cell.id (Heap.rc_cell heap p))
                    ~addr:p
              | Heap.Obs_free { p; gen; live } ->

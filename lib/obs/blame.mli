@@ -13,9 +13,8 @@
     Aggregates: a site×site interference matrix (wasted attempts +
     scheduler-step staleness per pair), per-site retry-chain statistics
     (the critical path of contended operations), and per-object charge
-    counts on cells bound via {!bind_owner} (reference-count cells, bound
-    when their object is allocated), which the report joins with lineage
-    to name the contended object family.
+    counts on cells bound via {!bind_owner} (reference-count cells), which
+    the report joins with lineage to name the contended object family.
 
     Like the other observability layers, {!disabled} makes every hook a
     single branch; the registry writes nothing to [Metrics], so counter
@@ -60,8 +59,7 @@ val bind_owner : t -> cell:int -> addr:int -> unit
 (** Mark [cell] as belonging to object [addr], so charges on it count as
     rc contention and name the object. Its one caller is the
     environment's heap observer, which binds each new object's rc cell
-    once, at allocation: the owner of an rc cell never changes while the
-    object lives. *)
+    once, at allocation. *)
 
 val stamp : t -> site:Metrics.key -> op_kind -> int -> unit
 (** Record a successful write to cell id [int] by the calling thread

@@ -219,28 +219,24 @@ let observe t k v =
       if v >= 0 && v < Array.length b then Atomic.incr (Array.unsafe_get b v)
       else observe_slow r s v
 
-(* Walks every bucket, so it is for reporting, not for a hot path. *)
+(* Walks every bucket: for reporting, not for a hot path. *)
 let tally t k =
   match t with
   | Disabled -> (0, 0, 0)
   | On r ->
+      let n = ref 0 and sum = ref 0 and top = ref min_int in
+      let add v c =
+        if c > 0 then begin
+          n := !n + c;
+          sum := !sum + (v * c);
+          top := max !top v
+        end
+      in
       Mutex.lock r.lock;
       let hs = Atomic.get r.hists in
       let s = if k < Array.length hs then hs.(k) else no_series in
-      let n = ref s.len and sum = ref 0 and top = ref min_int in
-      for i = 0 to s.len - 1 do
-        sum := !sum + s.buf.(i);
-        top := max !top s.buf.(i)
-      done;
-      Array.iteri
-        (fun v c ->
-          let c = Atomic.get c in
-          if c > 0 then begin
-            n := !n + c;
-            sum := !sum + (v * c);
-            top := max !top v
-          end)
-        (Atomic.get s.small);
+      for i = 0 to s.len - 1 do add s.buf.(i) 1 done;
+      Array.iteri (fun v c -> add v (Atomic.get c)) (Atomic.get s.small);
       Mutex.unlock r.lock;
       (!n, !sum, if !n = 0 then 0 else !top)
 

@@ -80,9 +80,8 @@ val observe : t -> key -> int -> unit
     the lock. *)
 
 val tally : t -> key -> int * int * int
-(** A histogram's sample count, sum and largest sample (0 with none),
-    read live without a {!snapshot}; [(0, 0, 0)] when the series does
-    not exist or the registry is disabled. *)
+(** A histogram's sample count, sum and largest sample, read without a
+    {!snapshot}; [(0, 0, 0)] when it has none. *)
 
 (** {2 Snapshots} *)
 

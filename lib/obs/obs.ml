@@ -1,11 +1,7 @@
 (* The observability bundle: one master switch over every layer.
-
-   Before this module, `--no-metrics` disabled the metrics registry but
-   tracer/profile/lineage/blame were decided by their own flags — so "obs
-   off" was not provably off. [create ~master:false] returns the all-
-   disabled bundle no matter what the per-layer flags say, which makes
-   the disabled path exactly one branch per layer everywhere (each layer
-   already pattern-matches its own Disabled constructor). *)
+   [create ~master:false] returns the all-disabled bundle whatever the
+   per-layer flags say, so "obs off" is exactly one branch per layer
+   everywhere (each layer pattern-matches its own Disabled constructor). *)
 
 type t = {
   metrics : Metrics.t;

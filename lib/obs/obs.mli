@@ -28,11 +28,8 @@ val create :
   ?blame:bool ->
   unit ->
   t
-(** Defaults: [master = true], everything else off. With [master] on,
-    the bundle has a fresh metrics registry, a tracer of
-    [trace_capacity] events (disabled at 0) and, when asked for, a
-    profiler over that registry and a blame registry over that tracer,
-    so attributed failures emit flow events whenever the tracer is
-    live. Its lineage is always {!Lineage.disabled}: a lifecycle
-    recorder is created where it is read and passed to the environment
-    itself. *)
+(** Defaults: [master = true], everything else off. An enabled bundle
+    always has a metrics registry, which its profiler observes into;
+    its blame emits flow events through its tracer when that is live.
+    Its lineage is {!Lineage.disabled}: a lifecycle recorder is handed
+    to [Env.create] by the caller that reads it. *)

@@ -6,12 +6,9 @@
     operation-loop retries that happen while it is innermost. Closing
     it hands it to {!op_end}, which observes the call's retries, failed
     DCAS attempts and scheduler steps into its site's three {!Metrics}
-    histograms ([<site>.retries], [<site>.steps],
-    [dcas.retries.<site>]), zeros included, so the histograms are
-    populated deterministically rather than only under contention. The
-    histograms are the profile: a row reads each series' count, sum and
-    max back, and the profiler keeps no totals and no per-thread state
-    of its own. It is those series' only writer.
+    histograms ([<site>.retries], [<site>.steps], [dcas.retries.<site>]),
+    their only writer, zeros included. The histograms are the profile:
+    the profiler keeps no totals and no per-thread state of its own.
 
     Latency is measured in {!Lfrc_sched.Sched.steps_so_far} deltas — the
     deterministic interleaving clock — so a profile replays identically
@@ -24,10 +21,9 @@
 type t
 
 val create : ?metrics:Metrics.t -> unit -> t
-(** A fresh enabled profiler. Per-call bursts are observed into the
-    histograms of [metrics] when it is enabled (the registry the harness
-    already snapshots), else into a private registry of its own. One
-    profiler per registry: a second one would double its rows. *)
+(** A fresh enabled profiler, observing into [metrics] when it is
+    enabled (the registry the harness snapshots), else into a private
+    registry. One profiler per registry: a second would double its rows. *)
 
 val disabled : t
 (** The shared no-op profiler: every call is a single branch. *)
@@ -39,16 +35,14 @@ val enabled : t -> bool
 val op_end : t -> Metrics.key -> steps:int -> retries:int -> dcas:int -> unit
 (** One closed span of the named site, which took [steps] scheduler
     steps and was charged [retries] loop re-runs and [dcas] failed
-    attempts: the three are observed into the site's histograms. A
-    site's histogram keys are built once, under a lock, when the
-    profiler first sees it; after that a call takes no lock (unless a
-    sample lies outside the buckets, {!Metrics.observe}) and allocates
-    nothing once its buckets have grown. *)
+    attempts, observed into the site's histograms. A site is added under
+    a lock the first time it closes; after that a call takes no lock of
+    the profiler's and allocates nothing once its buckets have grown. *)
 
 val unattributed : t -> retry:bool -> unit
 (** A loop re-ran ([retry]) or a CAS/DCAS attempt failed with no span
-    open: charged to the ["(unattributed)"] site, which has no calls and
-    no histograms, only two atomic counters. *)
+    open: charged to the ["(unattributed)"] site, two atomic counters
+    with no calls and no histograms. *)
 
 (** {1 Reporting} *)
 
@@ -65,11 +59,9 @@ type row = {
 val rows : t -> row list
 (** Per-site totals read back from the histograms ({!Metrics.tally}):
     calls and retries are [<site>.retries]' count and sum, dcas retries
-    [dcas.retries.<site>]'s sum, steps [<site>.steps]' sum and max. Most
-    wasted attempts first (ties by site name). ["(unattributed)"]
-    appears only when something was charged to it. Read after the run:
-    a row read while spans close may mix series read at different
-    instants. *)
+    [dcas.retries.<site>]'s sum, steps [<site>.steps]' sum and max; read
+    them once the spans have closed. Most wasted attempts first (ties by
+    site name). ["(unattributed)"] appears only when charged. *)
 
 val table : t -> string
 (** The contention table as aligned text: site, calls, retries, dcas,
