@@ -203,7 +203,6 @@ let enabled = function Disabled -> false | On _ -> true
 (* For the cold reporting paths; the hooks lock without a closure. *)
 let locked r f = Mutex.protect r.lock f
 
-(* The calling thread's slot. *)
 let own_thread r = r.threads.(Sched.slot ())
 
 (* A fresh environment attaching this registry starts a new run. Cell
