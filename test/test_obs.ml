@@ -147,7 +147,8 @@ let test_reset_drops_series () =
     (Metrics.counter_value (Metrics.snapshot m) "keys.reset")
 
 (* Samples in [0, 4096) are kept as bucket counts, the rest as values; a
-   snapshot returns exactly the samples observed, sorted. *)
+   snapshot returns exactly the samples observed, sorted, and [tally]
+   their count, sum and max. *)
 let test_histogram_keeps_samples () =
   let m = Metrics.create () in
   let k = Metrics.key "keys.hist" in
@@ -155,13 +156,19 @@ let test_histogram_keeps_samples () =
     [ 3; 0; -40; 3; 5000; -1; 0; 1_000_000_000; 4095; 4096; 7; 2 ]
   in
   List.iter (Metrics.observe m k) xs;
-  match List.assoc_opt "keys.hist" (Metrics.snapshot m).Metrics.samples with
+  (match List.assoc_opt "keys.hist" (Metrics.snapshot m).Metrics.samples with
   | Some got ->
       Alcotest.(check (list (float 0.)))
         "sorted samples"
         (List.map float (List.sort compare xs))
         (Array.to_list got)
-  | None -> Alcotest.fail "histogram missing"
+  | None -> Alcotest.fail "histogram missing");
+  Alcotest.(check (triple int int int))
+    "tally" (List.length xs, List.fold_left ( + ) 0 xs, 1_000_000_000)
+    (Metrics.tally m k);
+  Alcotest.(check (triple int int int))
+    "tally of no samples" (0, 0, 0)
+    (Metrics.tally m (Metrics.key "keys.hist.none"))
 
 (* Two domains bump one shared key; midway each interns and bumps fresh
    keys past the registry's current slots, so the slot array grows while
