@@ -75,9 +75,10 @@ val create :
 
     [blame] (default disabled, one branch per event) wires the contention
     causality layer: the DCAS substrate stamps every successful write and
-    charges every failed compare to its stamped culprit, and {!Lfrc}
-    binds reference-count cells to their owning object so rc contention
-    is named. Attaching a registry calls {!Lfrc_obs.Blame.new_run} first:
+    charges every failed compare to its stamped culprit, and the heap
+    observer binds each new object's reference-count cell to the object,
+    once, at allocation, so rc contention is named. Attaching a registry
+    calls {!Lfrc_obs.Blame.new_run} first:
     the previous run's stamps and owner bindings are dropped, and its
     open retry chains, whose thread slots this run's threads reuse, are
     cleared (aggregated pairs survive).
@@ -157,12 +158,12 @@ val lineage : t -> Lfrc_obs.Lineage.t
 
 val profile : t -> Lfrc_obs.Profile.t
 (** The call-site contention profiler ({!Lfrc_obs.Profile}); each
-    closing span is aggregated into it. *)
+    closing span is observed into its site's histograms. *)
 
 val blame : t -> Lfrc_obs.Blame.t
 (** The contention-causality registry ({!Lfrc_obs.Blame}); the DCAS
     substrate stamps winners and charges losers under the innermost
-    span's site, and {!Lfrc} binds rc cells to their owners. *)
+    span's site, and the heap observer binds rc cells to their owners. *)
 
 val sanitizer : t -> Lfrc_sanitize.Shadow.t
 (** The LFRC-San shadow-memory sanitizer this environment was created
@@ -183,9 +184,10 @@ val span_begin : t -> Lfrc_obs.Metrics.key -> unit
 
 val span_end : t -> Lfrc_obs.Metrics.key -> unit
 (** Close the calling thread's innermost span: blame closes the retry
-    chain it opened, the profiler aggregates it, the tracer gets [End].
-    A pair takes no lock on the span stack and allocates nothing once
-    the stack and the profiler's histogram buckets have grown. *)
+    chain it opened, the profiler observes it, the tracer gets [End].
+    A pair takes no lock once the profiler has seen its site (blame
+    locks only to close a chain), and allocates nothing once the stack
+    and the histogram buckets have grown. *)
 
 val span_site : t -> string
 (** The calling thread's innermost span: ["(unattributed)"] with none
