@@ -264,6 +264,29 @@ let test_e11_profiles () =
               [ site ^ ".retries"; site ^ ".steps"; "dcas.retries." ^ site ])
         rows
 
+(* Every experiment threads the config's one observability bundle
+   through its environments: with profile and blame on, each result
+   carries a live profiler and a live blame registry. *)
+let test_every_experiment_observed () =
+  let cfg =
+    {
+      Scenario.default_config with
+      threads = 2;
+      ops_per_thread = 30;
+      iters = 100;
+      profile = true;
+      blame = true;
+    }
+  in
+  List.iter
+    (fun (e : Experiments.experiment) ->
+      let r = e.Experiments.run cfg in
+      checkb (e.Experiments.id ^ " profiled") true
+        (Lfrc_obs.Profile.enabled r.Lfrc_harness.Common.profile);
+      checkb (e.Experiments.id ^ " blamed") true
+        (Lfrc_obs.Blame.enabled r.Lfrc_harness.Common.blame))
+    Experiments.all
+
 (* E5 opens a span named after its row around every op it drives, so no
    failed attempt falls to the "(unattributed)" site: not the substrate
    rows' raw DCAS-increments, not the locked deque's spin lock. *)
@@ -331,5 +354,7 @@ let () =
             test_e2_rc_mode_headlines;
           Alcotest.test_case "E5 names every failure" `Quick
             test_e5_names_every_failure;
+          Alcotest.test_case "every experiment observed" `Quick
+            test_every_experiment_observed;
         ] );
     ]
