@@ -129,7 +129,6 @@ let config_term =
             seed;
             fault;
             metrics = not no_metrics;
-            trace_capacity = 0;
             profile;
             blame;
             rc_mode;

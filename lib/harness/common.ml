@@ -1,7 +1,6 @@
 module Sched = Lfrc_sched.Sched
 module Rng = Lfrc_util.Rng
 module Metrics = Lfrc_obs.Metrics
-module Tracer = Lfrc_obs.Tracer
 module Profile = Lfrc_obs.Profile
 module Blame = Lfrc_obs.Blame
 module Obs = Lfrc_obs.Obs
@@ -22,48 +21,26 @@ type result = {
    false) returns the all-disabled bundle regardless of the per-layer
    flags, so "obs off" is provably one branch everywhere. *)
 let obs (cfg : Scenario.config) =
-  let o =
-    Obs.create ~master:cfg.Scenario.metrics
-      ~trace_capacity:cfg.Scenario.trace_capacity ~profile:cfg.Scenario.profile
-      ~blame:cfg.Scenario.blame ()
-  in
-  (* Saved traces must be self-describing: stamp the run's configuration
-     into the tracer so the chrome JSON header / timeline footer says
-     what produced it. *)
-  if Tracer.enabled o.Obs.tracer then
-    Tracer.set_meta o.Obs.tracer
-      [
-        ("seed", string_of_int cfg.Scenario.seed);
-        ("rc_mode", Scenario.rc_mode_label cfg.Scenario.rc_mode);
-        ( "fault",
-          match cfg.Scenario.fault with
-          | None -> "none"
-          | Some s -> Lfrc_faults.Fault_plan.spec_to_string s );
-        ( "obs",
-          String.concat ","
-            (List.filter
-               (fun s -> s <> "")
-               [
-                 (if cfg.Scenario.metrics then "metrics" else "");
-                 (if cfg.Scenario.trace_capacity > 0 then "trace" else "");
-                 (if cfg.Scenario.profile then "profile" else "");
-                 (if cfg.Scenario.blame then "blame" else "");
-               ]) );
-      ];
-  o
+  Obs.create ~master:cfg.Scenario.metrics ~profile:cfg.Scenario.profile
+    ~blame:cfg.Scenario.blame ()
 
-let result ~table ?(profile = Profile.disabled) ?(blame = Blame.disabled)
-    ?(notes = []) metrics =
-  { table; metrics = Metrics.snapshot metrics; profile; blame; notes }
+let result ~table ?(notes = []) (o : Obs.t) =
+  {
+    table;
+    metrics = Metrics.snapshot o.metrics;
+    profile = o.profile;
+    blame = o.blame;
+    notes;
+  }
 
-let fresh_env ?dcas_impl ?policy ?rc_mode ?gc_threshold ?metrics ?tracer
-    ?lineage ?profile ?blame ?sanitize ~name () =
-  let heap = Lfrc_simmem.Heap.create ~name () in
-  Lfrc_core.Env.create ?dcas_impl ?policy ?rc_mode ?gc_threshold ?metrics
-    ?tracer ?lineage ?profile ?blame ?sanitize heap
+let env ?dcas_impl ?policy ?rc_mode ?gc_threshold ?sanitize (o : Obs.t) heap =
+  Lfrc_core.Env.create ?dcas_impl ?policy ?rc_mode ?gc_threshold
+    ~metrics:o.metrics ~tracer:o.tracer ~lineage:o.lineage ~profile:o.profile
+    ~blame:o.blame ?sanitize heap
 
-let counting metrics =
-  if Metrics.enabled metrics then metrics else Metrics.create ()
+let counting (o : Obs.t) =
+  if Metrics.enabled o.metrics then o
+  else { o with metrics = Metrics.create () }
 
 let k_cas_attempts = Metrics.key "dcas.cas_attempts"
 let k_cas_failures = Metrics.key "dcas.cas_failures"

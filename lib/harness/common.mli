@@ -11,9 +11,8 @@ type result = {
           config's [profile] flag is off *)
   blame : Lfrc_obs.Blame.t;
       (** the contention-causality registry (victim→culprit interference
-          aggregates) blame-aware experiments threaded through their
-          environments; the disabled singleton when the config's [blame]
-          flag is off *)
+          aggregates) the experiment threaded through its environments;
+          the disabled singleton when the config's [blame] flag is off *)
   notes : string list;
       (** free-form addenda printed after the table — E5 uses this for
           its leak witnesses (the lineage's attribution of each leaked
@@ -23,39 +22,29 @@ type result = {
     the observability snapshot gathered while producing it. *)
 
 val obs : Scenario.config -> Lfrc_obs.Obs.t
-(** The observability bundle an experiment should thread through every
+(** The observability bundle an experiment threads through every
     environment it creates, per the config — with [cfg.metrics] as the
     {!Lfrc_obs.Obs.create} master switch, so [--no-metrics] provably
-    disables every layer (tracer, profiler, blame included) in one
-    branch. An enabled profiler shares the bundle's metrics registry, so
-    its per-call bursts land in the snapshot's histograms; an enabled
-    blame registry shares the bundle's tracer, so attributed failures
-    emit flow events. *)
+    disables every layer (profiler and blame included) in one branch.
+    An enabled profiler shares the bundle's metrics registry, so its
+    per-call bursts land in the snapshot's histograms. *)
 
 val result :
-  table:Lfrc_util.Table.t ->
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
-  ?notes:string list ->
-  Lfrc_obs.Metrics.t ->
-  result
-(** Pair the finished table with a snapshot of the registry. *)
+  table:Lfrc_util.Table.t -> ?notes:string list -> Lfrc_obs.Obs.t -> result
+(** Pair the finished table with a snapshot of the bundle's registry and
+    its profiler and blame registry. *)
 
-val fresh_env :
+val env :
   ?dcas_impl:Lfrc_atomics.Dcas.impl ->
   ?policy:Lfrc_core.Env.policy ->
   ?rc_mode:Lfrc_core.Env.rc_mode ->
   ?gc_threshold:int ->
-  ?metrics:Lfrc_obs.Metrics.t ->
-  ?tracer:Lfrc_obs.Tracer.t ->
-  ?lineage:Lfrc_obs.Lineage.t ->
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
   ?sanitize:Lfrc_sanitize.Shadow.t ->
-  name:string ->
-  unit ->
+  Lfrc_obs.Obs.t ->
+  Lfrc_simmem.Heap.t ->
   Lfrc_core.Env.t
-(** A new heap wrapped in a new environment. *)
+(** An environment over the heap with every layer of the bundle
+    attached; the other arguments default as in {!Lfrc_core.Env.create}. *)
 
 (** {2 Substrate counts}
 
@@ -63,10 +52,10 @@ val fresh_env :
     of its traffic, so a table row that prints attempts or failures reads
     its share of them from a registry. *)
 
-val counting : Lfrc_obs.Metrics.t -> Lfrc_obs.Metrics.t
-(** The registry a counting row runs with: [metrics] itself when enabled,
-    else a private one, so the row's cells are the same with and without
-    [--no-metrics]. *)
+val counting : Lfrc_obs.Obs.t -> Lfrc_obs.Obs.t
+(** The bundle a counting row runs with: the bundle itself when its
+    registry is enabled, else the bundle with a private registry, so the
+    row's cells are the same with and without [--no-metrics]. *)
 
 val k_cas_attempts : Lfrc_obs.Metrics.key
 val k_cas_failures : Lfrc_obs.Metrics.key

@@ -35,10 +35,10 @@ let probe_cost ~probes contains n =
   in
   Float.of_int (outcome.Sched.steps - 1) /. Float.of_int probes
 
-let run_list n ~probes ~metrics ~tracer ~profile =
+let run_list n ~probes o =
   let env =
-    Common.fresh_env ~dcas_impl:Dcas.Atomic_step ~metrics ~tracer ~profile
-      ~name:"e10-list" ()
+    Common.env ~dcas_impl:Dcas.Atomic_step o
+      (Lfrc_simmem.Heap.create ~name:"e10-list" ())
   in
   let s = List_set.create env in
   let h = List_set.register s in
@@ -50,10 +50,10 @@ let run_list n ~probes ~metrics ~tracer ~profile =
   List_set.destroy s;
   cost
 
-let run_skip n ~probes ~metrics ~tracer ~profile =
+let run_skip n ~probes o =
   let env =
-    Common.fresh_env ~dcas_impl:Dcas.Atomic_step ~metrics ~tracer ~profile
-      ~name:"e10-skip" ()
+    Common.env ~dcas_impl:Dcas.Atomic_step o
+      (Lfrc_simmem.Heap.create ~name:"e10-skip" ())
   in
   let s = Skip_set.create env in
   let h = Skip_set.register s in
@@ -66,7 +66,7 @@ let run_skip n ~probes ~metrics ~tracer ~profile =
   cost
 
 let run (cfg : Scenario.config) =
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create
       ~title:"E10: contains() cost vs set size (memory accesses per search)"
@@ -77,8 +77,7 @@ let run (cfg : Scenario.config) =
   let rec sizes n = if n > budget then [] else n :: sizes (4 * n) in
   List.iter
     (fun n ->
-      let l = run_list n ~probes ~metrics ~tracer ~profile
-      and s = run_skip n ~probes ~metrics ~tracer ~profile in
+      let l = run_list n ~probes o and s = run_skip n ~probes o in
       Table.add_rowf table "%d|%.0f|%.0f|%.1f" n l s (l /. s))
     (sizes 16);
-  Common.result ~table ~profile metrics
+  Common.result ~table o

@@ -149,7 +149,8 @@ let run (cfg : Scenario.config) =
   let ops_per_worker =
     max 1 (min cfg.Scenario.ops_per_thread default_ops_per_worker)
   in
-  let { Lfrc_obs.Obs.metrics; profile; blame; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
+  let { Lfrc_obs.Obs.metrics; profile; blame; _ } = o in
   let table =
     Table.create ~title:"E11: chaos matrix (faults injected per kind)"
       ~columns:
@@ -233,4 +234,4 @@ let run (cfg : Scenario.config) =
     (fun r ->
       Format.printf "@.chaos failure:@.%a@." Chaos.pp r)
     !failures;
-  Common.result ~table ~profile ~blame metrics
+  Common.result ~table o

@@ -81,18 +81,17 @@ let leg ~iters ~raw env =
 
 let run (cfg : Scenario.config) =
   let iters = cfg.Scenario.iters in
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   (* The leg matching the configured mode feeds the shared metrics
      registry; the other two use private throwaway registries so the
      run's aggregate stays pure to the configured mode. *)
   let run_leg rc_mode name =
-    let m =
-      if rc_mode = cfg.Scenario.rc_mode then metrics
-      else Lfrc_obs.Metrics.create ()
+    let o =
+      if rc_mode = cfg.Scenario.rc_mode then o
+      else { o with metrics = Lfrc_obs.Metrics.create () }
     in
     let env =
-      Common.fresh_env ~dcas_impl:Dcas.Atomic_step ~rc_mode ~metrics:m ~tracer
-        ~profile ~name ()
+      Common.env ~dcas_impl:Dcas.Atomic_step ~rc_mode o (Heap.create ~name ())
     in
     leg ~iters ~raw:(rc_mode = Env.Eager) env
   in
@@ -119,4 +118,4 @@ let run (cfg : Scenario.config) =
         (if raw > 0.0 then eager_ns /. raw else 0.0))
     eager
     (List.combine deferred wait_free);
-  Common.result ~table ~profile metrics
+  Common.result ~table o

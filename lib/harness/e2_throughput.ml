@@ -13,17 +13,16 @@ module Table = Lfrc_util.Table
 module Opmix = Lfrc_workload.Opmix
 
 let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~rc_mode
-    ~threads ~ops_per_thread ~seed ~metrics ~tracer ~profile ~blame =
+    ~threads ~ops_per_thread ~seed o =
   let steps = ref 0 and dcas_fail = ref 0.0 and gc_pauses = ref 0 in
-  let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics Common.k_dcas_attempts
-  and failures = Common.count_since metrics Common.k_dcas_failures in
+  let o = Common.counting o in
+  let attempts = Common.count_since o.metrics Common.k_dcas_attempts
+  and failures = Common.count_since o.metrics Common.k_dcas_failures in
   let body () =
     let heap = Lfrc_simmem.Heap.create ~name:"e2" () in
     let env =
-      Lfrc_core.Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
-        ~gc_threshold:(if gc then 2048 else 0)
-        ~rc_mode ~metrics ~tracer ~profile ~blame heap
+      Common.env ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
+        ~gc_threshold:(if gc then 2048 else 0) ~rc_mode o heap
     in
     if gc then Lfrc_simmem.Gc_trace.reset_history heap;
     let d = D.create env in
@@ -67,7 +66,7 @@ let thread_counts ceiling =
 
 let run (cfg : Scenario.config) =
   let ops_per_thread = cfg.Scenario.ops_per_thread in
-  let { Lfrc_obs.Obs.metrics; tracer; profile; blame; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create ~title:"E2: deque contention (simulated steps per op)"
       ~columns:[ "impl"; "threads"; "steps/op"; "dcas fail %"; "gc runs" ]
@@ -77,10 +76,8 @@ let run (cfg : Scenario.config) =
       List.iter
         (fun threads ->
           let steps, fail, gcs =
-            run_one impl ~gc
-              ~rc_mode:cfg.Scenario.rc_mode
-              ~threads ~ops_per_thread ~seed:cfg.Scenario.seed ~metrics ~tracer
-              ~profile ~blame
+            run_one impl ~gc ~rc_mode:cfg.Scenario.rc_mode ~threads
+              ~ops_per_thread ~seed:cfg.Scenario.seed o
           in
           let total_ops = threads * ops_per_thread in
           Table.add_rowf table "%s|%d|%.1f|%.2f|%d" label threads
@@ -105,8 +102,7 @@ let run (cfg : Scenario.config) =
             let steps, fail, gcs =
               run_one impl ~gc ~rc_mode ~threads:top_threads ~ops_per_thread
                 ~seed:cfg.Scenario.seed
-                ~metrics:(Lfrc_obs.Metrics.create ())
-                ~tracer ~profile ~blame
+                { o with metrics = Lfrc_obs.Metrics.create () }
             in
             let total_ops = top_threads * ops_per_thread in
             Table.add_rowf table "%s[%s]|%d|%.1f|%.2f|%d" label suffix
@@ -122,4 +118,4 @@ let run (cfg : Scenario.config) =
               Lfrc_core.Env.Wait_free { weight = Scenario.wait_free_weight } );
           ])
     (Common.deque_impls ());
-  Common.result ~table ~profile ~blame metrics
+  Common.result ~table o

@@ -31,13 +31,13 @@ let phases push pop finish_cycle live =
       finish_cycle ();
       (peak, live ()))
 
-let probes ~metrics ~tracer ~profile () : probe list =
+let probes o : probe list =
   [
     {
       label = "treiber-lfrc";
       run =
         (fun () ->
-          let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e3-lfrc" () in
+          let env = Common.env o (Heap.create ~name:"e3-lfrc" ()) in
           let heap = Lfrc_core.Env.heap env in
           let s = Treiber_lfrc.create env in
           let h = Treiber_lfrc.register s in
@@ -56,7 +56,7 @@ let probes ~metrics ~tracer ~profile () : probe list =
       label = "treiber-valois";
       run =
         (fun () ->
-          let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e3-valois" () in
+          let env = Common.env o (Heap.create ~name:"e3-valois" ()) in
           let heap = Lfrc_core.Env.heap env in
           let s = Lfrc_reclaim.Valois_stack.create env in
           let h = Lfrc_reclaim.Valois_stack.register s in
@@ -75,7 +75,7 @@ let probes ~metrics ~tracer ~profile () : probe list =
       label = "treiber-hazard";
       run =
         (fun () ->
-          let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e3-hp" () in
+          let env = Common.env o (Heap.create ~name:"e3-hp" ()) in
           let heap = Lfrc_core.Env.heap env in
           let s = Lfrc_reclaim.Hp_stack.create env in
           let h = Lfrc_reclaim.Hp_stack.register s in
@@ -94,7 +94,7 @@ let probes ~metrics ~tracer ~profile () : probe list =
       label = "treiber-epoch";
       run =
         (fun () ->
-          let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e3-ebr" () in
+          let env = Common.env o (Heap.create ~name:"e3-ebr" ()) in
           let heap = Lfrc_core.Env.heap env in
           let s = Lfrc_reclaim.Ebr_stack.create env in
           let h = Lfrc_reclaim.Ebr_stack.register s in
@@ -112,7 +112,7 @@ let probes ~metrics ~tracer ~profile () : probe list =
   ]
 
 let run (cfg : Scenario.config) =
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create
       ~title:
@@ -127,5 +127,5 @@ let run (cfg : Scenario.config) =
         (fun c (peak, drained) ->
           Table.add_rowf table "%s|%d|%d|%d" p.label (c + 1) peak drained)
         r)
-    (probes ~metrics ~tracer ~profile ());
-  Common.result ~table ~profile metrics
+    (probes o);
+  Common.result ~table o

@@ -25,13 +25,11 @@ type row = {
 
 (* Run the mixed workload on stack [ops] inside a simulation; returns the
    row. [residual_of] runs after the simulation, quiescently. *)
-let drive ~name ~make ~residual_note ~threads ~ops_per_thread ~seed ~metrics
-    ~tracer ~profile =
+let drive ~name ~make ~residual_note ~threads ~ops_per_thread ~seed o =
   let result = ref None in
   let body () =
     let env =
-      Lfrc_core.Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ~metrics
-        ~tracer ~profile
+      Common.env ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step o
         (Heap.create ~name ())
     in
     let push, pop, live_reachable, finish = make env in
@@ -80,8 +78,8 @@ let run (cfg : Scenario.config) =
   let threads = max 1 (min cfg.Scenario.threads 4) in
   let ops_per_thread = cfg.Scenario.ops_per_thread in
   let seed0 = cfg.Scenario.seed + 10 in
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
-  let drive = drive ~threads ~ops_per_thread ~metrics ~tracer ~profile in
+  let o = Common.obs cfg in
+  let drive = drive ~threads ~ops_per_thread o in
   let table =
     Table.create
       ~title:
@@ -156,4 +154,4 @@ let run (cfg : Scenario.config) =
            (fun () -> drain_count (fun () -> Treiber_leak.pop h0)),
            fun () -> () ))
        ~residual_note:(fun () -> "unbounded"));
-  Common.result ~table ~profile metrics
+  Common.result ~table o

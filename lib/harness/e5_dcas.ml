@@ -20,11 +20,10 @@ module Dcas = Lfrc_atomics.Dcas
 module Table = Lfrc_util.Table
 
 (* The substrate rows run each substrate on an environment of its own:
-   [Env.create] wires it to the experiment's layers, and its span stack
+   [Common.env] wires it to the experiment's layers, and its span stack
    names the row that paid for a failed attempt. *)
-let substrate_env impl ~metrics ~tracer ~profile ~blame =
-  Lfrc_core.Env.create ~dcas_impl:impl ~metrics ~tracer ~profile ~blame
-    (Heap.create ~name:"e5-substrate" ())
+let substrate_env impl o =
+  Common.env ~dcas_impl:impl o (Heap.create ~name:"e5-substrate" ())
 
 (* One span per op a row drives, named after the row, so an attempt that
    fails outside LFRC's own spans (a raw DCAS-increment, the locked
@@ -34,10 +33,8 @@ let in_row_span env row f =
   f ();
   Lfrc_core.Env.span_end env row
 
-let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
-  let d =
-    Lfrc_core.Env.dcas (substrate_env impl ~metrics ~tracer ~profile ~blame)
-  in
+let wall_row table impl ~iters o =
+  let d = Lfrc_core.Env.dcas (substrate_env impl o) in
   let c0 = Cell.make 1 and c1 = Cell.make 2 in
   let ns =
     Common.time_per_op_ns ~iters (fun () ->
@@ -45,14 +42,13 @@ let wall_row table impl ~iters ~metrics ~tracer ~profile ~blame =
   in
   Table.add_rowf table "%s|1|%.1f|-|-|-" (Dcas.impl_name d) ns
 
-let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
-    ~profile ~blame =
-  let metrics = Common.counting metrics in
-  let env = substrate_env impl ~metrics ~tracer ~profile ~blame in
+let contended_row table impl ~threads ~per_thread ~seed o =
+  let o = Common.counting o in
+  let env = substrate_env impl o in
   let d = Lfrc_core.Env.dcas env in
   let row = Lfrc_obs.Metrics.key (Dcas.impl_name d) in
-  let attempts = Common.count_since metrics Common.k_dcas_attempts
-  and failures = Common.count_since metrics Common.k_dcas_failures in
+  let attempts = Common.count_since o.metrics Common.k_dcas_attempts
+  and failures = Common.count_since o.metrics Common.k_dcas_failures in
   let body () =
     let c0 = Cell.make 0 and c1 = Cell.make 0 in
     let tids =
@@ -95,18 +91,14 @@ let contended_row table impl ~threads ~per_thread ~seed ~metrics ~tracer
    plus the unavoidable pointer-install CAS) per op. The wait-free row's
    count traffic is fetch-adds, which never retry; its CAS column is the
    pointer installs alone. *)
-let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
-    ~tracer ~profile ~blame =
+let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed o =
   let layout = Lfrc_simmem.Layout.make ~name:"e5-node" ~n_ptrs:1 ~n_vals:1 in
-  let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics Common.k_cas_attempts
-  and failures = Common.count_since metrics Common.k_cas_failures in
+  let o = Common.counting o in
+  let attempts = Common.count_since o.metrics Common.k_cas_attempts
+  and failures = Common.count_since o.metrics Common.k_cas_failures in
   let body () =
     let heap = Heap.create ~name:"e5-lfrc" () in
-    let env =
-      Lfrc_core.Env.create ~dcas_impl:Dcas.Atomic_step ~rc_mode ~metrics
-        ~tracer ~profile ~blame heap
-    in
+    let env = Common.env ~dcas_impl:Dcas.Atomic_step ~rc_mode o heap in
     let root = Heap.root heap ~name:"e5-root" () in
     let tids =
       List.init threads (fun _ ->
@@ -142,12 +134,11 @@ let lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed ~metrics
    emulation's helping traffic on every LFRC count update, or the
    algorithmic detour Sundell's marker nodes represent. *)
 let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
-    ~dcas_impl ~threads ~per_thread ~seed ~metrics ~tracer ~profile ~blame
-    ~notes =
+    ~dcas_impl ~threads ~per_thread ~seed ~notes o =
   let leaked = ref 0 in
-  let metrics = Common.counting metrics in
-  let attempts = Common.count_since metrics Common.k_dcas_attempts
-  and failures = Common.count_since metrics Common.k_dcas_failures in
+  let o = Common.counting o in
+  let attempts = Common.count_since o.metrics Common.k_dcas_attempts
+  and failures = Common.count_since o.metrics Common.k_dcas_failures in
   (* Every deque run carries the sanitizer and a lineage: the sanitizer
      vouches that a nonzero [leaked] column is the §2.1 cyclic-garbage
      concession and not a latent race/UAF, and the lineage turns each
@@ -158,10 +149,7 @@ let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
   let row = Lfrc_obs.Metrics.key label in
   let body () =
     let heap = Heap.create ~name:"e5-deque" () in
-    let env =
-      Lfrc_core.Env.create ~dcas_impl ~metrics ~tracer ~profile ~blame
-        ~lineage ~sanitize heap
-    in
+    let env = Common.env ~dcas_impl ~sanitize { o with lineage } heap in
     let t = D.create env in
     let tids =
       List.init threads (fun w ->
@@ -231,7 +219,7 @@ let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
       Table.add_rowf table "%s|%d|unsafe|-|-|-" label threads
 
 let run (cfg : Scenario.config) =
-  let { Lfrc_obs.Obs.metrics; tracer; profile; blame; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let seed = cfg.Scenario.seed + 20 in
   let table =
     Table.create ~title:"E5: DCAS substrates (wall ns/op at 1 thread; sim steps/op contended)"
@@ -239,9 +227,7 @@ let run (cfg : Scenario.config) =
         [ "substrate"; "threads"; "ns or steps /op"; "attempts/op"; "fail %"; "leaked" ]
   in
   List.iter
-    (fun impl ->
-      wall_row table impl ~iters:cfg.Scenario.iters ~metrics ~tracer ~profile
-        ~blame)
+    (fun impl -> wall_row table impl ~iters:cfg.Scenario.iters o)
     [ Dcas.Atomic_step; Dcas.Striped_lock; Dcas.Software_mcas ];
   let contended_threads =
     List.filter (fun t -> t <= max 2 cfg.Scenario.threads) [ 2; 4; 8 ]
@@ -251,8 +237,7 @@ let run (cfg : Scenario.config) =
       List.iter
         (fun threads ->
           contended_row table impl ~threads
-            ~per_thread:cfg.Scenario.ops_per_thread ~seed ~metrics ~tracer
-            ~profile ~blame)
+            ~per_thread:cfg.Scenario.ops_per_thread ~seed o)
         contended_threads)
     [ Dcas.Atomic_step; Dcas.Software_mcas ];
   (* The rc-mode ablation always shows all three modes side by side; the
@@ -263,8 +248,7 @@ let run (cfg : Scenario.config) =
     (fun (label, rc_mode) ->
       List.iter
         (fun threads ->
-          lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed
-            ~metrics ~tracer ~profile ~blame)
+          lfrc_rc_row table ~label ~rc_mode ~threads ~per_thread ~seed o)
         contended_threads)
     [
       ("lfrc-rc eager", Lfrc_core.Env.Eager);
@@ -302,7 +286,7 @@ let run (cfg : Scenario.config) =
       List.iter
         (fun threads ->
           deque_row table ~label impl ~dcas_impl ~threads ~per_thread ~seed
-            ~metrics ~tracer ~profile ~blame ~notes)
+            ~notes o)
         contended_threads)
     deque_rows;
-  Common.result ~table ~profile ~blame ~notes:(List.rev !notes) metrics
+  Common.result ~table ~notes:(List.rev !notes) o

@@ -41,8 +41,8 @@ let build_chain env n =
 
 let deferred_budget = 64
 
-let run_policy policy n ~metrics ~tracer ~profile =
-  let env = Common.fresh_env ~policy ~metrics ~tracer ~profile ~name:"e6" () in
+let run_policy policy n o =
+  let env = Common.env ~policy o (Heap.create ~name:"e6" ()) in
   let heap = Env.heap env in
   let root = build_chain env n in
   assert (Heap.live_count heap = n);
@@ -74,7 +74,7 @@ let run_policy policy n ~metrics ~tracer ~profile =
       Ok (!total, !max_slice)
 
 let run (cfg : Scenario.config) =
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create ~title:"E6: destroying a chain of N dead objects"
       ~columns:[ "policy"; "N"; "total ms"; "max pause ms"; "note" ]
@@ -91,7 +91,7 @@ let run (cfg : Scenario.config) =
     (fun n ->
       List.iter
         (fun (label, policy) ->
-          match run_policy policy n ~metrics ~tracer ~profile with
+          match run_policy policy n o with
           | Ok (total, max_pause) ->
               Table.add_rowf table "%s|%d|%.3f|%.3f|" label n
                 (Float.of_int total /. 1e6)
@@ -99,4 +99,4 @@ let run (cfg : Scenario.config) =
           | Error note -> Table.add_rowf table "%s|%d|-|-|%s" label n note)
         policies)
     (List.map (fun d -> max 1 (2 * cfg.Scenario.iters / d)) [ 400; 40; 4; 1 ]);
-  Common.result ~table ~profile metrics
+  Common.result ~table o

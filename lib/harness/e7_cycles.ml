@@ -67,14 +67,14 @@ let scenario env ~rings ~ring_size ~chains ~chain_len ~tails =
   root
 
 let run (cfg : Scenario.config) =
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create ~title:"E7: cyclic garbage and the backup tracer"
       ~columns:
         [ "structure"; "objects"; "lfrc freed"; "leaked"; "tracer freed"; "tracer us" ]
   in
   let case label ~rings ~ring_size ~chains ~chain_len ~tails =
-    let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e7" () in
+    let env = Common.env o (Heap.create ~name:"e7" ()) in
     let heap = Env.heap env in
     let root = scenario env ~rings ~ring_size ~chains ~chain_len ~tails in
     let before = Heap.live_count heap in
@@ -95,4 +95,4 @@ let run (cfg : Scenario.config) =
     ~tails:0;
   case "100 rings w/ 20-node tails" ~rings:100 ~ring_size:5 ~chains:0
     ~chain_len:0 ~tails:20;
-  Common.result ~table ~profile metrics
+  Common.result ~table o

@@ -21,13 +21,13 @@ module Treiber_lfrc = Lfrc_structures.Treiber.Make (Lfrc_core.Lfrc_ops)
 
 let cycles = 5
 
-let gc_mode ~batch ~metrics ~tracer ~profile () =
+let gc_mode ~batch o =
   let pauses = ref [] in
   let body () =
     let heap = Heap.create ~name:"e8-gc" () in
     let env =
-      Lfrc_core.Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
-        ~gc_threshold:1_024 ~metrics ~tracer ~profile heap
+      Common.env ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ~gc_threshold:1_024
+        o heap
     in
     Lfrc_simmem.Gc_trace.reset_history heap;
     let s = Treiber_gc.create env in
@@ -50,8 +50,8 @@ let gc_mode ~batch ~metrics ~tracer ~profile () =
   ignore (Sched.run (Lfrc_sched.Strategy.Round_robin) body);
   !pauses
 
-let incremental_mode ~batch ~metrics ~tracer ~profile () =
-  let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e8-incr" () in
+let incremental_mode ~batch o =
+  let env = Common.env o (Heap.create ~name:"e8-incr" ()) in
   let heap = Lfrc_core.Env.heap env in
   let gc = Lfrc_simmem.Gc_incr.create ~threshold:1_024 heap in
   Lfrc_core.Env.set_incremental env ~collector:gc ~budget:32;
@@ -76,8 +76,8 @@ let incremental_mode ~batch ~metrics ~tracer ~profile () =
   Lfrc_simmem.Gc_incr.finish_cycle gc;
   !pauses
 
-let lfrc_mode ~batch ~metrics ~tracer ~profile () =
-  let env = Common.fresh_env ~metrics ~tracer ~profile ~name:"e8-lfrc" () in
+let lfrc_mode ~batch o =
+  let env = Common.env o (Heap.create ~name:"e8-lfrc" ()) in
   let s = Treiber_lfrc.create env in
   let h = Treiber_lfrc.register s in
   let pauses = ref [] in
@@ -108,14 +108,13 @@ let add_row table label pauses =
 
 let run (cfg : Scenario.config) =
   let batch = cfg.Scenario.ops_per_thread in
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let table =
     Table.create
       ~title:"E8: reclamation pause distribution (microseconds)"
       ~columns:[ "mode"; "events"; "p50"; "p90"; "p99"; "max" ]
   in
-  add_row table "gc stop-the-world" (gc_mode ~batch ~metrics ~tracer ~profile ());
-  add_row table "gc incremental (per-op)"
-    (incremental_mode ~batch ~metrics ~tracer ~profile ());
-  add_row table "lfrc per-op" (lfrc_mode ~batch ~metrics ~tracer ~profile ());
-  Common.result ~table ~profile metrics
+  add_row table "gc stop-the-world" (gc_mode ~batch o);
+  add_row table "gc incremental (per-op)" (incremental_mode ~batch o);
+  add_row table "lfrc per-op" (lfrc_mode ~batch o);
+  Common.result ~table o

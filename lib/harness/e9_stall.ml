@@ -17,7 +17,7 @@ let step_budget = 150_000
 let stall_period = 3_000
 
 let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~threads ~seed
-    ~metrics ~tracer ~profile ~strategy =
+    ~strategy o =
   let completed = Atomic.make 0 in
   let last_progress = ref 0 in
   let max_gap = ref 0 in
@@ -29,9 +29,8 @@ let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~threads ~seed
   let body () =
     let heap = Lfrc_simmem.Heap.create ~name:"e9" () in
     let env =
-      Lfrc_core.Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
-        ~gc_threshold:(if gc then 2048 else 0)
-        ~metrics ~tracer ~profile heap
+      Common.env ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step
+        ~gc_threshold:(if gc then 2048 else 0) o heap
     in
     let d = D.create env in
     let tids =
@@ -65,9 +64,9 @@ let run_one (module D : Lfrc_structures.Container_intf.DEQUE) ~gc ~threads ~seed
 let run (cfg : Scenario.config) =
   let threads = max 1 (min cfg.Scenario.threads 4) in
   let seed = cfg.Scenario.seed + 30 in
-  let { Lfrc_obs.Obs.metrics; tracer; profile; _ } = Common.obs cfg in
+  let o = Common.obs cfg in
   let run_one impl ~gc ~strategy =
-    run_one impl ~gc ~threads ~seed ~metrics ~tracer ~profile ~strategy
+    run_one impl ~gc ~threads ~seed ~strategy o
   in
   let table =
     Table.create
@@ -94,4 +93,4 @@ let run (cfg : Scenario.config) =
         (100.0 *. Float.of_int stalled /. Float.of_int fair)
         gap_fair gap_stalled)
     (Common.deque_impls ());
-  Common.result ~table ~profile metrics
+  Common.result ~table o

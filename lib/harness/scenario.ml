@@ -14,7 +14,6 @@ type config = {
   fault : Lfrc_faults.Fault_plan.spec option;
       (* override E11's built-in fault matrix with one spec *)
   metrics : bool;  (* collect a metrics snapshot alongside the table *)
-  trace_capacity : int;  (* tracer ring size; 0 = tracing off *)
   profile : bool;  (* attribute retries/latency to call sites *)
   blame : bool;  (* attribute failed CAS/DCAS to the winning write *)
   rc_mode : Lfrc_core.Env.rc_mode;  (* count delivery of every LFRC env *)
@@ -44,7 +43,6 @@ let default_config =
     seed = 11;
     fault = None;
     metrics = true;
-    trace_capacity = 0;
     profile = false;
     blame = false;
     rc_mode = Lfrc_core.Env.Eager;

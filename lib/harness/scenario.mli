@@ -27,16 +27,14 @@ type config = {
           built-in matrix (other experiments ignore it) *)
   metrics : bool;
       (** collect DCAS/LFRC/heap series into the result's snapshot *)
-  trace_capacity : int;  (** tracer ring size; 0 disables tracing *)
   profile : bool;
       (** attribute DCAS/CAS retries and op latencies to labeled call
           sites ({!Lfrc_obs.Profile}); the result then carries a
           contention table *)
   blame : bool;
       (** attribute every failed CAS/DCAS to the winning write that
-          invalidated it ({!Lfrc_obs.Blame}); blame-aware experiments
-          (E2, E5, E11) then carry an interference report (CLI
-          [--blame]) *)
+          invalidated it ({!Lfrc_obs.Blame}); every experiment then
+          carries an interference report (CLI [--blame]) *)
   rc_mode : Lfrc_core.Env.rc_mode;
       (** the count-delivery mode the experiments' LFRC environments
           run in (E1's legs and E2's ablation rows cover all three
@@ -59,7 +57,7 @@ val rc_mode_label : Lfrc_core.Env.rc_mode -> string
 
 val default_config : config
 (** threads 8, 1500 ops/thread, 200k iters, seed 11, no fault override,
-    metrics on, tracing off, profiling off, blame off, eager rc. *)
+    metrics on, profiling off, blame off, eager rc. *)
 
 type op = Push_left of int | Push_right of int | Pop_left | Pop_right
 

@@ -4,10 +4,10 @@ module Json = Lfrc_util.Json
 module Int_table = Lfrc_util.Int_table
 
 (* Contention causality. Every successful shared-memory write stamps its
-   cell with (thread, call site, op kind, scheduler step); every failed
-   CAS/DCAS looks the stamp up and charges one wasted attempt to the
-   (victim site, culprit site) pair — the loser's innermost open
-   operation against the operation whose winning write invalidated it.
+   cell with (call site, op kind, scheduler step); every failed CAS/DCAS
+   looks the stamp up and charges one wasted attempt to the (victim
+   site, culprit site) pair — the loser's innermost open operation
+   against the operation whose winning write invalidated it.
    Under the deterministic scheduler this attribution is exact: the cell
    value a failed compare saw can only have been produced by the stamped
    write, because stamping happens in the same atomic step as the write
@@ -53,12 +53,11 @@ let widen a n fill =
   b
 
 (* Each stamped cell's last successful writer. [row] maps a cell id to
-   1 + its row in the four columns; a re-stamp rewrites its row in
+   1 + its row in the three columns; a re-stamp rewrites its row in
    place. *)
 module Stamps = struct
   type t = {
     row : Int_table.t;
-    mutable tids : int array;
     mutable sites : site array;
     mutable kinds : op_kind array;
     mutable steps : int array;
@@ -67,7 +66,6 @@ module Stamps = struct
   let create () =
     {
       row = Int_table.create 256;
-      tids = [||];
       sites = [||];
       kinds = [||];
       steps = [||];
@@ -78,14 +76,13 @@ module Stamps = struct
   (* [cell]'s row, -1 when it has no stamp. *)
   let find t cell = Int_table.find t.row cell - 1
 
-  let write t cell ~tid ~site ~kind ~step =
+  let write t cell ~site ~kind ~step =
     let i = find t cell in
     let i =
       if i >= 0 then i
       else begin
         let i = Int_table.length t.row in
-        if i = Array.length t.tids then begin
-          t.tids <- widen t.tids 256 0;
+        if i = Array.length t.sites then begin
           t.sites <- widen t.sites 256 unattributed_site;
           t.kinds <- widen t.kinds 256 Write;
           t.steps <- widen t.steps 256 0
@@ -94,7 +91,6 @@ module Stamps = struct
         i
       end
     in
-    t.tids.(i) <- tid;
     t.sites.(i) <- site;
     t.kinds.(i) <- kind;
     t.steps.(i) <- step
@@ -137,14 +133,12 @@ type thread = {
 
 type reg = {
   lock : Mutex.t;
-  tracer : Tracer.t;  (* flow events (winning write -> doomed attempt) *)
   stamps : Stamps.t;
   owners : Int_table.t;  (* cell id -> owning object (rc cells) *)
   pair_at : Int_table.t;  (* pair_id -> 1 + its index in [pairs] *)
   mutable pairs : pair array;
   threads : thread array;  (* thread slot -> open retry chain *)
   mutable chain_stats : chain_stat array;  (* victim site -> stats *)
-  mutable flows : int;
   mutable attributed : int;
   mutable unstamped : int;
   mutable spurious : int;
@@ -170,11 +164,10 @@ let no_chain_stat =
 let pair_id (victim : site) (culprit : site) =
   ((victim :> int) lsl 30) lor (culprit :> int)
 
-let create ?(tracer = Tracer.disabled) () =
+let create () =
   On
     {
       lock = Mutex.create ();
-      tracer;
       stamps = Stamps.create ();
       owners = Int_table.create 256;
       pair_at = Int_table.create 32;
@@ -188,7 +181,6 @@ let create ?(tracer = Tracer.disabled) () =
               ch_len = 0;
             });
       chain_stats = [||];
-      flows = 0;
       attributed = 0;
       unstamped = 0;
       spurious = 0;
@@ -279,10 +271,10 @@ let stamp t ~site kind cell =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () and step = Sched.steps_so_far () in
+      let step = Sched.steps_so_far () in
       let th = own_thread r in
       Mutex.lock r.lock;
-      Stamps.write r.stamps cell ~tid ~site ~kind ~step;
+      Stamps.write r.stamps cell ~site ~kind ~step;
       (* This thread just won a write: whatever it was retrying is
          through — its chain (if any) is complete. *)
       if th.ch_len > 0 then close_chain_locked r th ~adopted:false;
@@ -339,7 +331,7 @@ let charge t ~site:victim kind cell =
   match t with
   | Disabled -> ()
   | On r ->
-      let tid = Sched.tid () and step = Sched.steps_so_far () in
+      let step = Sched.steps_so_far () in
       let th = own_thread r in
       Mutex.lock r.lock;
       extend_chain_locked th ~victim ~step;
@@ -348,29 +340,15 @@ let charge t ~site:victim kind cell =
       let i = Stamps.find st cell in
       if i >= 0 then begin
         r.attributed <- r.attributed + 1;
-        let c_step = st.steps.(i) in
         charge_locked r ~victim ~culprit:st.sites.(i) ~kind:st.kinds.(i)
-          ~steps:(max 0 (step - c_step))
-          ~owner;
-        if not (Tracer.enabled r.tracer) then Mutex.unlock r.lock
-        else begin
-          r.flows <- r.flows + 1;
-          let id = r.flows and c_tid = st.tids.(i) in
-          Mutex.unlock r.lock;
-          (* The flow arrow: from the culprit's winning write to the
-             attempt it doomed. Emitted outside our lock (the tracer has
-             its own). *)
-          Tracer.emit_at r.tracer ~step:c_step ~tid:c_tid ~arg:id
-            Tracer.Flow_out "blame";
-          Tracer.emit_at r.tracer ~step ~tid ~arg:id Tracer.Flow_in "blame"
-        end
+          ~steps:(max 0 (step - st.steps.(i)))
+          ~owner
       end
       else begin
         r.unstamped <- r.unstamped + 1;
-        charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0
-          ~owner;
-        Mutex.unlock r.lock
-      end
+        charge_locked r ~victim ~culprit:unstamped_site ~kind ~steps:0 ~owner
+      end;
+      Mutex.unlock r.lock
 
 (* A spurious (injected) failure compared nothing: no write invalidated
    the attempt, the fault plan did. Charged to a reserved culprit so
@@ -537,32 +515,18 @@ let top_rc_pair t =
 
 let counters t =
   match t with
-  | Disabled -> (0, 0, 0, 0, 0, 0)
+  | Disabled -> (0, 0, 0, 0, 0)
   | On r ->
       locked r (fun () ->
           ( r.attributed,
             r.unstamped,
             r.spurious,
-            r.flows,
             r.adopted_frames,
             r.adopted_chains ))
 
 let adopted t =
-  let _, _, _, _, frames, chains = counters t in
+  let _, _, _, frames, chains = counters t in
   (frames, chains)
-
-(* Name an object for the report: its layout family (when the namer can
-   still see it) and the last lineage event touching it. Both optional —
-   blame stays useful without either. *)
-let describe_addr ?namer ?lineage addr =
-  let family = Option.bind namer (fun f -> f addr) in
-  let last =
-    Option.bind lineage (fun ln ->
-        Option.map
-          (fun ev -> Format.asprintf "%a" Lineage.pp_event ev)
-          (Lineage.last_event ln ~addr))
-  in
-  (family, last)
 
 let matrix t =
   let rs = rows t in
@@ -603,17 +567,14 @@ let matrix t =
     Buffer.contents buf
   end
 
-let report ?(top = 10) ?namer ?lineage t =
+let report ?(top = 10) t =
   let rs = rows t in
   let buf = Buffer.create 1024 in
-  let attributed, unstamped, spurious, flows, ad_frames, ad_chains =
-    counters t
-  in
+  let attributed, unstamped, spurious, ad_frames, ad_chains = counters t in
   Buffer.add_string buf
     (Printf.sprintf
-       "blame: %d wasted attempts (%d attributed, %d unstamped, %d injected), \
-        %d flow events\n"
-       (total_wasted t) attributed unstamped spurious flows);
+       "blame: %d wasted attempts (%d attributed, %d unstamped, %d injected)\n"
+       (total_wasted t) attributed unstamped spurious);
   if ad_frames > 0 || ad_chains > 0 then
     Buffer.add_string buf
       (Printf.sprintf "adopted from crashed threads: %d open ops, %d chains\n"
@@ -632,13 +593,8 @@ let report ?(top = 10) ?namer ?lineage t =
                r.b_wasted r.b_steps r.b_rc);
           match r.b_addrs with
           | (addr, n) :: _ ->
-              let family, last = describe_addr ?namer ?lineage addr in
               Buffer.add_string buf
-                (Printf.sprintf "       object %d (%d hits%s)%s\n" addr n
-                   (match family with
-                   | Some f -> ", family " ^ f
-                   | None -> "")
-                   (match last with Some l -> "  last: " ^ l | None -> ""))
+                (Printf.sprintf "       object %d (%d hits)\n" addr n)
           | [] -> ()
         end)
       rs;
@@ -666,17 +622,11 @@ let report ?(top = 10) ?namer ?lineage t =
   end;
   Buffer.contents buf
 
-let to_json ?namer ?lineage t =
-  let attributed, unstamped, spurious, flows, ad_frames, ad_chains =
-    counters t
-  in
+let to_json t =
+  let attributed, unstamped, spurious, ad_frames, ad_chains = counters t in
   let ints fields = List.map (fun (k, n) -> (k, Json.Int n)) fields in
   let obj (addr, n) =
-    let family, last = describe_addr ?namer ?lineage addr in
-    let opt k = Option.fold ~none:[] ~some:(fun s -> [ (k, Json.String s) ]) in
-    Json.Object
-      ([ ("addr", Json.Int addr); ("wasted", Json.Int n) ]
-      @ opt "family" family @ opt "last" last)
+    Json.Object [ ("addr", Json.Int addr); ("wasted", Json.Int n) ]
   in
   let pair r =
     Json.Object
@@ -715,7 +665,6 @@ let to_json ?namer ?lineage t =
                ("unstamped", unstamped);
                ("injected", spurious);
                ("rc_wasted", rc_wasted t);
-               ("flows", flows);
                ("adopted_frames", ad_frames);
                ("adopted_chains", ad_chains);
                ("pending", pending t);

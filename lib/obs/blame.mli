@@ -2,8 +2,8 @@
     write that invalidated it.
 
     Each successful shared-memory write stamps its cell with the writer's
-    (thread, call site, op kind, scheduler step), the site being the
-    innermost span of its environment's ({!Lfrc_core.Env.span_site}).
+    (call site, op kind, scheduler step), the site being the innermost
+    span of its environment's ({!Lfrc_core.Env.span_site}).
     A failed compare then
     charges one wasted attempt to the (victim site, culprit site) pair —
     under the deterministic scheduler this attribution is exact, because
@@ -14,26 +14,23 @@
     scheduler-step staleness per pair), per-site retry-chain statistics
     (the critical path of contended operations), and per-object charge
     counts on cells bound via {!bind_owner} (reference-count cells), which
-    the report joins with lineage to name the contended object family.
+    name the contended objects.
 
     Like the other observability layers, {!disabled} makes every hook a
     single branch; the registry writes nothing to [Metrics], so counter
     snapshots are byte-identical with blame on or off.
 
     Each thread's open retry chain sits in its own slot
-    ({!Lfrc_sched.Sched.slot}), a real domain's included. A stamp's
-    culprit tid is {!Lfrc_sched.Sched.tid}, which is 0 on every real
-    domain. *)
+    ({!Lfrc_sched.Sched.slot}), a real domain's included. No stamp or
+    report names a thread. *)
 
 type t
 
 (** The op kind recorded in a stamp and reported per culprit. *)
 type op_kind = Write | Cas | Dcas | Rmw
 
-val create : ?tracer:Tracer.t -> unit -> t
-(** Fresh registry. When [tracer] is live, each attributed failure also
-    emits a flow-event pair (culprit's winning write → doomed attempt)
-    visible as arrows in chrome://tracing. *)
+val create : unit -> t
+(** Fresh registry. *)
 
 val disabled : t
 val enabled : t -> bool
@@ -125,20 +122,12 @@ val adopted : t -> int * int
 val matrix : t -> string
 (** Victim × culprit wasted-attempt matrix, fixed column order. *)
 
-val report :
-  ?top:int ->
-  ?namer:(int -> string option) ->
-  ?lineage:Lineage.t ->
-  t ->
-  string
-(** Ranked victim→culprit report. [namer] maps an object address to its
-    layout family; [lineage] names the last recorded event per object. *)
+val report : ?top:int -> t -> string
+(** Ranked victim→culprit report: the [top] (default 10) pairs, each
+    with its busiest object, then the rc headline and the per-site retry
+    chains. *)
 
-val to_json :
-  ?namer:(int -> string option) ->
-  ?lineage:Lineage.t ->
-  t ->
-  Lfrc_util.Json.t
+val to_json : t -> Lfrc_util.Json.t
 (** Machine-readable dump: totals, sorted pairs (with per-pair op kinds
     and top objects), and per-site chain stats. Byte-deterministic for a
     given run. *)

@@ -25,12 +25,10 @@ let enabled t =
   || Lineage.enabled t.lineage || Profile.enabled t.profile
   || Blame.enabled t.blame
 
-let create ?(master = true) ?(trace_capacity = 0) ?(profile = false)
-    ?(blame = false) () =
+let create ?(master = true) ?(profile = false) ?(blame = false) () =
   if not master then disabled
   else
     let metrics = Metrics.create () in
-    let tracer = Tracer.create ~capacity:trace_capacity in
     let profile = if profile then Profile.create ~metrics () else Profile.disabled in
-    let blame = if blame then Blame.create ~tracer () else Blame.disabled in
-    { metrics; tracer; lineage = Lineage.disabled; profile; blame }
+    let blame = if blame then Blame.create () else Blame.disabled in
+    { disabled with metrics; profile; blame }

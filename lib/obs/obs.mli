@@ -21,15 +21,8 @@ val disabled : t
 val enabled : t -> bool
 (** True iff at least one layer is live. *)
 
-val create :
-  ?master:bool ->
-  ?trace_capacity:int ->
-  ?profile:bool ->
-  ?blame:bool ->
-  unit ->
-  t
-(** Defaults: [master = true], everything else off. An enabled bundle
-    always has a metrics registry, which its profiler observes into;
-    its blame emits flow events through its tracer when that is live.
-    Its lineage is {!Lineage.disabled}: a lifecycle recorder is handed
-    to [Env.create] by the caller that reads it. *)
+val create : ?master:bool -> ?profile:bool -> ?blame:bool -> unit -> t
+(** Defaults: [master = true], profiler and blame off. An enabled
+    bundle always has a metrics registry, which its profiler observes
+    into. Its tracer and lineage are disabled: a caller that reads a
+    trace or a lifecycle record sets that field itself. *)

@@ -1,7 +1,7 @@
 module Sched = Lfrc_sched.Sched
 module Json = Lfrc_util.Json
 
-type kind = Begin | End | Retry | Free | Fault | Instant | Flow_out | Flow_in
+type kind = Begin | End | Retry | Free | Fault | Instant
 
 type event = { step : int; tid : int; kind : kind; name : string; arg : int }
 
@@ -46,12 +46,6 @@ let emit t ?(arg = 0) kind name =
       push r
         { step = Sched.steps_so_far (); tid = Sched.tid (); kind; name; arg }
 
-(* Backdated emission: flow events point at the culprit's *past* winning
-   write, so the blame layer needs to place an event at an explicit
-   (step, tid) rather than "now". *)
-let emit_at t ~step ~tid ?(arg = 0) kind name =
-  match t with Disabled -> () | On r -> push r { step; tid; kind; name; arg }
-
 let set_meta t kvs =
   match t with Disabled -> () | On r -> r.meta <- kvs
 
@@ -71,13 +65,6 @@ let recorded = function Disabled -> 0 | On r -> r.total
 
 let dropped = function Disabled -> 0 | On r -> max 0 (r.total - r.cap)
 
-let clear = function
-  | Disabled -> ()
-  | On r ->
-      Mutex.lock r.lock;
-      r.total <- 0;
-      Mutex.unlock r.lock
-
 let kind_name = function
   | Begin -> "begin"
   | End -> "end"
@@ -85,8 +72,6 @@ let kind_name = function
   | Free -> "free"
   | Fault -> "fault"
   | Instant -> "instant"
-  | Flow_out -> "flow-out"
-  | Flow_in -> "flow-in"
 
 (* Spans are re-paired at export into Chrome "X" (complete) records: a ring
    that overwrote a span's Begin would otherwise emit an unmatched "E",
@@ -114,21 +99,6 @@ let chrome_json_of_events ?(meta = []) evs =
          ("ts", Json.Int ev.step);
        ]
       @ common ev)
-  in
-  let flow ev ph bp =
-    record
-      ([
-         ("name", Json.String ev.name);
-         ("cat", Json.String "flow");
-         ("ph", Json.String ph);
-       ]
-      @ bp
-      @ [
-          ("id", Json.Int ev.arg);
-          ("ts", Json.Int ev.step);
-          ("pid", Json.Int 1);
-          ("tid", Json.Int ev.tid);
-        ])
   in
   let stacks : (int, (string * int * int) list ref) Hashtbl.t =
     Hashtbl.create 8
@@ -183,13 +153,7 @@ let chrome_json_of_events ?(meta = []) evs =
       | Retry -> instant ev "retry"
       | Free -> instant ev "free"
       | Fault -> instant ev "fault"
-      | Instant -> instant ev "instant"
-      | Flow_out ->
-          (* Chrome flow-event arrows: "s" (start) at the winning write,
-             "f" (finish, binding to the enclosing slice) at the doomed
-             attempt; [arg] carries the flow id that pairs them. *)
-          flow ev "s" []
-      | Flow_in -> flow ev "f" [ ("bp", Json.String "e") ])
+      | Instant -> instant ev "instant")
     evs;
   (* Spans still open when the trace was cut: render as points too. *)
   Hashtbl.iter
@@ -227,5 +191,3 @@ let timeline_of_events ?(dropped = 0) ?(meta = []) evs =
   Buffer.contents buf
 
 let to_timeline t = timeline_of_events ~dropped:(dropped t) ~meta:(meta t) (events t)
-
-let pp ppf t = Format.pp_print_string ppf (to_timeline t)

@@ -19,11 +19,6 @@ type kind =
   | Free  (** an object went back to the allocator *)
   | Fault  (** an injected fault fired (spurious failure, OOM, crash) *)
   | Instant  (** anything else worth a point mark *)
-  | Flow_out
-      (** start of a causal arrow (e.g. a winning write that dooms another
-          thread's CAS); [arg] is the flow id pairing it with its
-          {!Flow_in} *)
-  | Flow_in  (** end of a causal arrow, at the doomed attempt *)
 
 type event = { step : int; tid : int; kind : kind; name : string; arg : int }
 
@@ -42,10 +37,6 @@ val emit : t -> ?arg:int -> kind -> string -> unit
 (** Record one event stamped with the current scheduler step and
     simulated thread id. No-op on the disabled tracer. *)
 
-val emit_at : t -> step:int -> tid:int -> ?arg:int -> kind -> string -> unit
-(** Like {!emit} but with an explicit (step, tid) — used by the blame
-    layer to backdate a {!Flow_out} to the culprit's winning write. *)
-
 val set_meta : t -> (string * string) list -> unit
 (** Attach run metadata (seed, rc mode, fault plan token, obs flags …);
     exported in the chrome JSON [metadata] header and as [-- meta k=v]
@@ -62,8 +53,6 @@ val recorded : t -> int
 
 val dropped : t -> int
 (** [recorded - retained]: how many fell off the ring. *)
-
-val clear : t -> unit
 
 val kind_name : kind -> string
 
@@ -92,6 +81,3 @@ val timeline_of_events :
 val to_timeline : t -> string
 (** [timeline_of_events] over this tracer's retained events and drop
     count. *)
-
-val pp : Format.formatter -> t -> unit
-(** The text timeline, for embedding in reports. *)
