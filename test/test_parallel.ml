@@ -7,8 +7,9 @@
    quiescent teardown leaves an empty heap with exact counts. The treiber
    and queue rows also run under deferred counts, where each domain parks
    its count deltas in a buffer of its own thread slot, and with the
-   profiler on, where each domain's op spans sit on the stack of its own
-   slot, which no lock guards. *)
+   profiler and blame on, where each domain's op spans sit on the stack
+   of its own slot, which no lock guards, and its retry chain in blame's
+   slot of the same index. *)
 
 module Heap = Lfrc_simmem.Heap
 module Env = Lfrc_core.Env
@@ -25,19 +26,29 @@ let _checkb = Alcotest.(check bool)
 let n_domains = 3
 let ops_per_domain = 2_000
 
-(* A profiler observing into its own metrics registry. *)
-type profiled = { metrics : Lfrc_obs.Metrics.t; profile : Lfrc_obs.Profile.t }
+(* A profiler observing into its own metrics registry, and a blame
+   registry beside it. *)
+type profiled = {
+  metrics : Lfrc_obs.Metrics.t;
+  profile : Lfrc_obs.Profile.t;
+  blame : Lfrc_obs.Blame.t;
+}
 
 let profiled () =
   let metrics = Lfrc_obs.Metrics.create () in
-  { metrics; profile = Lfrc_obs.Profile.create ~metrics () }
+  {
+    metrics;
+    profile = Lfrc_obs.Profile.create ~metrics ();
+    blame = Lfrc_obs.Blame.create ();
+  }
 
 let fresh ?(rc_mode = Env.Eager) ?prof name =
   let heap = Heap.create ~name () in
   let metrics = Option.map (fun p -> p.metrics) prof
-  and profile = Option.map (fun p -> p.profile) prof in
+  and profile = Option.map (fun p -> p.profile) prof
+  and blame = Option.map (fun p -> p.blame) prof in
   ( Env.create ~dcas_impl:Lfrc_atomics.Dcas.Striped_lock ~rc_mode ?metrics
-      ?profile heap,
+      ?profile ?blame heap,
     heap )
 
 let deferred = Env.Deferred_rc { epoch = 64 }
@@ -51,10 +62,11 @@ let check_no_open_span env =
   | "(unattributed)" | "?" -> ()
   | _ -> Atomic.incr open_spans
 
-(* With the profiler on: no worker left a span open, and every load on
-   every domain closed a span the profiler aggregated, with its samples
-   in the bucket histograms. *)
-let check_profiled env { metrics; profile } =
+(* With the profiler and blame on: no worker left a span open, every
+   load on every domain closed a span the profiler aggregated, with its
+   samples in the bucket histograms, and blame charged every failed
+   CAS and DCAS once and left no retry chain open. *)
+let check_profiled env { metrics; profile; blame } =
   checki "no worker left a span open" 0 (Atomic.get open_spans);
   Alcotest.(check string)
     "main thread has no span open" "(unattributed)" (Env.span_site env);
@@ -78,7 +90,12 @@ let check_profiled env { metrics; profile } =
           checki (h ^ " holds one sample per load")
             load.Lfrc_obs.Profile.r_calls (Array.length xs)
       | None -> Alcotest.failf "histogram %s missing" h)
-    [ "lfrc.load.retries"; "lfrc.load.steps"; "dcas.retries.lfrc.load" ]
+    [ "lfrc.load.retries"; "lfrc.load.steps"; "dcas.retries.lfrc.load" ];
+  checki "every failed attempt blamed"
+    (Lfrc_obs.Metrics.counter_value s "dcas.cas_failures"
+    + Lfrc_obs.Metrics.counter_value s "dcas.dcas_failures")
+    (Lfrc_obs.Blame.total_wasted blame);
+  checki "no retry chain left open" 0 (Lfrc_obs.Blame.pending blame)
 
 (* After teardown: land what the count mode holds back, then the heap
    must be empty with exact counts. *)
