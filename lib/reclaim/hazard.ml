@@ -21,7 +21,6 @@ type slot_state = {
 type t = {
   heap : Heap.t;
   slots : slot_state array;
-  hazards_per_slot : int;
   scan_threshold : int;
   lock : Mutex.t; (* slot registry and orphan list *)
   mutable orphans : Heap.ptr list;
@@ -33,8 +32,12 @@ type t = {
 
 type slot = int
 
-let create ?(slots = 64) ?(hazards_per_slot = 2) ?(scan_threshold = 64)
-    ?(metrics = Metrics.disabled) ?(lineage = Lineage.disabled) heap =
+(* Hazards per thread slot, Michael's two; [protect]'s [idx] ranges over
+   them. *)
+let hazards_per_slot = 2
+
+let create ?(slots = 64) ?(scan_threshold = 64) ?(metrics = Metrics.disabled)
+    ?(lineage = Lineage.disabled) heap =
   {
     heap;
     slots =
@@ -46,7 +49,6 @@ let create ?(slots = 64) ?(hazards_per_slot = 2) ?(scan_threshold = 64)
             in_use = false;
             owner = -1;
           });
-    hazards_per_slot;
     scan_threshold;
     lock = Mutex.create ();
     orphans = [];

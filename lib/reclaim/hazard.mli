@@ -12,12 +12,13 @@ type t
 
 type slot
 
-val create : ?slots:int -> ?hazards_per_slot:int -> ?scan_threshold:int ->
+val create : ?slots:int -> ?scan_threshold:int ->
   ?metrics:Lfrc_obs.Metrics.t -> ?lineage:Lfrc_obs.Lineage.t ->
   Lfrc_simmem.Heap.t -> t
-(** Defaults: 64 thread slots, 2 hazard pointers each, scan at 64 retired
-    objects. [metrics] (default disabled) receives the [hazard.*] series:
-    retires, scans, freed counts and the retired-list depth gauge.
+(** Each thread slot holds 2 hazard pointers. Defaults: 64 thread
+    slots, scan at 64 retired objects. [metrics] (default disabled)
+    receives the [hazard.*] series: retires, scans, freed counts and the
+    retired-list depth gauge.
     [lineage] (default disabled) records a [Retire] event per retired
     object, so the forensic timelines cover the deferred span between
     unlink and free. *)

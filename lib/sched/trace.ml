@@ -19,16 +19,3 @@ let preemptions t =
   let count = ref 0 in
   Array.iteri (fun i _ -> if is_preemption t i then incr count) t;
   !count
-
-let pp ?names ppf t =
-  let name tid =
-    match names with
-    | Some ns when tid < Array.length ns -> ns.(tid)
-    | _ -> Printf.sprintf "t%d" tid
-  in
-  Array.iteri
-    (fun i s ->
-      Format.fprintf ppf "%4d: %s%s (enabled: %s)@." i (name s.tid)
-        (if is_preemption t i then " [preempt]" else "")
-        (String.concat "," (List.map name (enabled_list s))))
-    t

@@ -21,6 +21,3 @@ val enabled_list : step -> int list
 val preemptions : t -> int
 (** Number of steps at which the scheduler switched away from a thread that
     was still enabled — the measure bounded by CHESS-style exploration. *)
-
-val pp : ?names:string array -> Format.formatter -> t -> unit
-(** Render one decision per line, marking preemption points. *)

@@ -3,7 +3,6 @@ type phase = Idle | Marking | Sweeping
 type t = {
   gc_heap : Heap.t;
   threshold : int;
-  sweep_chunk : int;
   mutable gc_phase : phase;
   gray : Heap.ptr Stack.t;
   mutable sweep_cursor : Heap.ptr; (* next id to examine *)
@@ -14,11 +13,13 @@ type t = {
   mutable epoch : int; (* versioned-mark stamp of the current cycle *)
 }
 
-let create ?(threshold = 1024) ?(sweep_chunk = 4) heap =
+(* Objects one budget unit examines while sweeping. *)
+let sweep_chunk = 4
+
+let create ?(threshold = 1024) heap =
   {
     gc_heap = heap;
     threshold;
-    sweep_chunk;
     gc_phase = Idle;
     gray = Stack.create ();
     sweep_cursor = 1;
@@ -83,7 +84,7 @@ let begin_sweep t =
 
 let sweep_some t =
   let examined = ref 0 in
-  while !examined < t.sweep_chunk && t.sweep_cursor <= t.sweep_limit do
+  while !examined < sweep_chunk && t.sweep_cursor <= t.sweep_limit do
     let p = t.sweep_cursor in
     t.sweep_cursor <- p + 1;
     incr examined;

@@ -22,10 +22,9 @@
 
 type t
 
-val create : ?threshold:int -> ?sweep_chunk:int -> Heap.t -> t
+val create : ?threshold:int -> Heap.t -> t
 (** [threshold] (default 1024): live-object count that makes {!poll}
-    start a new cycle. [sweep_chunk] (default 4): objects examined per
-    budget unit while sweeping. *)
+    start a new cycle. *)
 
 val heap : t -> Heap.t
 
@@ -46,7 +45,7 @@ val on_alloc : t -> Heap.ptr -> unit
 
 val step : t -> budget:int -> bool
 (** Advance the cycle by up to [budget] units (one unit: scan one gray
-    object, or examine [sweep_chunk] objects while sweeping). Returns
+    object, or examine 4 objects while sweeping). Returns
     true if the cycle completed in this call. No-op (false) when idle. *)
 
 val poll : t -> budget:int -> unit
