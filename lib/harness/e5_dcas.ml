@@ -8,10 +8,11 @@
     in the simulator, where the MCAS's helping protocol shows up as extra
     steps and failed installs.
 
-    A separate unit test (test_mcas) demonstrates the deeper finding
-    recorded in DESIGN.md: software MCAS *writes* descriptors into target
-    cells, so it cannot replace hardware DCAS inside LFRC itself, whose
-    load applies DCAS to potentially-freed memory. *)
+    A separate unit test (test_atomics "frozen install corrupts")
+    demonstrates the deeper finding recorded in DESIGN.md: software MCAS
+    *writes* descriptors into target cells, so it cannot replace hardware
+    DCAS inside LFRC itself, whose load applies DCAS to potentially-freed
+    memory. *)
 
 module Sched = Lfrc_sched.Sched
 module Heap = Lfrc_simmem.Heap
@@ -140,10 +141,9 @@ let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
   let attempts = Common.count_since o.metrics Common.k_dcas_attempts
   and failures = Common.count_since o.metrics Common.k_dcas_failures in
   (* Every deque run carries the sanitizer and a lineage: the sanitizer
-     vouches that a nonzero [leaked] column is the §2.1 cyclic-garbage
-     concession and not a latent race/UAF, and the lineage turns each
-     leaked object into a named witness — the call site that dropped the
-     last reference it ever lost. *)
+     vouches that a nonzero [leaked] column is not a latent race/UAF, and
+     the lineage turns each leaked object into a named witness — the call
+     site that dropped the last reference it ever lost. *)
   let lineage = Lfrc_obs.Lineage.create ~ring:64 () in
   let sanitize = Lfrc_sanitize.Shadow.create () in
   let row = Lfrc_obs.Metrics.key label in
@@ -168,11 +168,12 @@ let deque_row table ~label (module D : Lfrc_structures.Container_intf.DEQUE)
     in
     Sched.join tids;
     D.destroy t;
-    (* Objects still live after teardown are the paper's §2.1 concession
-       made measurable: garbage certain interleavings leave behind that
-       plain reference counting never frees (the Snark rows show it; the
-       Sundell port's marker protocol is cycle-free by construction and
-       must report 0). Reported, not asserted — the concession is a
+    (* Objects still live after teardown: counts some interleavings
+       leave above zero with no holder left to drop them (the Snark rows
+       show them at 8 threads; the Sundell rows report 0). The likely
+       cause, not yet confirmed (EXPERIMENTS.md's open finding on E5), is
+       a chain that [Snark_fixed]'s [cut_dead_chain] strands behind a cut
+       hat, whose counts are never dropped. Reported, not asserted — a
        finding of this ablation, not a harness failure. *)
     let leaked_ids = ref [] in
     Heap.iter_live heap (fun p -> leaked_ids := p :: !leaked_ids);

@@ -1,6 +1,6 @@
 (** The experiment registry: every table in EXPERIMENTS.md is regenerated
     by one entry here, through [lfrc_cli experiments]; [test/golden] pins
-    the counters of every entry but E6 and E10 at a small config.
+    the counters of every entry at a small config.
 
     Every experiment runs under a shared {!Scenario.config}; alongside its
     table it returns the {!Lfrc_obs.Metrics} snapshot gathered from the

@@ -13,8 +13,8 @@
     freed and recycled while the reservation (a counted local reference)
     exists, the classic weakness of CAS-emulated LL/SC — false success
     after ABA — cannot occur on pointer values: the "A" cannot come back
-    while we hold it. A test demonstrates exactly this
-    (test_lfrc_extensions). *)
+    while we hold it. A test demonstrates exactly this (test_extensions
+    "no recycling false-positive"). *)
 
 type reservation
 (** A pending link: carries a counted reference to the loaded object. *)
