@@ -103,8 +103,8 @@ let config_term =
       value & flag
       & info [ "blame" ]
           ~doc:
-            "Attribute every failed CAS/DCAS/rc-retry to the thread and \
-             call site whose write invalidated it, and print a ranked \
+            "Attribute every failed CAS/DCAS/rc-retry to the call site \
+             whose write invalidated it, and print a ranked \
              victim->culprit interference report per experiment.")
   in
   let build threads ops iters seed no_metrics fault profile blame rc_mode =
@@ -380,11 +380,10 @@ let blame_cmd =
     (Cmd.info "blame"
        ~doc:
          "Run a structure workload with contention blame attribution on: \
-          every failed CAS/DCAS/rc-retry is charged to the thread and call \
-          site whose write invalidated it (exact under the deterministic \
-          scheduler). Prints the ranked victim->culprit report, the \
-          interference matrix ($(b,--matrix)), or machine-readable JSON \
-          ($(b,--json)).")
+          every failed CAS/DCAS/rc-retry is charged to the call site whose \
+          write invalidated it (exact under the deterministic scheduler). \
+          Prints the ranked victim->culprit report, the interference \
+          matrix ($(b,--matrix)), or machine-readable JSON ($(b,--json)).")
     Term.(
       const run $ structure_arg $ workers $ ops $ seed $ json $ matrix $ top
       $ rc_mode_term)

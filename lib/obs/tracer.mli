@@ -38,7 +38,7 @@ val emit : t -> ?arg:int -> kind -> string -> unit
     simulated thread id. No-op on the disabled tracer. *)
 
 val set_meta : t -> (string * string) list -> unit
-(** Attach run metadata (seed, rc mode, fault plan token, obs flags …);
+(** Attach run metadata (structure, seed, rc mode …);
     exported in the chrome JSON [metadata] header and as [-- meta k=v]
     footer lines of the text timeline, so saved traces are
     self-describing. *)
