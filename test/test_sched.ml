@@ -256,6 +256,37 @@ let test_kill_and_crash_release_join () =
     (steps crashed);
   Alcotest.(check (list int)) "a crashed" [ 1 ] crashed.crashed
 
+(* The crash hook is asked once per resume of a parked or unstarted
+   thread, resumes that keep the running thread included
+   ([Fault_plan.crash_hook] counts resumes), and a crash on such a
+   resume stops the thread there. *)
+let test_crash_hook_once_per_resume () =
+  let asked = ref [] and progress = ref 0 in
+  let o =
+    Sched.run
+      ~inject_crash:(fun ~tid ~step ->
+        let i = List.length (List.filter (fun (t, _) -> t = tid) !asked) in
+        asked := (tid, step) :: !asked;
+        tid = 1 && i = 3)
+      Strategy.Round_robin
+      (fun () ->
+        let w =
+          Sched.spawn (fun () ->
+              for _ = 1 to 5 do
+                Sched.point ();
+                incr progress
+              done)
+        in
+        Sched.join [ w ])
+  in
+  Alcotest.(check (list int)) "crashed" [ 1 ] o.Sched.crashed;
+  checki "progress" 2 !progress;
+  Alcotest.(check (list (pair int int)))
+    "hook calls (tid, step)"
+    [ (0, 0); (1, 1); (1, 2); (1, 3); (1, 4) ]
+    (List.rev !asked);
+  checki "steps" 6 o.Sched.steps
+
 (* --- Trace --- *)
 
 let test_trace_preemptions () =
@@ -300,6 +331,23 @@ let test_scripted_divergence_detected () =
      with
     | _ -> false
     | exception Strategy.Script_diverged _ -> true)
+
+(* A script that diverges where the running thread yields: [Sched.run]
+   raises the strategy's exception itself, not as a failure of the
+   thread ([Explore.check] re-raises only the bare exception). *)
+let test_scripted_divergence_at_point () =
+  match
+    Sched.run
+      (Strategy.Scripted { prefix = [| 0; 5 |]; tail_seed = None })
+      (fun () ->
+        Sched.point ();
+        Sched.point ())
+  with
+  | _ -> Alcotest.fail "expected Script_diverged"
+  | exception Strategy.Script_diverged { step; wanted; enabled } ->
+      Alcotest.(check (list int))
+        "step, wanted, enabled" [ 1; 5; 1 ] [ step; wanted; enabled ]
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
 
 let test_pct_runs () =
   let o =
@@ -531,26 +579,54 @@ let test_choose_allocates_nothing () =
       ("scripted first-enabled", Strategy.Scripted { prefix = [||]; tail_seed = None });
     ]
 
-(* A simulated step allocates its continuation and its [Suspended] box:
-   at most 4 words per [Sched.point], alone and with a joined main
-   thread. *)
-let test_point_budget () =
-  let n = 10_000 in
-  let points _ = Sched.point () in
-  let budget name words =
-    if words > 4. then
-      Alcotest.failf "%s: %.2f words per Sched.point (budget 4)" name words
-  in
-  let words = ref 0. in
+(* Words allocated per step while [f] runs inside a simulation. *)
+let words_per_step f =
+  let steps = Sched.steps_so_far () and before = Gc.minor_words () in
+  f ();
+  (Gc.minor_words () -. before) /. Float.of_int (Sched.steps_so_far () - steps)
+
+let points n () =
+  for _ = 1 to n do
+    Sched.point ()
+  done
+
+(* A step that keeps its thread is taken in place and allocates nothing:
+   one thread alone, and a worker running alone while main is joined. *)
+let test_point_in_place () =
+  let words = ref nan in
   ignore
     (Sched.run Strategy.Round_robin (fun () ->
-         words := words_per_call n points));
-  budget "one thread, round robin" !words;
+         words := words_per_step (points 10_000)));
+  Alcotest.(check (float 0.)) "one thread, round robin" 0. !words;
   ignore
     (Sched.run (Strategy.Random 5) (fun () ->
-         let w = Sched.spawn (fun () -> words := words_per_call n points) in
+         let w =
+           Sched.spawn (fun () -> words := words_per_step (points 10_000))
+         in
          Sched.join [ w ]));
-  budget "random, main joined" !words
+  Alcotest.(check (float 0.)) "random, main joined" 0. !words
+
+(* A step that switches threads allocates the parked thread's
+   continuation and its [Suspended] box: at most 4 words, for two
+   threads alternating under round robin. *)
+let test_point_budget () =
+  let words = ref nan and stop = ref false in
+  ignore
+    (Sched.run Strategy.Round_robin (fun () ->
+         let other =
+           Sched.spawn (fun () ->
+               while not !stop do
+                 Sched.point ()
+               done)
+         in
+         (* Start [other] before counting. *)
+         Sched.point ();
+         words := words_per_step (points 10_000);
+         stop := true;
+         Sched.join [ other ]));
+  if not (!words <= 4.) then
+    Alcotest.failf "two threads alternating: %.2f words per step (budget 4)"
+      !words
 
 (* --- Explore --- *)
 
@@ -623,6 +699,19 @@ let test_explore_replay_counterexample () =
       checkb "replay reproduces" true (!counter <> 2 && Array.length trace > 0)
   | _ -> Alcotest.fail "expected violation"
 
+(* One complete bounded exploration: three threads of three points at
+   most two preemptions. The count was recorded before the explorer
+   kept its chosen array and preemption counts per schedule. *)
+let test_explore_bounded_count () =
+  let body () =
+    for _ = 1 to 3 do
+      ignore (Sched.spawn (points 3))
+    done
+  in
+  match Explore.check ~max_preemptions:2 ~body ~check:ignore () with
+  | Explore.Ok { schedules } -> checki "schedules" 789 schedules
+  | _ -> Alcotest.fail "expected OK"
+
 let () =
   Alcotest.run "sched"
     [
@@ -644,6 +733,8 @@ let () =
           Alcotest.test_case "per-thread steps" `Quick test_per_thread_steps;
           Alcotest.test_case "kill and crash release a join" `Quick
             test_kill_and_crash_release_join;
+          Alcotest.test_case "crash hook once per resume" `Quick
+            test_crash_hook_once_per_resume;
         ] );
       ( "trace",
         [
@@ -654,6 +745,8 @@ let () =
         [
           Alcotest.test_case "scripted replay" `Quick test_scripted_replay;
           Alcotest.test_case "script divergence" `Quick test_scripted_divergence_detected;
+          Alcotest.test_case "script divergence at a point" `Quick
+            test_scripted_divergence_at_point;
           Alcotest.test_case "pct runs" `Quick test_pct_runs;
         ] );
       ( "schedule identity",
@@ -664,6 +757,8 @@ let () =
         [
           Alcotest.test_case "choose allocates nothing" `Quick
             test_choose_allocates_nothing;
+          Alcotest.test_case "point in place allocates nothing" `Quick
+            test_point_in_place;
           Alcotest.test_case "point budget" `Quick test_point_budget;
         ] );
       ( "explore",
@@ -672,5 +767,6 @@ let () =
           Alcotest.test_case "passes atomic" `Quick test_explore_passes_atomic;
           Alcotest.test_case "budget" `Quick test_explore_budget;
           Alcotest.test_case "replay counterexample" `Quick test_explore_replay_counterexample;
+          Alcotest.test_case "bounded count" `Quick test_explore_bounded_count;
         ] );
     ]
