@@ -56,6 +56,13 @@ type sched = {
   mutable crashed : int list; (* reversed crash order *)
   max_steps : int;
   strategy : Strategy.state;
+  inject_crash : tid:int -> step:int -> bool;
+  mutable crash : bool; (* the crash verdict on the step last decided *)
+  mutable handed : int;
+      (* The thread a step decided in [point] runs, when that step could
+         not be taken in place; -1 when the loop decides the next step. *)
+  mutable raised : exn option;
+      (* What deciding a step in [point] raised, for the loop to raise. *)
 }
 
 (* The scheduler is single-domain; a plain global distinguishes "inside a
@@ -107,9 +114,6 @@ let name_of tid =
   match !current_sched with
   | Some s when tid >= 0 && tid < s.n_threads -> s.threads.(tid).name
   | _ -> Printf.sprintf "t%d" tid
-
-let point () =
-  match !current_sched with None -> () | Some _ -> Effect.perform Yield
 
 let spawn ?name body =
   if !current_sched = None then
@@ -179,18 +183,15 @@ let add_thread s name body =
 
 (* A thread's effect handler, built once when it starts: a resumed
    continuation keeps the handler it was captured under, so no later step
-   needs one. The [Yield] arm is built with it, so a step allocates only
-   the continuation and its [Suspended] box. *)
+   needs one. The [Yield] arm is built with it, so a step that parks its
+   thread allocates only the continuation and its [Suspended] box. *)
 let handler s th : (unit, unit) Effect.Deep.handler =
   let bit = 1 lsl th.id in
   let on_yield =
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        if s.aborting then Effect.Deep.continue k ()
-        else begin
-          th.state <- Suspended k;
-          s.enabled <- s.enabled lor bit
-        end)
+        th.state <- Suspended k;
+        s.enabled <- s.enabled lor bit)
   in
   {
     retc = (fun () -> finish s th);
@@ -230,6 +231,49 @@ let step_thread s th =
       Effect.Deep.continue k ()
   | Running | Finished -> assert false
 
+(* Decide step [s.steps] over [enabled], [last] having run the step
+   before: draw the thread, record and count the step, and ask the crash
+   hook whether it crashes a thread this step resumes from a yield point
+   or starts. The thread is [Running] when it is the caller of [point]
+   and the step is taken in place. *)
+let decide s ~enabled ~last =
+  let choice = Strategy.choose s.strategy ~step:s.steps ~enabled ~last in
+  if s.record then
+    s.trace_buf <- { Trace.tid = choice; enabled } :: s.trace_buf;
+  s.steps <- s.steps + 1;
+  s.per_thread.(choice) <- s.per_thread.(choice) + 1;
+  s.crash <-
+    (match s.threads.(choice).state with
+    | Not_started _ | Suspended _ | Running -> true
+    | Waiting _ | Finished -> false)
+    && s.inject_crash ~tid:choice ~step:(s.steps - 1);
+  choice
+
+(* The running thread decides the next step itself, as the loop would.
+   When the step keeps it running and does not crash it, the step is
+   taken in place: no continuation is captured. Otherwise it parks, and
+   the loop takes the step with what was decided, so no draw, hook call
+   or exception happens twice. At the step limit the loop raises; an
+   unwinding thread takes no step. *)
+let point () =
+  match !current_sched with
+  | None -> ()
+  | Some s ->
+      if s.aborting then ()
+      else if s.steps >= s.max_steps then Effect.perform Yield
+      else begin
+        let me = s.current in
+        match decide s ~enabled:(s.enabled lor (1 lsl me)) ~last:me with
+        | choice ->
+            if choice <> me || s.crash then begin
+              s.handed <- choice;
+              Effect.perform Yield
+            end
+        | exception exn ->
+            s.raised <- Some exn;
+            Effect.perform Yield
+      end
+
 (* Unwind any still-suspended fibers so their resources are released; their
    exceptions are deliberately not recorded. *)
 let cleanup s =
@@ -266,6 +310,10 @@ let run ?(max_steps = 10_000_000) ?(record = false)
       crashed = [];
       max_steps;
       strategy = Strategy.start strategy ~expected_steps:max_steps;
+      inject_crash;
+      crash = false;
+      handed = -1;
+      raised = None;
     }
   in
   ignore (add_thread s "main" main);
@@ -273,9 +321,10 @@ let run ?(max_steps = 10_000_000) ?(record = false)
   let result =
     try
       let rec loop last =
-        match s.failure with
-        | Some _ -> ()
-        | None ->
+        match (s.failure, s.raised) with
+        | Some _, _ -> ()
+        | None, Some exn -> raise exn
+        | None, None ->
             let enabled = s.enabled in
             if enabled = 0 then begin
               let unfinished = ref [] in
@@ -287,23 +336,20 @@ let run ?(max_steps = 10_000_000) ?(record = false)
                 raise (Stuck { unfinished = !unfinished })
             end
             else begin
-              if s.steps >= s.max_steps then
-                raise (Step_limit_exceeded s.steps);
               let choice =
-                Strategy.choose s.strategy ~step:s.steps ~enabled ~last
+                if s.handed >= 0 then begin
+                  let choice = s.handed in
+                  s.handed <- -1;
+                  choice
+                end
+                else begin
+                  if s.steps >= s.max_steps then
+                    raise (Step_limit_exceeded s.steps);
+                  decide s ~enabled ~last
+                end
               in
-              if s.record then
-                s.trace_buf <- { Trace.tid = choice; enabled } :: s.trace_buf;
-              s.steps <- s.steps + 1;
-              s.per_thread.(choice) <- s.per_thread.(choice) + 1;
               let th = s.threads.(choice) in
-              let crash_here =
-                (match th.state with
-                | Not_started _ | Suspended _ -> true
-                | Waiting _ | Running | Finished -> false)
-                && inject_crash ~tid:choice ~step:(s.steps - 1)
-              in
-              if crash_here then begin
+              if s.crash then begin
                 (* Crash injection: the thread is parked at a yield point and
                    simply never runs again — no unwinding, no cleanup, exactly
                    like [kill]. *)

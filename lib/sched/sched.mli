@@ -47,13 +47,15 @@ val run :
     threads it {!spawn}s until all have finished. [max_steps] defaults to
     10 million; [record] (default [false]) keeps the full trace.
 
-    [inject_crash] is the fault-injection hook: it is consulted each time
-    the scheduler is about to resume a thread parked at a yield point
-    (including a thread's very first activation), and answering [true]
-    permanently fails that thread there — it never runs again and no
-    cleanup code executes, modelling a thread crash ({!kill}'s semantics,
-    but driven at an exact {!point}). Crashed threads count as finished
-    for {!join} and appear in [outcome.crashed]. *)
+    [inject_crash] is the fault-injection hook: it is consulted once each
+    time the scheduler is about to resume a thread parked at a yield point
+    (including a thread's very first activation, and a resume taken in
+    place, where the thread at the {!point} is chosen again), and
+    answering [true] permanently fails that thread there — it never runs
+    again and no cleanup code executes, modelling a thread crash
+    ({!kill}'s semantics, but driven at an exact {!point}). Crashed
+    threads count as finished for {!join} and appear in
+    [outcome.crashed]. *)
 
 val spawn : ?name:string -> (unit -> unit) -> int
 (** Create a new simulated thread; returns its id. Must be called from
@@ -76,8 +78,10 @@ val kill : int -> unit
     inside a run; killing the current thread is not supported. *)
 
 val point : unit -> unit
-(** Yield point. Inside a simulation: hand control to the scheduler.
-    Outside: no-op. *)
+(** Yield point: one scheduling decision. Inside a simulation the
+    strategy chooses the thread that runs next; when it chooses the
+    caller again the step is taken in place, and otherwise the caller
+    parks until it is chosen. Outside: no-op. *)
 
 val active : unit -> bool
 (** Whether the calling code is executing inside a simulation run. *)
