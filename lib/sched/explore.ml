@@ -8,17 +8,6 @@ type result =
     }
   | Budget_exhausted of { schedules : int }
 
-(* Count preemptions in [trace] restricted to its first [len] steps. *)
-let preemptions_upto trace len =
-  let count = ref 0 in
-  for i = 1 to min len (Array.length trace) - 1 do
-    let s : Trace.step = trace.(i) in
-    let prev : Trace.step = trace.(i - 1) in
-    if s.tid <> prev.tid && s.enabled land (1 lsl prev.tid) <> 0 then
-      incr count
-  done;
-  !count
-
 let run_one ~max_steps prefix body =
   Sched.run ~max_steps ~record:true
     (Strategy.Scripted { prefix; tail_seed = None })
@@ -26,10 +15,10 @@ let run_one ~max_steps prefix body =
 
 let check ?(max_steps = 100_000) ?max_preemptions ?(max_schedules = 200_000)
     ~body ~check () =
-  (* Work-list of (forced prefix, length of the prefix that is "new", i.e.
-     positions >= start may branch). Standard stateless DFS: children are
+  (* Work-list of forced prefixes. Standard stateless DFS: children are
      generated only at positions at or beyond the forced prefix length, so
      every schedule is executed exactly once. *)
+  let bound = Option.value max_preemptions ~default:max_int in
   let stack = Stack.create () in
   Stack.push [||] stack;
   let executed = ref 0 in
@@ -64,42 +53,34 @@ let check ?(max_steps = 100_000) ?max_preemptions ?(max_schedules = 200_000)
                   })
        | Stdlib.Ok o ->
            let trace = Option.get o.Sched.trace in
-           let forced = Array.length prefix in
+           let chosen = Trace.chosen trace in
+           let n = Array.length chosen in
+           (* Whether running [alt] at step [i] preempts the thread that
+              ran step [i - 1] while it was still enabled. *)
+           let preempts i alt =
+             i > 0
+             && alt <> chosen.(i - 1)
+             && trace.(i).Trace.enabled land (1 lsl chosen.(i - 1)) <> 0
+           in
+           (* [before.(i)]: the preemptions in the first [i] steps. *)
+           let before = Array.make (n + 1) 0 in
+           for i = 0 to n - 1 do
+             before.(i + 1) <- before.(i) + Bool.to_int (preempts i chosen.(i))
+           done;
            (* Push deeper branch points first-last so the DFS explores in a
               stable order; each child forces one alternative decision. *)
-           for i = Array.length trace - 1 downto forced do
-             let step = trace.(i) in
-             let enabled = Trace.enabled_list step in
+           for i = n - 1 downto Array.length prefix do
              List.iter
                (fun alt ->
-                 if alt <> step.Trace.tid then begin
-                   let child = Array.make (i + 1) 0 in
-                   Array.blit (Trace.chosen trace) 0 child 0 i;
+                 if
+                   alt <> chosen.(i)
+                   && before.(i) + Bool.to_int (preempts i alt) <= bound
+                 then begin
+                   let child = Array.sub chosen 0 (i + 1) in
                    child.(i) <- alt;
-                   let ok_preempt =
-                     match max_preemptions with
-                     | None -> true
-                     | Some bound ->
-                         (* Preemptions in the child's forced prefix: same
-                            as the parent's up to i, plus one if forcing
-                            [alt] preempts a still-enabled previous
-                            thread. *)
-                         let base = preemptions_upto trace i in
-                         let extra =
-                           if
-                             i > 0
-                             && alt <> trace.(i - 1).Trace.tid
-                             && step.Trace.enabled
-                                land (1 lsl trace.(i - 1).Trace.tid)
-                                <> 0
-                           then 1
-                           else 0
-                         in
-                         base + extra <= bound
-                   in
-                   if ok_preempt then Stack.push child stack
+                   Stack.push child stack
                  end)
-               enabled
+               (Trace.enabled_list trace.(i))
            done
      done
    with Stdlib.Exit -> ());
