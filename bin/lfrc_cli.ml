@@ -188,8 +188,9 @@ let stats_cmd =
   in
   let run (name, workload) workers ops seed rc_mode =
     let metrics = Lfrc_obs.Metrics.create () in
-    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~workers
-      ~ops_per_worker:ops ~seed workload;
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with metrics }
+      ~workers ~ops_per_worker:ops ~seed workload;
     let tier =
       match Lfrc_structures.Catalog.find name with
       | Some e ->
@@ -259,8 +260,9 @@ let trace_cmd =
         ("seed", string_of_int seed);
         ("rc_mode", Lfrc_harness.Scenario.rc_mode_label rc_mode);
       ];
-    Lfrc_harness.Common.run_workload ~rc_mode ~tracer ~workers
-      ~ops_per_worker:ops ~seed workload;
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with tracer }
+      ~workers ~ops_per_worker:ops ~seed workload;
     let rendered =
       match format with
       | `Chrome -> Json.to_string (Lfrc_obs.Tracer.to_chrome_json tracer)
@@ -306,8 +308,9 @@ let profile_cmd =
   let run (name, workload) workers ops seed json rc_mode =
     let metrics = Lfrc_obs.Metrics.create () in
     let profile = Lfrc_obs.Profile.create ~metrics () in
-    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~profile ~workers
-      ~ops_per_worker:ops ~seed workload;
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with metrics; profile }
+      ~workers ~ops_per_worker:ops ~seed workload;
     if json then
       print_endline
         (Json.to_string
@@ -366,8 +369,9 @@ let blame_cmd =
   let run (name, workload) workers ops seed json matrix top rc_mode =
     let metrics = Lfrc_obs.Metrics.create () in
     let blame = Lfrc_obs.Blame.create () in
-    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~blame ~workers
-      ~ops_per_worker:ops ~seed workload;
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with metrics; blame }
+      ~workers ~ops_per_worker:ops ~seed workload;
     if json then print_endline (Json.to_string (Lfrc_obs.Blame.to_json blame))
     else if matrix then print_string (Lfrc_obs.Blame.matrix blame)
     else begin

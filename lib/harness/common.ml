@@ -142,13 +142,9 @@ let workloads =
     ("sundell", sundell_workload);
   ]
 
-let run_workload ?rc_mode ?metrics ?tracer ?profile ?blame ~workers
-    ~ops_per_worker ~seed workload =
+let run_workload ?rc_mode o ~workers ~ops_per_worker ~seed workload =
   let heap = Lfrc_simmem.Heap.create ~name:"cli-workload" () in
-  let env =
-    Lfrc_core.Env.create ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?rc_mode
-      ?metrics ?tracer ?profile ?blame heap
-  in
+  let env = env ~dcas_impl:Lfrc_atomics.Dcas.Atomic_step ?rc_mode o heap in
   ignore
     (Sched.run ~max_steps:400_000_000 (Lfrc_sched.Strategy.Random seed)
        (fun () -> workload ~workers ~ops_per_worker ~seed env))

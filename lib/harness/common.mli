@@ -119,16 +119,14 @@ val workloads :
 
 val run_workload :
   ?rc_mode:Lfrc_core.Env.rc_mode ->
-  ?metrics:Lfrc_obs.Metrics.t ->
-  ?tracer:Lfrc_obs.Tracer.t ->
-  ?profile:Lfrc_obs.Profile.t ->
-  ?blame:Lfrc_obs.Blame.t ->
+  Lfrc_obs.Obs.t ->
   workers:int ->
   ops_per_worker:int ->
   seed:int ->
   (workers:int -> ops_per_worker:int -> seed:int -> Lfrc_core.Env.t -> unit) ->
   unit
-(** Run one of {!workloads} on a fresh heap over [Atomic_step], under
-    the [Random seed] schedule: the run behind the CLI's [stats],
-    [trace], [profile] and [blame] commands. The optional layers and
-    [rc_mode] default as in {!Lfrc_core.Env.create}. *)
+(** [run_workload o workload] runs one of {!workloads} on a fresh heap
+    over [Atomic_step], with the bundle's layers attached as {!env}
+    attaches them, under the [Random seed] schedule: the run behind the
+    CLI's [stats], [trace], [profile] and [blame] commands. [rc_mode]
+    defaults as in {!Lfrc_core.Env.create}. *)

@@ -26,10 +26,11 @@ let checks = Alcotest.(check string)
 let treiber = List.assoc "treiber" Common.workloads
 
 (* One contended stack run with blame attached; fresh heap and env. *)
-let run_treiber ?blame ?metrics ?rc_mode ?(workers = 4) ?(ops = 200) ~seed
-    () =
-  Common.run_workload ?rc_mode ?metrics ?blame ~workers ~ops_per_worker:ops
-    ~seed treiber
+let run_treiber ?(blame = Blame.disabled) ?(metrics = Metrics.disabled)
+    ?rc_mode ?(workers = 4) ?(ops = 200) ~seed () =
+  Common.run_workload ?rc_mode
+    { Obs.disabled with metrics; blame }
+    ~workers ~ops_per_worker:ops ~seed treiber
 
 (* --- exact attribution --- *)
 
@@ -255,8 +256,8 @@ let test_every_workload_names_pairs () =
       List.iter
         (fun (mode, rc_mode) ->
           let blame = Blame.create () in
-          Common.run_workload ~rc_mode ~blame ~workers:4 ~ops_per_worker:2_000
-            ~seed:11 workload;
+          Common.run_workload ~rc_mode { Obs.disabled with blame } ~workers:4
+            ~ops_per_worker:2_000 ~seed:11 workload;
           checkb
             (Printf.sprintf "%s %s: at least one pair" name mode)
             true
@@ -270,7 +271,9 @@ let test_every_workload_names_pairs () =
    named against 16,638 retries when this test was written). *)
 let test_pairs_explain_rc_retries () =
   let blame = Blame.create () and metrics = Metrics.create () in
-  Common.run_workload ~metrics ~blame ~workers:4 ~ops_per_worker:2_000 ~seed:1
+  Common.run_workload
+    { Obs.disabled with metrics; blame }
+    ~workers:4 ~ops_per_worker:2_000 ~seed:1
     (List.assoc "snark-fixed" Common.workloads);
   let rows = Blame.rows blame in
   let rc_named = List.fold_left (fun n r -> n + r.Blame.b_rc) 0 rows in

@@ -346,8 +346,9 @@ let test_figure2_replay_deferred () =
 let test_stats_run_coalesces () =
   let run rc_mode =
     let metrics = Metrics.create () in
-    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~workers:4
-      ~ops_per_worker:500 ~seed:7
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with metrics }
+      ~workers:4 ~ops_per_worker:500 ~seed:7
       (List.assoc "treiber" Lfrc_harness.Common.workloads);
     Metrics.snapshot metrics
   in

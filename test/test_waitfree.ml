@@ -140,8 +140,9 @@ let test_rc_retry_zero_under_contention () =
 let test_stats_run_against_eager () =
   let run rc_mode =
     let metrics = Metrics.create () in
-    Lfrc_harness.Common.run_workload ~rc_mode ~metrics ~workers:4
-      ~ops_per_worker:500 ~seed:7
+    Lfrc_harness.Common.run_workload ~rc_mode
+      { Lfrc_obs.Obs.disabled with metrics }
+      ~workers:4 ~ops_per_worker:500 ~seed:7
       (List.assoc "treiber" Lfrc_harness.Common.workloads);
     Metrics.snapshot metrics
   in
