@@ -234,8 +234,8 @@ let step_thread s th =
 (* Decide step [s.steps] over [enabled], [last] having run the step
    before: draw the thread, record and count the step, and ask the crash
    hook whether it crashes a thread this step resumes from a yield point
-   or starts. The thread is [Running] when it is the caller of [point]
-   and the step is taken in place. *)
+   or starts. The chosen thread is [Running] when it is the caller of
+   [point]: a resume that keeps it running. *)
 let decide s ~enabled ~last =
   let choice = Strategy.choose s.strategy ~step:s.steps ~enabled ~last in
   if s.record then

@@ -700,8 +700,8 @@ let test_explore_replay_counterexample () =
   | _ -> Alcotest.fail "expected violation"
 
 (* One complete bounded exploration: three threads of three points at
-   most two preemptions. The count was recorded before the explorer
-   kept its chosen array and preemption counts per schedule. *)
+   most two preemptions. The count moves if the explorer generates or
+   prunes a different set of children. *)
 let test_explore_bounded_count () =
   let body () =
     for _ = 1 to 3 do
